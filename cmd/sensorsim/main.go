@@ -105,7 +105,7 @@ func main() {
 	}
 
 	// With sampling on, 1 in N frames is born traced at encode time; the
-	// trace context rides the wire (protocol v3) and the station's spans
+	// trace context rides the frame's trace header and the station's spans
 	// land in the same recorder, so the summary can show where time went.
 	var tracer *trace.Recorder
 	if *traceN > 0 {

@@ -1,9 +1,10 @@
 // Command stationd runs a standalone base station: it listens for sensor
-// connections over TCP, decodes and logs every transmission (per-sensor
-// append-only logs on disk, as in Section 3.2), answers historical queries
-// over HTTP/JSON, and periodically logs a structured reception report.
-// Pair it with sensors built on internal/sensor and internal/netio, or try
-// it against cmd/sensorsim's source model.
+// connections over TCP, decodes and archives every transmission (one
+// segment directory per sensor with -datadir, the file per sensor of
+// Section 3.2), answers historical queries over HTTP/JSON, and
+// periodically logs a structured reception report. Pair it with sensors
+// built on internal/sensor and internal/netio, or try it against
+// cmd/sensorsim's source model.
 //
 //	stationd -addr 127.0.0.1:7070 -http 127.0.0.1:8080 -debug 127.0.0.1:9090 \
 //	         -datadir /var/lib/sbr -band 150 -mbase 64
@@ -15,8 +16,8 @@
 // station checkpoints itself periodically (-checkpoint), and a restart
 // recovers from the newest checkpoint plus a bounded tail replay instead
 // of replaying history from t=0. -retention-age / -retention-bytes bound
-// the archive. The legacy raw-frame WAL (-logdir, full replay on boot)
-// remains available but is mutually exclusive with -datadir.
+// the archive. Without -datadir the station keeps its history in memory
+// only.
 //
 // With -http set, the approximate-query engine is exposed while frames
 // keep arriving: point, range, aggregate (answered from the hierarchical
@@ -57,7 +58,7 @@
 // Every daemon event and the periodic report go through the structured
 // logger (internal/obs conventions); -v raises it to debug level. On
 // SIGINT or SIGTERM the daemon stops accepting sensors, drains the HTTP
-// servers, syncs the on-disk logs and exits.
+// servers, checkpoints and closes the segment store, and exits.
 package main
 
 import (
@@ -95,7 +96,6 @@ func main() {
 		addr       = flag.String("addr", "127.0.0.1:7070", "TCP listen address for sensor connections")
 		httpAddr   = flag.String("http", "", "HTTP query-API listen address (empty: disabled)")
 		debugAddr  = flag.String("debug", "", "admin-plane listen address for /debug/metrics, /debug/vars, /debug/pprof (empty: disabled)")
-		logDir     = flag.String("logdir", "", "directory for legacy raw-frame logs (empty: disabled; exclusive with -datadir)")
 		dataDir    = flag.String("datadir", "", "persistent segment-store directory (empty: memory only)")
 		band       = flag.Int("band", 150, "TotalBand the sensors were configured with")
 		mbase      = flag.Int("mbase", 64, "MBase the sensors were configured with")
@@ -163,10 +163,6 @@ func main() {
 		dlog.Info("tracing enabled", "sample_every", *traceN, "capacity", *traceCap)
 	}
 
-	if *logDir != "" && *dataDir != "" {
-		fatal(dlog, errors.New("stationd: -logdir and -datadir are mutually exclusive"))
-	}
-
 	var seg *segstore.Store
 	if *dataDir != "" {
 		var err error
@@ -190,41 +186,11 @@ func main() {
 		ss := seg.StoreStats()
 		dlog.Info("recovered station from segment store", "dir", *dataDir,
 			"sensors", rs.Sensors, "from_checkpoint", rs.FromCheckpoint,
-			"tail_frames_replayed", rs.Replayed,
+			"tail_frames_replayed", rs.Replayed, "torn_tails", ss.TornTails,
 			"segments", ss.Segments, "bytes", ss.Bytes)
 	}
 
-	var store *station.LogStore
-	var observer netio.FrameObserver
-	if *logDir != "" {
-		// Crash recovery before anything else touches the directory: replay
-		// the per-sensor frame logs into the station (truncating any torn
-		// tail a previous crash left behind), so sequence state, history
-		// and the aggregate index resume where the last process stopped.
-		rs, err := station.Restore(st, *logDir)
-		if err != nil {
-			fatal(dlog, err)
-		}
-		if rs.Sensors > 0 || rs.TornTails > 0 {
-			dlog.Info("restored station from frame logs", "dir", *logDir,
-				"sensors", rs.Sensors, "frames", rs.Frames,
-				"duplicates_skipped", rs.Duplicates,
-				"torn_tails", rs.TornTails, "truncated_bytes", rs.TruncatedBytes)
-		}
-		store, err = station.NewLogStore(*logDir)
-		if err != nil {
-			fatal(dlog, err)
-		}
-		storeLog := obs.Component(logger, "logstore")
-		observer = func(id string, frame []byte) {
-			if err := store.Append(id, frame); err != nil {
-				storeLog.Error("log append failed", "sensor", id, "err", err)
-			}
-		}
-	}
-
 	srv, err := netio.ServeWith(st, *addr, netio.Options{
-		Observer:         observer,
 		Metrics:          netio.NewMetrics(reg),
 		Logger:           logger,
 		Tracer:           tracer,
@@ -307,7 +273,7 @@ func main() {
 			if sampler != nil {
 				sampler.Stop()
 			}
-			shutdown(dlog, reg, st, srv, httpSrv, debugSrv, store, seg, *drainTO)
+			shutdown(dlog, reg, st, srv, httpSrv, debugSrv, seg, *drainTO)
 			return
 		}
 	}
@@ -381,11 +347,10 @@ func health(srv *netio.Server, st *station.Station) *httpapi.Health {
 
 // shutdown tears the daemon down in dependency order: drain the sensor
 // transport gracefully (in-flight frames finish and are acknowledged, so
-// sensors do not retransmit work the station already logged), drain
-// in-flight HTTP queries, then sync and close the on-disk logs so an
-// interrupt cannot lose buffered frames.
+// sensors do not retransmit work the station already archived), drain
+// in-flight HTTP queries, then checkpoint and close the segment store.
 func shutdown(log *slog.Logger, reg *obs.Registry, st *station.Station,
-	srv *netio.Server, httpSrv, debugSrv *http.Server, store *station.LogStore,
+	srv *netio.Server, httpSrv, debugSrv *http.Server,
 	seg *segstore.Store, drain time.Duration) {
 
 	log.Info("shutting down", "drain", drain.String())
@@ -403,14 +368,6 @@ func shutdown(log *slog.Logger, reg *obs.Registry, st *station.Station,
 			log.Error("draining http server", "err", err)
 		}
 		cancel()
-	}
-	if store != nil {
-		if err := store.Sync(); err != nil {
-			log.Error("syncing logs", "err", err)
-		}
-		if err := store.Close(); err != nil {
-			log.Error("closing logs", "err", err)
-		}
 	}
 	if seg != nil {
 		// Final checkpoint with all traffic drained, then Close seals the

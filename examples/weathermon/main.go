@@ -2,9 +2,10 @@
 // records six physically coupled quantities, batches them, and ships
 // SBR-compressed transmissions to a base station that keeps a queryable
 // long-term history (Section 3.2, Figure 1). The example runs ten
-// transmissions, persists the per-sensor log to disk, rebuilds the station
-// from the log, and answers historical point/range/aggregate queries —
-// including the strict-error-bound mode of Section 4.5.
+// transmissions into a station archiving them in the on-disk segment
+// store, rebuilds a second station from the archive, and answers
+// historical point/range/aggregate queries — including the
+// strict-error-bound mode of Section 4.5.
 package main
 
 import (
@@ -15,6 +16,7 @@ import (
 	"sbr/internal/core"
 	"sbr/internal/datagen"
 	"sbr/internal/metrics"
+	"sbr/internal/segstore"
 	"sbr/internal/station"
 	"sbr/internal/wire"
 )
@@ -36,16 +38,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	logDir, err := os.MkdirTemp("", "sbr-weathermon-logs")
+	dataDir, err := os.MkdirTemp("", "sbr-weathermon-data")
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer os.RemoveAll(logDir)
-	store, err := station.NewLogStore(logDir)
+	defer os.RemoveAll(dataDir)
+	store, err := segstore.Open(segstore.Options{Dir: dataDir, Config: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer store.Close()
+	st.SetArchive(store, 0) // archive every frame; keep the whole history in memory too
 
 	const sensorID = "uw-station"
 	fmt.Printf("streaming %d transmissions of %d weather quantities × %d samples\n",
@@ -57,9 +59,6 @@ func main() {
 		}
 		frame, err := wire.Encode(t)
 		if err != nil {
-			log.Fatal(err)
-		}
-		if err := store.Append(sensorID, frame); err != nil {
 			log.Fatal(err)
 		}
 		if err := st.ReceiveFrame(sensorID, frame); err != nil {
@@ -104,22 +103,31 @@ func main() {
 			label, metrics.MeanSquared(orig, hist), orig.Variance())
 	}
 
-	// Rebuild the station purely from the on-disk log and spot-check.
-	rebuilt, err := station.New(cfg)
-	if err != nil {
+	// Shut the archive down the way stationd does — checkpoint, then close
+	// (sealing the segment) — rebuild a station purely from the data
+	// directory, and spot-check it.
+	if err := st.Checkpoint(); err != nil {
 		log.Fatal(err)
 	}
-	store2, err := station.NewLogStore(logDir)
+	if err := store.Close(); err != nil {
+		log.Fatal(err)
+	}
+	store2, err := segstore.Open(segstore.Options{Dir: dataDir, Config: cfg})
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer store2.Close()
-	if err := store2.LoadSensorLog(rebuilt, sensorID); err != nil {
+	rebuilt, err := station.New(cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rebuilt.SetArchive(store2, 0)
+	if _, err := rebuilt.Recover(); err != nil {
 		log.Fatal(err)
 	}
 	a, _ := st.At(sensorID, 0, 5000)
 	b, _ := rebuilt.At(sensorID, 0, 5000)
-	fmt.Printf("\nlog replay check: sample 5000 of air-temp = %.4f (live) vs %.4f (replayed)\n", a, b)
+	fmt.Printf("\narchive recovery check: sample 5000 of air-temp = %.4f (live) vs %.4f (recovered)\n", a, b)
 
 	// The query layer: daily maxima via a windowed query, a plotting export,
 	// and a threshold scan ("when did it freeze?") over the approximate log.

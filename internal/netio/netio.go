@@ -6,8 +6,15 @@
 //
 //	handshake:  "SBRS" magic, uvarint ID length, sensor ID,
 //	            8-byte little-endian incarnation nonce
-//	frames:     the framed transmissions internal/wire defines
-//	acks:       1 status byte (OK / error / busy) + uvarint sequence
+//	reply:      a hello ack, or a busy ack when the server sheds the peer
+//	frames:     the framed transmissions internal/wire defines, with or
+//	            without their optional trace header
+//	acks:       1 status byte (OK / error / busy / hello) + uvarint field
+//
+// The reliable client waits for the handshake reply before it writes a
+// frame, so a shed costs no frame attempt; the plain client reads the
+// reply in its first Send, just before that frame's ack, so dialling adds
+// no round trip.
 //
 // The acknowledgement carries the sequence number it refers to so a
 // pipelined sender can match acks to outstanding frames even after
@@ -38,29 +45,15 @@ import (
 	"sbr/internal/wire"
 )
 
-// Protocol constants. The v2 handshake magic is "SBRS"; a client that
-// understands traced frames opens with "SBR3" instead and waits for a
-// hello acknowledgement naming the server's protocol version. A v2-only
-// server rejects the unknown magic and closes, which the client detects
-// and answers by redialling with the v2 magic — so negotiation costs one
-// extra round trip against old servers and nothing against new ones.
-var (
-	handshakeMagic   = [4]byte{'S', 'B', 'R', 'S'}
-	handshakeMagicV3 = [4]byte{'S', 'B', 'R', '3'}
-)
+// handshakeMagic opens every sensor connection.
+var handshakeMagic = [4]byte{'S', 'B', 'R', 'S'}
 
 const (
 	ackOK    byte = 0x06 // frame decoded and logged (or re-acked duplicate)
 	ackError byte = 0x15 // frame rejected; the connection closes after this
 	ackBusy  byte = 0x07 // server at capacity; reconnect after a backoff
-	ackHello byte = 0x05 // handshake reply: the seq field carries the protocol version
+	ackHello byte = 0x05 // handshake accepted: the field carries wire.VersionTraced
 	maxIDLen      = 256
-)
-
-// Protocol versions negotiated by the handshake.
-const (
-	protoV2 = 2 // untraced frames only
-	protoV3 = 3 // frames may carry a trace header (wire.VersionTraced)
 )
 
 // Default timeouts; Options and ReliableOptions override them.
@@ -105,9 +98,8 @@ var ErrClientClosed = errors.New("netio: client closed")
 
 // FrameObserver sees the raw bytes of every frame a station accepted, in
 // arrival order per sensor. Observers must be safe for concurrent calls
-// (one per connection); the station log persister is the typical use.
-// Re-acknowledged duplicates are not observed — the log stays
-// exactly-once too.
+// (one per connection). Re-acknowledged duplicates are not observed, so an
+// observer sees every frame exactly once.
 type FrameObserver func(id string, frame []byte)
 
 // Metrics is the transport-layer telemetry. Build one with NewMetrics;
@@ -172,13 +164,12 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 
 // Options configures ServeWith beyond the required station and address.
 type Options struct {
-	Observer FrameObserver // raw accepted frames, e.g. the log persister
+	Observer FrameObserver // raw accepted frames (nil: none)
 	Metrics  *Metrics      // transport telemetry (nil: uninstrumented)
 	Logger   *slog.Logger  // structured events (nil: discard)
 
 	// Tracer records per-frame receive spans for sampled traced frames
-	// and answers the v3 handshake hello (nil: frames are still accepted
-	// in either version, but no spans are recorded).
+	// (nil: traced frames are still accepted, but no spans are recorded).
 	Tracer *trace.Recorder
 
 	// MaxConns caps concurrent sensor connections. Arrivals beyond the
@@ -265,8 +256,7 @@ func Serve(st *station.Station, addr string) (*Server, error) {
 }
 
 // ServeObserved is Serve with a frame observer: every frame the station
-// accepts is also handed, raw, to obs — the hook cmd/stationd uses to
-// persist per-sensor append-only logs.
+// accepts is also handed, raw, to obs.
 func ServeObserved(st *station.Station, addr string, obs FrameObserver) (*Server, error) {
 	return ServeWith(st, addr, Options{Observer: obs})
 }
@@ -507,7 +497,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		conn.SetReadDeadline(time.Now().Add(s.hsTimeout)) //nolint:errcheck
 	}
 	br := bufio.NewReader(conn)
-	id, src, proto, err := readHandshake(br)
+	id, src, err := readHandshake(br)
 	if err != nil {
 		if err != io.EOF { // bare connect-and-close (port probe) is not a protocol error
 			s.met.RejectHandshake.Inc()
@@ -515,14 +505,10 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		return
 	}
-	if proto >= protoV3 {
-		// Answer the negotiation: a trace-aware client is waiting to learn
-		// whether its frames may keep their trace headers.
-		if !s.writeAck(conn, ackHello, wire.VersionTraced, id, remote) {
-			return
-		}
+	if !s.writeAck(conn, ackHello, wire.VersionTraced, id, remote) {
+		return
 	}
-	s.log.Debug("sensor connected", "sensor", id, "remote", remote, "proto", proto)
+	s.log.Debug("sensor connected", "sensor", id, "remote", remote)
 	for {
 		if s.draining.Load() {
 			s.log.Debug("connection drained", "sensor", id, "remote", remote)
@@ -582,7 +568,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		case errors.Is(err, station.ErrDuplicate):
 			// Retransmission of a frame the station already holds: the ack
 			// was lost, not the frame. Re-ack OK so delivery is idempotent;
-			// skip the observer so the on-disk log stays exactly-once.
+			// skip the observer so it sees every frame exactly once.
 			s.met.DupFrames.Inc()
 			s.log.Debug("duplicate frame re-acked", "sensor", id, "remote", remote, "seq", seq)
 			rsp.Annotate("duplicate", "true")
@@ -653,43 +639,37 @@ func (s *Server) writeAck(conn net.Conn, status byte, seq int, id, remote string
 }
 
 // readHandshake validates the magic and reads the sensor ID and the
-// transport incarnation nonce. The magic chooses the protocol version:
-// "SBRS" is v2, "SBR3" announces a trace-aware client expecting a hello.
-func readHandshake(r *bufio.Reader) (id string, nonce uint64, proto int, err error) {
+// transport incarnation nonce.
+func readHandshake(r *bufio.Reader) (id string, nonce uint64, err error) {
 	var magic [4]byte
 	if _, err := io.ReadFull(r, magic[:]); err != nil {
-		return "", 0, 0, err
+		return "", 0, err
 	}
-	switch magic {
-	case handshakeMagic:
-		proto = protoV2
-	case handshakeMagicV3:
-		proto = protoV3
-	default:
-		return "", 0, 0, errors.New("netio: bad handshake magic")
+	if magic != handshakeMagic {
+		return "", 0, errors.New("netio: bad handshake magic")
 	}
 	n, err := binary.ReadUvarint(r)
 	if err != nil {
-		return "", 0, 0, err
+		return "", 0, err
 	}
 	if n == 0 || n > maxIDLen {
-		return "", 0, 0, fmt.Errorf("netio: sensor ID length %d out of range", n)
+		return "", 0, fmt.Errorf("netio: sensor ID length %d out of range", n)
 	}
 	idb := make([]byte, n)
 	if _, err := io.ReadFull(r, idb); err != nil {
-		return "", 0, 0, err
+		return "", 0, err
 	}
 	var nb [8]byte
 	if _, err := io.ReadFull(r, nb[:]); err != nil {
-		return "", 0, 0, fmt.Errorf("netio: reading incarnation nonce: %w", err)
+		return "", 0, fmt.Errorf("netio: reading incarnation nonce: %w", err)
 	}
-	return string(idb), binary.LittleEndian.Uint64(nb[:]), proto, nil
+	return string(idb), binary.LittleEndian.Uint64(nb[:]), nil
 }
 
 // writeHandshake ships the magic, ID and incarnation nonce; errors
 // surface at Flush.
-func writeHandshake(bw *bufio.Writer, magic [4]byte, sensorID string, nonce uint64) {
-	bw.Write(magic[:]) //nolint:errcheck — surfaced by Flush
+func writeHandshake(bw *bufio.Writer, sensorID string, nonce uint64) {
+	bw.Write(handshakeMagic[:]) //nolint:errcheck — surfaced by Flush
 	var buf [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(buf[:], uint64(len(sensorID)))
 	bw.Write(buf[:n])        //nolint:errcheck
@@ -722,24 +702,26 @@ func readAck(br *bufio.Reader) (status byte, seq int, err error) {
 	return status, int(n), nil
 }
 
-// dialAndShake opens one TCP connection with a connect timeout and
-// keepalives and performs the v2 handshake.
-func dialAndShake(dial func(addr string) (net.Conn, error), addr, sensorID string, nonce uint64) (net.Conn, error) {
-	conn, err := dialRaw(dial, addr)
-	if err != nil {
-		return nil, err
+// readHello consumes the server's reply to the handshake: a hello means
+// the connection is accepted, a busy ack means the server shed it — its
+// field carries the retry-after hint in milliseconds (0: none), which the
+// reliable client floors its next backoff on.
+func readHello(br *bufio.Reader) error {
+	status, field, err := readAck(br)
+	switch {
+	case err != nil:
+		return fmt.Errorf("netio: awaiting hello: %w", err)
+	case status == ackBusy:
+		return &busyError{after: time.Duration(field) * time.Millisecond}
+	case status != ackHello:
+		return fmt.Errorf("netio: expected hello, got ack status 0x%02x", status)
 	}
-	bw := bufio.NewWriter(conn)
-	writeHandshake(bw, handshakeMagic, sensorID, nonce)
-	if err := bw.Flush(); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("netio: handshake: %w", err)
-	}
-	return conn, nil
+	return nil
 }
 
-// dialRaw dials and arms keepalives.
-func dialRaw(dial func(addr string) (net.Conn, error), addr string) (net.Conn, error) {
+// dialAndShake opens one connection with keepalives and writes the
+// handshake; the server's reply is left for the caller to read.
+func dialAndShake(dial func(addr string) (net.Conn, error), addr, sensorID string, nonce uint64) (net.Conn, error) {
 	conn, err := dial(addr)
 	if err != nil {
 		return nil, fmt.Errorf("netio: dial: %w", err)
@@ -748,61 +730,13 @@ func dialRaw(dial func(addr string) (net.Conn, error), addr string) (net.Conn, e
 		tc.SetKeepAlive(true)                  //nolint:errcheck — advisory
 		tc.SetKeepAlivePeriod(keepalivePeriod) //nolint:errcheck
 	}
-	return conn, nil
-}
-
-// dialAndShakeNegotiated opens a connection with the v3 handshake and
-// waits (under helloWait) for the server's hello. A peer that closes or
-// stays silent instead of answering is taken for a v2-only server: the
-// connection is redialled with the v2 magic within the same attempt, and
-// the caller learns proto = 2 — its cue to strip trace headers from
-// everything it writes on this connection. The returned bufio.Reader has
-// consumed the hello and must be kept as the connection's ack reader. A
-// busy shed (the server's capacity farewell) surfaces as ErrBusy exactly
-// as it would mid-stream.
-func dialAndShakeNegotiated(dial func(addr string) (net.Conn, error), addr, sensorID string, nonce uint64, helloWait time.Duration) (net.Conn, *bufio.Reader, int, error) {
-	conn, err := dialRaw(dial, addr)
-	if err != nil {
-		return nil, nil, 0, err
-	}
 	bw := bufio.NewWriter(conn)
-	writeHandshake(bw, handshakeMagicV3, sensorID, nonce)
+	writeHandshake(bw, sensorID, nonce)
 	if err := bw.Flush(); err != nil {
 		conn.Close()
-		return nil, nil, 0, fmt.Errorf("netio: handshake: %w", err)
+		return nil, fmt.Errorf("netio: handshake: %w", err)
 	}
-	br := bufio.NewReader(conn)
-	if helloWait > 0 {
-		conn.SetReadDeadline(time.Now().Add(helloWait)) //nolint:errcheck
-	}
-	status, ver, err := readAck(br)
-	if helloWait > 0 {
-		conn.SetReadDeadline(time.Time{}) //nolint:errcheck
-	}
-	switch {
-	case err != nil:
-		// No hello: a v2 server rejected the "SBR3" magic (or never heard
-		// of hellos). Fall back to the v2 handshake on a fresh connection.
-		conn.Close()
-		conn, err = dialAndShake(dial, addr, sensorID, nonce)
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return conn, bufio.NewReader(conn), protoV2, nil
-	case status == ackBusy:
-		// The seq field of a busy ack carries the server's retry-after
-		// hint in milliseconds (0: none); surface it so the reliable
-		// client can floor its next backoff on the server's estimate.
-		conn.Close()
-		return nil, nil, 0, &busyError{after: time.Duration(ver) * time.Millisecond}
-	case status != ackHello:
-		conn.Close()
-		return nil, nil, 0, fmt.Errorf("netio: expected hello, got ack status 0x%02x", status)
-	case ver < protoV3:
-		return conn, br, protoV2, nil
-	default:
-		return conn, br, protoV3, nil
-	}
+	return conn, nil
 }
 
 // Client is the minimal sensor-side transport: synchronous sends, no
@@ -810,10 +744,11 @@ func dialAndShakeNegotiated(dial func(addr string) (net.Conn, error), addr, sens
 // that actually lose packets. Not safe for concurrent use: a sensor has
 // one radio.
 type Client struct {
-	conn net.Conn
-	bw   *bufio.Writer
-	br   *bufio.Reader
-	err  error // sticky terminal state
+	conn  net.Conn
+	bw    *bufio.Writer
+	br    *bufio.Reader
+	hello bool  // the server's handshake reply has been read
+	err   error // sticky terminal state
 }
 
 // Dial connects to a station server and identifies as sensorID, with the
@@ -836,9 +771,10 @@ func DialTimeout(addr, sensorID string, d time.Duration) (*Client, error) {
 	return &Client{conn: conn, bw: bufio.NewWriter(conn), br: bufio.NewReader(conn)}, nil
 }
 
-// Send ships one wire frame and waits for the acknowledgement. Any
-// failure — including a station rejection, after which the server closes
-// the connection — is terminal: the client closes its side and every
+// Send ships one wire frame and waits for the acknowledgement — on the
+// first Send, after the server's handshake reply, so a shed surfaces here
+// as ErrBusy. Any failure — including a station rejection, after which the
+// server closes the connection — is terminal: the client closes its side and every
 // later Send reports ErrClientClosed joined with the original cause,
 // instead of scribbling on a dead connection.
 func (c *Client) Send(frame []byte) error {
@@ -850,6 +786,12 @@ func (c *Client) Send(frame []byte) error {
 	}
 	if err := c.bw.Flush(); err != nil {
 		return c.fail(fmt.Errorf("netio: send: %w", err))
+	}
+	if !c.hello {
+		if err := readHello(c.br); err != nil {
+			return c.fail(err)
+		}
+		c.hello = true
 	}
 	status, _, err := readAck(c.br)
 	if err != nil {

@@ -150,7 +150,6 @@ type ReliableClient struct {
 	conn      net.Conn
 	bw        *bufio.Writer
 	br        *bufio.Reader
-	proto     int  // negotiated protocol of the current connection
 	connected bool // a connection has succeeded before (for the reconnect metric)
 
 	outbox []pending
@@ -364,7 +363,7 @@ func (c *ReliableClient) ensureConn() error {
 		if c.streak > 0 && !c.brkOpen {
 			c.sleepBackoff()
 		}
-		conn, br, proto, err := dialAndShakeNegotiated(c.opt.Dial, c.addr, c.id, c.nonce, c.opt.AckTimeout)
+		conn, br, err := c.dial()
 		if err != nil {
 			c.streak++
 			c.noteBusy(err)
@@ -386,7 +385,7 @@ func (c *ReliableClient) ensureConn() error {
 		if c.connected {
 			c.met.Reconnects.Inc()
 			c.log.Info("reconnected", "sensor", c.id, "addr", c.addr,
-				"unacked", len(c.outbox), "proto", proto)
+				"unacked", len(c.outbox))
 			// The head-of-line frame wears the reconnect event: it is the
 			// one whose latency the lost link actually extended.
 			if len(c.outbox) > 0 {
@@ -399,10 +398,27 @@ func (c *ReliableClient) ensureConn() error {
 		c.conn = conn
 		c.bw = bufio.NewWriter(conn)
 		c.br = br
-		c.proto = proto
 		c.sent = 0 // the whole outbox is retransmitted on a fresh conn
 	}
 	return nil
+}
+
+// dial opens one connection and waits, under AckTimeout, for the server's
+// handshake reply before any frame is written: a busy shed then fails the
+// connect — feeding the backoff and the breaker — without spending an
+// attempt of the frames it would have carried.
+func (c *ReliableClient) dial() (net.Conn, *bufio.Reader, error) {
+	conn, err := dialAndShake(c.opt.Dial, c.addr, c.id, c.nonce)
+	if err != nil {
+		return nil, nil, err
+	}
+	conn.SetReadDeadline(time.Now().Add(c.opt.AckTimeout)) //nolint:errcheck
+	br := bufio.NewReader(conn)
+	if err := readHello(br); err != nil {
+		conn.Close()
+		return nil, nil, err
+	}
+	return conn, br, nil
 }
 
 // breakerGate enforces the circuit breaker before any dial: open and
@@ -467,14 +483,7 @@ func (c *ReliableClient) writeUnsent() error {
 			sp.AnnotateInt("attempt", int64(p.attempts))
 			sp.End()
 		}
-		frame := p.frame
-		if c.proto < protoV3 {
-			// A v2 peer would reject the traced header: shed it. The outbox
-			// keeps the original bytes, so a later v3 reconnect propagates
-			// the trace again.
-			frame = wire.StripTrace(frame)
-		}
-		if _, err := c.bw.Write(frame); err != nil {
+		if _, err := c.bw.Write(p.frame); err != nil {
 			return fmt.Errorf("netio: send: %w", err)
 		}
 		c.sent++

@@ -1,11 +1,7 @@
 package netio
 
 import (
-	"bufio"
-	"encoding/binary"
-	"io"
 	"math/rand"
-	"net"
 	"testing"
 	"time"
 
@@ -132,189 +128,5 @@ func TestChaosOneTracePerFrame(t *testing.T) {
 	}
 	if got, _ := st.SensorStats("chaos-node"); got.Transmissions != nFrames {
 		t.Errorf("station holds %d transmissions, want %d", got.Transmissions, nFrames)
-	}
-}
-
-// serveV2Only is a minimal pre-trace server: it accepts only the "SBRS"
-// handshake magic (closing on anything else, as an old binary would),
-// acks every frame, and records the wire version byte of each frame seen.
-func serveV2Only(t *testing.T, ln net.Listener, versions chan<- byte) {
-	t.Helper()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		go func() {
-			defer conn.Close()
-			br := bufio.NewReader(conn)
-			var magic [4]byte
-			if _, err := io.ReadFull(br, magic[:]); err != nil || magic != handshakeMagic {
-				return // unknown magic: a v2-only server just hangs up
-			}
-			n, err := binary.ReadUvarint(br)
-			if err != nil || n == 0 || n > maxIDLen {
-				return
-			}
-			if _, err := io.CopyN(io.Discard, br, int64(n)+8); err != nil {
-				return // sensor ID + nonce
-			}
-			for {
-				frame, err := wire.ReadFrame(br)
-				if err != nil {
-					return
-				}
-				versions <- frame[4]
-				seq, err := wire.FrameSeq(frame)
-				if err != nil {
-					return
-				}
-				var buf [1 + binary.MaxVarintLen64]byte
-				buf[0] = ackOK
-				k := binary.PutUvarint(buf[1:], uint64(seq))
-				if _, err := conn.Write(buf[:1+k]); err != nil {
-					return
-				}
-			}
-		}()
-	}
-}
-
-// TestV3ClientFallsBackToV2Server: a trace-aware client against an old
-// server must redial with the v2 handshake and strip trace headers from
-// everything it writes — the data flows, the trace context is shed, and
-// nothing errors.
-func TestV3ClientFallsBackToV2Server(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	versions := make(chan byte, 16)
-	go serveV2Only(t, ln, versions)
-
-	rec := trace.NewRecorder(trace.Options{})
-	rc, err := NewReliable(ln.Addr().String(), "old-peer-node", ReliableOptions{
-		AckTimeout:  500 * time.Millisecond,
-		BackoffBase: time.Millisecond,
-		MaxAttempts: 8,
-		Tracer:      rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-
-	frames := encodeTracedFrames(t, 3)
-	for i, frame := range frames {
-		if err := rc.Send(frame); err != nil {
-			t.Fatalf("send %d to v2 server: %v", i, err)
-		}
-	}
-	if err := rc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if rc.proto != protoV2 {
-		t.Errorf("negotiated proto %d, want fallback to %d", rc.proto, protoV2)
-	}
-	for i := 0; i < len(frames); i++ {
-		select {
-		case v := <-versions:
-			if v != wire.Version {
-				t.Errorf("frame %d arrived as version %d, want stripped v%d", i, v, wire.Version)
-			}
-		case <-time.After(2 * time.Second):
-			t.Fatalf("v2 server saw only %d frames", i)
-		}
-	}
-	// The traces still exist client-side — the send spans were recorded
-	// before the headers were shed.
-	if tr := rec.Lookup(1); tr == nil {
-		t.Error("client-side trace lost in the fallback")
-	}
-}
-
-// TestV2ClientAgainstTracedServer: an old client (plain v2 handshake, no
-// hello expected) against a trace-enabled server must work unchanged —
-// the server only sends its hello to peers that announced v3.
-func TestV2ClientAgainstTracedServer(t *testing.T) {
-	cfg := chaosConfig()
-	st := newStation(t, cfg)
-	rec := trace.NewRecorder(trace.Options{})
-	srv, err := ServeWith(st, "127.0.0.1:0", Options{Tracer: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	client, err := Dial(srv.Addr(), "legacy-node")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	for i, frame := range encodeFrames(t, cfg, 3, 16) {
-		if err := client.Send(frame); err != nil {
-			t.Fatalf("legacy send %d: %v", i, err)
-		}
-	}
-	stats, err := st.SensorStats("legacy-node")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Transmissions != 3 {
-		t.Errorf("station holds %d transmissions, want 3", stats.Transmissions)
-	}
-}
-
-// TestNegotiatedV3EndToEnd: both sides new — the hello round-trip settles
-// on v3, traced frames keep their headers, and the server records receive
-// spans joined to the client's send spans.
-func TestNegotiatedV3EndToEnd(t *testing.T) {
-	st := newStation(t, chaosConfig())
-	rec := trace.NewRecorder(trace.Options{})
-	srv, err := ServeWith(st, "127.0.0.1:0", Options{Tracer: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	rc, err := NewReliable(srv.Addr(), "new-node", ReliableOptions{Tracer: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-	frames := encodeTracedFrames(t, 2)
-	for _, frame := range frames {
-		if err := rc.Send(frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := rc.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if rc.proto != protoV3 {
-		t.Errorf("negotiated proto %d, want %d", rc.proto, protoV3)
-	}
-	tr := rec.Lookup(1)
-	if tr == nil {
-		t.Fatal("trace 1 not recorded")
-	}
-	tv := tr.Snapshot(true)
-	var sends, recvs int
-	var walk func(vs []*trace.SpanView)
-	walk = func(vs []*trace.SpanView) {
-		for _, v := range vs {
-			switch v.Stage {
-			case "netio.send":
-				sends++
-			case "netio.recv":
-				recvs++
-			}
-			walk(v.Children)
-		}
-	}
-	walk(tv.Tree)
-	if sends != 1 || recvs != 1 {
-		t.Errorf("trace has %d send / %d recv spans, want 1/1", sends, recvs)
 	}
 }

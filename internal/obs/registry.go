@@ -189,14 +189,23 @@ func validName(name string) bool {
 	return true
 }
 
-// snapshot copies the family list under the lock; the metric values
+// famSnap is one family with its series list as of a snapshot.
+type famSnap struct {
+	*family
+	series []*series
+}
+
+// snapshot copies the family list, and each family's series list (which a
+// concurrent registration appends to), under the lock; the metric values
 // themselves are read atomically afterwards, so a scrape never blocks a
 // hot-path update for longer than the list copy.
-func (r *Registry) snapshot() []*family {
+func (r *Registry) snapshot() []famSnap {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]*family, len(r.order))
-	copy(out, r.order)
+	out := make([]famSnap, len(r.order))
+	for i, f := range r.order {
+		out[i] = famSnap{f, f.order}
+	}
 	return out
 }
 
@@ -261,7 +270,7 @@ func (r *Registry) Visit(fn func(Sample)) {
 		return
 	}
 	for _, f := range r.snapshot() {
-		for _, s := range f.order {
+		for _, s := range f.series {
 			smp := Sample{Name: f.name, Help: f.help, Labels: s.labels, Kind: f.kind}
 			switch f.kind {
 			case KindCounter:

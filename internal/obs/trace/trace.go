@@ -4,7 +4,7 @@
 // reconnects, station receive (dedup, decode, index update), segment-store
 // append/fsync/seal, and much later the query handlers that read it back —
 // is stitched into a single trace identified by an 8-byte ID that rides in
-// the protocol-v3 wire frame header next to a sampling bit.
+// the traced wire frame header (frame version 3) next to a sampling bit.
 //
 // The design follows internal/obs's nil-safety convention: every method is
 // safe on a nil *Recorder, nil *Trace and nil *Span, so an uninstrumented

@@ -8,11 +8,10 @@
 // re-logged), the pair delivers every frame exactly once across sensor
 // crashes, not just link faults.
 //
-// The on-disk format follows the segstore framing conventions: a magic
-// preamble, then CRC32C-framed blocks
+// The on-disk format is the internal/blocklog framing segstore uses too:
+// a magic preamble, then CRC32C-framed blocks
 //
 //	file   := magic₈ header-block record-block*
-//	block  := len₄ crc32c₄ payload            (little endian, crc over payload)
 //
 // where the first payload byte tags the kind — 'H' header (JSON: sensor
 // identity), 'F' frame (uvarint sequence + raw wire frame), 'A' ack
@@ -35,12 +34,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"time"
 
+	"sbr/internal/blocklog"
 	"sbr/internal/obs"
 )
 
@@ -55,16 +53,9 @@ const (
 	blockNonce  = 'N'
 )
 
-// maxBlock bounds block payloads so a corrupt length field cannot drive
-// an unbounded allocation.
-const maxBlock = 1 << 26
-
 // DefaultCompactEvery is the retired-frame count that triggers a
 // compaction when Options leaves it zero.
 const DefaultCompactEvery = 64
-
-// castagnoli is the CRC32C polynomial table shared with segstore framing.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrClosed is returned by operations on a closed outbox.
 var ErrClosed = errors.New("outbox: closed")
@@ -202,15 +193,15 @@ func Open(path string, opt Options) (*Outbox, error) {
 	return o, nil
 }
 
-// create writes a fresh outbox: magic plus header block, fsynced, with
-// the directory entry made durable too.
+// create installs a fresh outbox — magic plus header block — atomically
+// and durably, directory entry included.
 func (o *Outbox) create() error {
 	buf, err := encodeHeader(o.opt.Sensor, 0)
 	if err != nil {
 		return err
 	}
-	if err := writeFileSync(o.path, buf); err != nil {
-		return err
+	if err := blocklog.Install(o.path, buf, true); err != nil {
+		return fmt.Errorf("outbox: %w", err)
 	}
 	o.size = int64(len(buf))
 	return nil
@@ -223,7 +214,7 @@ func encodeHeader(sensor string, nonce uint64) ([]byte, error) {
 		return nil, fmt.Errorf("outbox: encoding header: %w", err)
 	}
 	buf := append([]byte(nil), obMagic[:]...)
-	return appendBlock(buf, append([]byte{blockHeader}, body...)), nil
+	return blocklog.Append(buf, append([]byte{blockHeader}, body...)), nil
 }
 
 // recover scans an existing outbox, truncates any torn tail, and
@@ -240,7 +231,7 @@ func (o *Outbox) recover(size int64) error {
 		return fmt.Errorf("outbox: %s is not an outbox file", o.path)
 	}
 	off := int64(len(obMagic))
-	payload, err := readBlock(f, size-off)
+	payload, err := blocklog.Read(f, size-off)
 	if err != nil || len(payload) == 0 || payload[0] != blockHeader {
 		return fmt.Errorf("outbox: unreadable header in %s", o.path)
 	}
@@ -256,7 +247,7 @@ func (o *Outbox) recover(size int64) error {
 	good := off
 
 	for {
-		payload, err := readBlock(f, size-off)
+		payload, err := blocklog.Read(f, size-off)
 		if err != nil { // io.EOF (clean end) or a torn tail: stop either way
 			break
 		}
@@ -293,8 +284,8 @@ func (o *Outbox) recover(size int64) error {
 done:
 	if good < size {
 		o.TornBytes = size - good
-		if err := truncateSync(o.path, good); err != nil {
-			return err
+		if err := blocklog.TruncateSync(o.path, good); err != nil {
+			return fmt.Errorf("outbox: %w", err)
 		}
 		o.met.TornTails.Inc()
 	}
@@ -329,7 +320,7 @@ func (o *Outbox) SetNonce(nonce uint64) error {
 	payload := make([]byte, 9)
 	payload[0] = blockNonce
 	binary.LittleEndian.PutUint64(payload[1:], nonce)
-	block := appendBlock(nil, payload)
+	block := blocklog.Append(nil, payload)
 	if _, err := o.f.Write(block); err != nil {
 		return fmt.Errorf("outbox: nonce: %w", err)
 	}
@@ -353,7 +344,7 @@ func (o *Outbox) Append(seq int, frame []byte) error {
 	payload = append(payload, blockFrame)
 	payload = binary.AppendUvarint(payload, uint64(seq))
 	payload = append(payload, frame...)
-	block := appendBlock(nil, payload)
+	block := blocklog.Append(nil, payload)
 	if _, err := o.f.Write(block); err != nil {
 		return fmt.Errorf("outbox: append: %w", err)
 	}
@@ -382,7 +373,7 @@ func (o *Outbox) Ack(seq int) error {
 	payload := make([]byte, 0, 1+binary.MaxVarintLen64)
 	payload = append(payload, blockAck)
 	payload = binary.AppendUvarint(payload, uint64(seq))
-	block := appendBlock(nil, payload)
+	block := blocklog.Append(nil, payload)
 	if _, err := o.f.Write(block); err != nil {
 		return fmt.Errorf("outbox: ack: %w", err)
 	}
@@ -401,8 +392,8 @@ func (o *Outbox) Ack(seq int) error {
 
 // Compact rewrites the log to just its header and pending frames,
 // dropping the retired prefix and its ack records. The replacement is
-// fsynced and atomically renamed over the old file, so a crash at any
-// point leaves a complete log.
+// installed atomically (blocklog.Install), so a crash at any point
+// leaves a complete log.
 func (o *Outbox) Compact() error {
 	if o.closed {
 		return ErrClosed
@@ -416,17 +407,10 @@ func (o *Outbox) Compact() error {
 		payload = append(payload, blockFrame)
 		payload = binary.AppendUvarint(payload, uint64(p.Seq))
 		payload = append(payload, p.Bytes...)
-		buf = appendBlock(buf, payload)
+		buf = blocklog.Append(buf, payload)
 	}
-	tmp := o.path + ".tmp"
-	if err := writeFileSync(tmp, buf); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, o.path); err != nil {
-		return fmt.Errorf("outbox: installing compacted log: %w", err)
-	}
-	if err := syncDir(filepath.Dir(o.path)); err != nil {
-		return err
+	if err := blocklog.Install(o.path, buf, true); err != nil {
+		return fmt.Errorf("outbox: compacting: %w", err)
 	}
 	f, err := os.OpenFile(o.path, os.O_RDWR, 0)
 	if err != nil {
@@ -469,91 +453,4 @@ func (o *Outbox) Close() error {
 	o.met.Pending.Add(-float64(len(o.pending)))
 	o.met.Bytes.Add(-float64(o.size))
 	return o.f.Close()
-}
-
-// appendBlock frames payload and appends it to buf (segstore framing).
-func appendBlock(buf []byte, payload []byte) []byte {
-	var head [8]byte
-	binary.LittleEndian.PutUint32(head[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(head[4:8], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, head[:]...)
-	return append(buf, payload...)
-}
-
-// errTorn reports a block that cannot be completed from the remaining
-// bytes: a torn or corrupt tail, recoverable by truncation.
-var errTorn = errors.New("outbox: torn or corrupt block")
-
-// readBlock reads one framed block from r. It returns errTorn for any
-// shape of incomplete or corrupt block, io.EOF only at a clean boundary.
-func readBlock(r io.Reader, avail int64) ([]byte, error) {
-	var head [8]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, errTorn
-	}
-	n := binary.LittleEndian.Uint32(head[0:4])
-	if n > maxBlock || int64(n) > avail-8 {
-		return nil, errTorn
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, errTorn
-	}
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(head[4:8]) {
-		return nil, errTorn
-	}
-	return payload, nil
-}
-
-// writeFileSync writes data to path (truncating), fsyncs the file and
-// its directory entry.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return fmt.Errorf("outbox: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("outbox: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("outbox: fsync: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("outbox: %w", err)
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-// truncateSync truncates path to size and fsyncs it.
-func truncateSync(path string, size int64) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return fmt.Errorf("outbox: truncating torn tail: %w", err)
-	}
-	defer f.Close()
-	if err := f.Truncate(size); err != nil {
-		return fmt.Errorf("outbox: truncating torn tail: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		return fmt.Errorf("outbox: fsync after truncate: %w", err)
-	}
-	return nil
-}
-
-// syncDir fsyncs a directory so a fresh or renamed entry is durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("outbox: syncing dir: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("outbox: syncing dir: %w", err)
-	}
-	return nil
 }

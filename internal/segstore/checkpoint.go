@@ -11,6 +11,7 @@ import (
 	"strings"
 	"time"
 
+	"sbr/internal/blocklog"
 	"sbr/internal/core"
 	"sbr/internal/query"
 )
@@ -83,8 +84,8 @@ func (s *Store) WriteCheckpoint(ck *Checkpoint) error {
 		return fmt.Errorf("segstore: encoding checkpoint: %w", err)
 	}
 	seq := s.ckptSeq + 1
-	if err := atomicWrite(s.dir, checkpointName(seq), data, !s.opts.NoSync); err != nil {
-		return err
+	if err := blocklog.Install(filepath.Join(s.dir, checkpointName(seq)), data, !s.opts.NoSync); err != nil {
+		return fmt.Errorf("segstore: checkpoint: %w", err)
 	}
 	s.ckptSeq = seq
 	s.ckptUnix = ck.Unix

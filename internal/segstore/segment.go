@@ -5,22 +5,20 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"math"
 
+	"sbr/internal/blocklog"
 	"sbr/internal/core"
 	"sbr/internal/timeseries"
 	"sbr/internal/wire"
 )
 
 // On-disk segment layout. A segment file is a magic preamble followed by a
-// sequence of CRC32C-framed blocks:
+// sequence of CRC32C-framed blocks (internal/blocklog):
 //
 //	file   := magic₈ header-block record-block* [footer-block trailer₁₂]
-//	block  := len₄ crc32c₄ payload            (little endian, crc over payload)
 //	trailer:= footer-offset₈ "SGFT"
 //
 // The first payload byte tags the block kind ('H' header, 'R' record,
@@ -50,17 +48,6 @@ const (
 	blockRecord = 'R'
 	blockFooter = 'F'
 )
-
-// maxBlock bounds block payloads so a corrupt length field cannot drive an
-// unbounded allocation.
-const maxBlock = 1 << 28
-
-// castagnoli is the CRC32C polynomial table shared by all block framing.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// errTorn reports a block that cannot be completed from the remaining
-// bytes: a torn or corrupt tail, recoverable by truncation.
-var errTorn = errors.New("segstore: torn or corrupt block")
 
 // segHeader is the header block payload (JSON after the kind tag).
 type segHeader struct {
@@ -111,48 +98,13 @@ type record struct {
 	Frame []byte
 }
 
-// appendBlock frames payload and appends it to buf.
-func appendBlock(buf []byte, payload []byte) []byte {
-	var head [8]byte
-	binary.LittleEndian.PutUint32(head[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(head[4:8], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, head[:]...)
-	return append(buf, payload...)
-}
-
-// readBlock reads one framed block from r. It returns errTorn for any
-// shape of incomplete or corrupt block, io.EOF only at a clean boundary.
-func readBlock(r io.Reader, avail int64) ([]byte, error) {
-	var head [8]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		if err == io.EOF {
-			return nil, io.EOF
-		}
-		return nil, errTorn
-	}
-	n := binary.LittleEndian.Uint32(head[0:4])
-	// A declared length past the end of the file is a torn or corrupt
-	// header; reject it before allocating anything.
-	if n > maxBlock || int64(n) > avail-8 {
-		return nil, errTorn
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return nil, errTorn
-	}
-	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(head[4:8]) {
-		return nil, errTorn
-	}
-	return payload, nil
-}
-
 // encodeHeaderBlock frames a header block.
 func encodeHeaderBlock(h segHeader) ([]byte, error) {
 	body, err := json.Marshal(h)
 	if err != nil {
 		return nil, fmt.Errorf("segstore: encoding segment header: %w", err)
 	}
-	return appendBlock(nil, append([]byte{blockHeader}, body...)), nil
+	return blocklog.Append(nil, append([]byte{blockHeader}, body...)), nil
 }
 
 // encodeRecordBlock frames a record block.
@@ -170,7 +122,7 @@ func encodeRecordBlock(rec record) []byte {
 	}
 	payload = binary.AppendUvarint(payload, uint64(len(rec.Frame)))
 	payload = append(payload, rec.Frame...)
-	return appendBlock(nil, payload)
+	return blocklog.Append(nil, payload)
 }
 
 // encodeFooterBlock frames a footer block plus the trailer; footerOff is
@@ -180,7 +132,7 @@ func encodeFooterBlock(ft segFooter, footerOff int64) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segstore: encoding segment footer: %w", err)
 	}
-	out := appendBlock(nil, append([]byte{blockFooter}, body...))
+	out := blocklog.Append(nil, append([]byte{blockFooter}, body...))
 	var trailer [12]byte
 	binary.LittleEndian.PutUint64(trailer[0:8], uint64(footerOff))
 	copy(trailer[8:12], trailerMagic[:])
@@ -214,7 +166,7 @@ func decodeRecord(payload []byte) (record, error) {
 	if err != nil {
 		return rec, fmt.Errorf("segstore: record row count: %w", err)
 	}
-	if nrows > maxBlock/24 {
+	if nrows > blocklog.MaxBlock/24 {
 		return rec, fmt.Errorf("segstore: implausible record row count %d", nrows)
 	}
 	rows := make([]rowSummary, nrows)
@@ -280,7 +232,7 @@ func scanSegment(r io.Reader, size int64) (segScan, error) {
 		return scan, fmt.Errorf("segstore: bad segment magic")
 	}
 	off := int64(len(segMagic))
-	payload, err := readBlock(br, size-off)
+	payload, err := blocklog.Read(br, size-off)
 	if err != nil || len(payload) == 0 || payload[0] != blockHeader {
 		return scan, fmt.Errorf("segstore: unreadable segment header")
 	}
@@ -293,7 +245,7 @@ func scanSegment(r io.Reader, size int64) (segScan, error) {
 	off += int64(8 + len(payload))
 	scan.Good = off
 	for {
-		payload, err := readBlock(br, size-off)
+		payload, err := blocklog.Read(br, size-off)
 		if err != nil {
 			// io.EOF is a clean end (unsealed segment); anything else is a
 			// torn tail cut back to Good.

@@ -38,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"sbr/internal/blocklog"
 	"sbr/internal/core"
 	"sbr/internal/obs"
 	"sbr/internal/obs/trace"
@@ -196,6 +197,7 @@ type Store struct {
 	cache     *segCache
 	flights   map[string]*flight // in-progress segment decodes, by cache key
 	met       storeMetrics
+	tornTails int // torn active-segment tails Open truncated
 	closed    bool
 }
 
@@ -365,9 +367,10 @@ func (s *Store) recoverSegments() error {
 				continue
 			}
 			if c.scan.Good < c.scan.Size {
-				if err := truncateTo(c.path, c.scan.Good); err != nil {
-					return err
+				if err := blocklog.TruncateSync(c.path, c.scan.Good); err != nil {
+					return fmt.Errorf("segstore: %w", err)
 				}
+				s.tornTails++
 			}
 			fh, err := os.OpenFile(c.path, os.O_RDWR, 0)
 			if err != nil {
@@ -408,20 +411,8 @@ func metaFromScan(rel string, scan segScan) segMeta {
 	return sm
 }
 
-func truncateTo(path string, size int64) error {
-	f, err := os.OpenFile(path, os.O_RDWR, 0)
-	if err != nil {
-		return fmt.Errorf("segstore: opening segment for truncation: %w", err)
-	}
-	defer f.Close()
-	if err := f.Truncate(size); err != nil {
-		return fmt.Errorf("segstore: truncating torn segment tail: %w", err)
-	}
-	return f.Sync()
-}
-
-// safeName maps a sensor ID to its directory name, sanitising separators
-// the same way the station's raw-frame log store does.
+// safeName maps a sensor ID to its directory name, sanitising path
+// separators.
 func safeName(id string) string {
 	return strings.Map(func(r rune) rune {
 		switch r {
@@ -638,40 +629,8 @@ func (s *Store) writeManifest() error {
 	if err != nil {
 		return fmt.Errorf("segstore: encoding manifest: %w", err)
 	}
-	return atomicWrite(s.dir, manifestName, data, !s.opts.NoSync)
-}
-
-// atomicWrite writes name under dir via tmp + fsync + rename + dir fsync,
-// the crash-safe replacement idiom the manifest and checkpoints share.
-// sync=false (a NoSync store) keeps the atomic rename but skips the
-// fsyncs, matching the durability the rest of the store forfeits.
-func atomicWrite(dir, name string, data []byte, sync bool) error {
-	tmp := filepath.Join(dir, name+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("segstore: creating %s: %w", name, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return fmt.Errorf("segstore: writing %s: %w", name, err)
-	}
-	if sync {
-		if err := f.Sync(); err != nil {
-			f.Close()
-			return fmt.Errorf("segstore: syncing %s: %w", name, err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("segstore: closing %s: %w", name, err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, name)); err != nil {
-		return fmt.Errorf("segstore: installing %s: %w", name, err)
-	}
-	if sync {
-		if d, err := os.Open(dir); err == nil {
-			d.Sync() //nolint:errcheck — advisory on some filesystems
-			d.Close()
-		}
+	if err := blocklog.Install(filepath.Join(s.dir, manifestName), data, !s.opts.NoSync); err != nil {
+		return fmt.Errorf("segstore: manifest: %w", err)
 	}
 	return nil
 }
@@ -759,6 +718,9 @@ type Stats struct {
 	SingleflightHits   uint64 `json:"singleflight_hits"`
 	SingleflightWaits  uint64 `json:"singleflight_waits"`
 	LastCheckpointUnix int64  `json:"last_checkpoint_unix"`
+	// TornTails counts the torn active-segment tails Open truncated: the
+	// crashes that landed mid-append. It is fixed once Open returns.
+	TornTails int `json:"torn_tails"`
 }
 
 // StoreStats reports the current store statistics.
@@ -773,6 +735,7 @@ func (s *Store) StoreStats() Stats {
 		SingleflightHits:   s.met.sfHits.Value(),
 		SingleflightWaits:  s.met.sfWaits.Value(),
 		LastCheckpointUnix: s.ckptUnix,
+		TornTails:          s.tornTails,
 	}
 	for _, ss := range s.sensors {
 		st.SealedSegments += len(ss.sealed)

@@ -14,8 +14,7 @@ import (
 // accepted transmission is archived synchronously (receive does the
 // append), the in-memory history becomes a bounded window with cold reads
 // falling through to the archive, and recovery becomes checkpoint-load
-// plus a bounded tail replay of the records archived since — instead of
-// the legacy full-log replay of Restore.
+// plus a bounded tail replay of the records archived since.
 
 // SetArchive attaches store as the station's durable archive and bounds
 // the per-sensor in-memory window to memChunks chunks (0: unbounded, no
@@ -91,7 +90,9 @@ type RecoverStats struct {
 // decoding anything), then replay only the archived records past each
 // sensor's checkpoint coverage through the normal receive path. Without a
 // checkpoint it degrades to replaying the whole archive. Call once, before
-// serving traffic, with the archive already attached.
+// serving traffic, with the archive already attached. The torn segment
+// tails the archive truncated when it was opened are counted here, with
+// the replayed frames, in the station's crash-recovery telemetry.
 func (s *Station) Recover() (RecoverStats, error) {
 	var st RecoverStats
 	store, _ := s.archiveBinding()
@@ -137,9 +138,9 @@ func (s *Station) Recover() (RecoverStats, error) {
 		}
 	}
 	st.Sensors = int(s.nsensors.Load())
-	if st.Replayed > 0 {
-		s.noteReplay(st.Replayed, false)
-	}
+	met := s.metrics()
+	met.replayed.Add(uint64(st.Replayed))
+	met.tornTails.Add(uint64(store.StoreStats().TornTails))
 	return st, nil
 }
 

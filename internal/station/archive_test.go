@@ -1,9 +1,13 @@
 package station
 
 import (
+	"os"
+	"path/filepath"
 	"testing"
 
+	"sbr/internal/blocklog"
 	"sbr/internal/core"
+	"sbr/internal/obs"
 	"sbr/internal/segstore"
 )
 
@@ -279,6 +283,80 @@ func TestStationGracefulShutdownRecovery(t *testing.T) {
 			rec.FromCheckpoint, rec.Replayed)
 	}
 	compareStations(t, st2, ref, "s")
+}
+
+// TestStationRecoverColdStart: an empty data directory is a cold start,
+// not an error.
+func TestStationRecoverColdStart(t *testing.T) {
+	st, store := newArchivedStation(t, restoreConfig(), t.TempDir(), 0, 4)
+	defer store.Close()
+	rec, err := st.Recover()
+	if err != nil {
+		t.Fatalf("cold start errored: %v", err)
+	}
+	if rec != (RecoverStats{}) {
+		t.Errorf("cold start stats %+v, want zero", rec)
+	}
+}
+
+// TestRecoverCountsTornSegmentTail: a crash mid-append leaves half a
+// record block after the last whole one. Reopening the archive truncates
+// it, and Recover counts that one truncation in the station's torn-tail
+// counter beside the frames it replays.
+func TestRecoverCountsTornSegmentTail(t *testing.T) {
+	cfg := restoreConfig()
+	frames := encodeTestFrames(t, cfg, 6, 16)
+	dir := t.TempDir()
+
+	st, _ := newArchivedStation(t, cfg, dir, 0, 100)
+	feedFrames(t, st, "s", frames[:5])
+	// Crash mid-append: the station and store are abandoned, and the last
+	// write reached the disk only halfway.
+	paths, err := filepath.Glob(filepath.Join(dir, "segments", "s", "*.seg"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("active segment files %v (%v), want one", paths, err)
+	}
+	torn := blocklog.Append(nil, append([]byte{'R'}, frames[5]...))
+	f, err := os.OpenFile(paths[0], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(torn[:len(torn)/2]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	st2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	st2.Instrument(reg)
+	store2, err := segstore.Open(segstore.Options{Dir: dir, Config: cfg, SegmentChunks: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	st2.SetArchive(store2, 0)
+	rec, err := st2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Replayed != 5 {
+		t.Errorf("replayed %d frames, want the 5 whole records", rec.Replayed)
+	}
+	vals := reg.Values()
+	if v := vals["sbr_station_torn_tails_total"]; v != 1 {
+		t.Errorf("sbr_station_torn_tails_total = %v, want 1", v)
+	}
+	if v := vals["sbr_station_replayed_frames_total"]; v != 5 {
+		t.Errorf("sbr_station_replayed_frames_total = %v, want 5", v)
+	}
+	// The healed segment takes the frame the crash cut short.
+	feedFrames(t, st2, "s", frames[5:])
+	if n, err := st2.HistoryLen("s"); err != nil || n != 6*16 {
+		t.Errorf("HistoryLen = %d (%v), want %d", n, err, 6*16)
+	}
 }
 
 // TestArchiveDegradedMode: when the store stops accepting appends the

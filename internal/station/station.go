@@ -188,8 +188,8 @@ func (s *Station) Instrument(reg *obs.Registry) {
 		restarts:        reg.Counter("sbr_station_restarts_total", "Sensor reboots observed (sequence reset to zero)."),
 		rejects:         reg.Counter("sbr_station_rejects_total", "Transmissions the station refused (decode, shape, order)."),
 		duplicates:      reg.Counter("sbr_station_duplicates_total", "Retransmitted already-accepted transmissions dropped idempotently."),
-		replayed:        reg.Counter("sbr_station_replayed_frames_total", "Frames replayed from the on-disk logs during crash recovery."),
-		tornTails:       reg.Counter("sbr_station_torn_tails_total", "Torn or corrupt log tails truncated during crash recovery."),
+		replayed:        reg.Counter("sbr_station_replayed_frames_total", "Archived frames replayed past the checkpoint during crash recovery."),
+		tornTails:       reg.Counter("sbr_station_torn_tails_total", "Torn segment tails truncated when the archive was opened for crash recovery."),
 		receiveSeconds:  reg.Histogram("sbr_station_receive_seconds", "Receive-path latency per transmission (decode + index append).", obs.LatencyBuckets),
 		indexDepth:      reg.Gauge("sbr_station_index_depth", "Deepest per-sensor aggregate index (segment-tree levels)."),
 		degradedSensors: reg.Gauge("sbr_station_degraded_sensors", "Sensors in degraded memory-only mode after an archive append failure."),
@@ -678,16 +678,6 @@ func (s *Station) observeTransmission(met *stationMetrics, log *sensorLog, t *co
 	met.achievedError.Observe(rep.AchievedError)
 	if t.Bounded() {
 		met.errBound.Observe(rep.ErrBound)
-	}
-}
-
-// noteReplay feeds the crash-recovery telemetry after one log file has
-// been replayed.
-func (s *Station) noteReplay(frames int, torn bool) {
-	met := s.metrics()
-	met.replayed.Add(uint64(frames))
-	if torn {
-		met.tornTails.Inc()
 	}
 }
 

@@ -1,11 +1,7 @@
 package station
 
 import (
-	"bytes"
-	"errors"
 	"math"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"sbr/internal/core"
@@ -246,54 +242,6 @@ func TestStationRejectsOutOfOrder(t *testing.T) {
 	}
 }
 
-func TestLogStorePersistAndReplay(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "logs")
-	ls, err := NewLogStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := smallDataset()
-	comp, _ := core.NewCompressor(testConfig())
-	live, _ := New(testConfig())
-	for f := 0; f < 3; f++ {
-		tr, err := comp.Encode(ds.File(f))
-		if err != nil {
-			t.Fatal(err)
-		}
-		frame, err := wire.Encode(tr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ls.Append("node/7", frame); err != nil {
-			t.Fatal(err)
-		}
-		if err := live.ReceiveFrame("node/7", frame); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := ls.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Sensor IDs with path separators are sanitised.
-	if _, err := os.Stat(filepath.Join(dir, "node_7.sbrlog")); err != nil {
-		t.Fatalf("expected sanitised log file: %v", err)
-	}
-
-	rebuilt, _ := New(testConfig())
-	ls2, _ := NewLogStore(dir)
-	if err := ls2.LoadSensorLog(rebuilt, "node/7"); err != nil {
-		t.Fatal(err)
-	}
-	wantHist, _ := live.History("node/7", 0)
-	gotHist, err := rebuilt.History("node/7", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !timeseries.Equal(gotHist, wantHist, 0) {
-		t.Error("replayed station history differs from the live one")
-	}
-}
-
 func TestStationConcurrentSensors(t *testing.T) {
 	st, _ := New(testConfig())
 	done := make(chan error, 4)
@@ -453,39 +401,6 @@ func TestStationBatchShapeChangeRejected(t *testing.T) {
 	bad.N = t0.N + 1
 	if err := st.Receive("s", &bad); err == nil {
 		t.Error("shape change accepted")
-	}
-}
-
-func TestReplayStopsOnCorruptFrame(t *testing.T) {
-	ds := smallDataset()
-	comp, _ := core.NewCompressor(testConfig())
-	t0, _ := comp.Encode(ds.File(0))
-	frame, _ := wire.Encode(t0)
-	corrupt := append([]byte(nil), frame...)
-	corrupt = append(corrupt, frame[:len(frame)/2]...) // truncated second frame
-
-	var replayed int
-	err := Replay(bytes.NewReader(corrupt), func(*core.Transmission) error {
-		replayed++
-		return nil
-	})
-	if err == nil {
-		t.Error("corrupt log replayed without error")
-	}
-	if replayed != 1 {
-		t.Errorf("replayed %d frames before the corruption, want 1", replayed)
-	}
-}
-
-func TestReplayCallbackErrorPropagates(t *testing.T) {
-	ds := smallDataset()
-	comp, _ := core.NewCompressor(testConfig())
-	t0, _ := comp.Encode(ds.File(0))
-	frame, _ := wire.Encode(t0)
-	boom := errors.New("sink failed")
-	err := Replay(bytes.NewReader(frame), func(*core.Transmission) error { return boom })
-	if !errors.Is(err, boom) {
-		t.Errorf("callback error not propagated: %v", err)
 	}
 }
 

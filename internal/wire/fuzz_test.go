@@ -1,11 +1,15 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"sbr/internal/base"
 	"sbr/internal/core"
 	"sbr/internal/interval"
+	"sbr/internal/metrics"
 	"sbr/internal/timeseries"
 )
 
@@ -67,6 +71,75 @@ func FuzzDecode(f *testing.F) {
 			if a.Start != b.Start || a.Shift != b.Shift ||
 				!sameFloat(a.A, b.A) || !sameFloat(a.B, b.B) || !sameFloat(a.C, b.C) {
 				t.Fatalf("interval %d changed: %+v vs %+v", i, a, b)
+			}
+		}
+	})
+}
+
+// FuzzReadFrame loops ReadFrame over arbitrary bytes, the way the server
+// reads a sensor connection: it must never panic, and every frame it
+// yields must be framing-stable. ReadFrame does not verify the CRC (the
+// station's decode does), but each yielded frame is the next slice of the
+// input, exactly as long as its header declares, and reading it back from
+// its own bytes reproduces it exactly, so one frame can never smear into
+// the next.
+func FuzzReadFrame(f *testing.F) {
+	comp, err := core.NewCompressor(core.Config{TotalBand: 8, MBase: 8, Metric: metrics.SSE})
+	if err != nil {
+		f.Fatal(err)
+	}
+	var stream []byte
+	for b := 0; b < 3; b++ {
+		row := make(timeseries.Series, 16)
+		for i := range row {
+			row[i] = math.Sin(float64(b*16+i) / 3)
+		}
+		tr, err := comp.Encode([]timeseries.Series{row})
+		if err != nil {
+			f.Fatal(err)
+		}
+		// Trace ID b: the first frame is plain, the others carry the
+		// optional trace header.
+		frame, err := EncodeTraced(tr, TraceContext{ID: uint64(b), Sampled: b == 1})
+		if err != nil {
+			f.Fatal(err)
+		}
+		stream = append(stream, frame...)
+	}
+	f.Add(stream)                 // a clean multi-frame stream
+	f.Add(stream[:len(stream)-7]) // torn tail
+	mut := append([]byte(nil), stream...)
+	mut[len(mut)/2] ^= 0xff
+	f.Add(mut) // corrupt interior
+	f.Add([]byte{})
+	f.Add([]byte("SBRT"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		off := 0
+		for {
+			frame, err := ReadFrame(r)
+			if err != nil {
+				return // a clean end, or a torn or corrupt stream
+			}
+			if !bytes.HasPrefix(data[off:], frame) {
+				t.Fatalf("frame at offset %d is not the next slice of the input", off)
+			}
+			off += len(frame)
+			head := 5 // magic and version, then the optional trace header
+			if frame[4] == VersionTraced {
+				head += traceHeaderLen
+			}
+			bodyLen, n := binary.Uvarint(frame[head:])
+			if n <= 0 || len(frame) != head+n+int(bodyLen)+4 {
+				t.Fatalf("frame of %d bytes, header declares a %d-byte body", len(frame), bodyLen)
+			}
+			again, err := ReadFrame(bytes.NewReader(frame))
+			if err != nil {
+				t.Fatalf("yielded frame does not re-frame: %v", err)
+			}
+			if !bytes.Equal(again, frame) {
+				t.Fatal("yielded frame re-frames to different bytes")
 			}
 		}
 	})

@@ -51,26 +51,6 @@ func TestEncodeTracedZeroContextIsPlainFrame(t *testing.T) {
 	}
 }
 
-func TestStripTraceIsByteIdenticalDowngrade(t *testing.T) {
-	orig := sampleTransmission(13)
-	plain, err := Encode(orig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	traced, err := EncodeTraced(orig, TraceContext{ID: 42, Sampled: false})
-	if err != nil {
-		t.Fatal(err)
-	}
-	stripped := StripTrace(traced)
-	if !bytes.Equal(stripped, plain) {
-		t.Errorf("StripTrace produced %x, want the plain frame %x", stripped, plain)
-	}
-	// Stripping a plain frame is the identity.
-	if got := StripTrace(plain); !bytes.Equal(got, plain) {
-		t.Error("StripTrace modified an untraced frame")
-	}
-}
-
 func TestReadFrameAcceptsTraced(t *testing.T) {
 	orig := sampleTransmission(14)
 	traced, err := EncodeTraced(orig, TraceContext{ID: 7, Sampled: true})

@@ -3,7 +3,7 @@
 // fields, IEEE-754 payload values and a trailing CRC-32. The abstract
 // bandwidth accounting of the algorithms (Cost, in "values") is preserved
 // independently; wire gives the concrete framing used by the network
-// simulator and the base-station log files.
+// simulator, the transport and the base station's segment archive.
 //
 // Interval lengths are deliberately not encoded: the base station recovers
 // them from the sorted start offsets (Section 4.2), exactly as the paper's
@@ -35,11 +35,9 @@ const Version = 2
 // VersionTraced is the traced frame format: identical to Version except
 // that nine extra header bytes — an 8-byte little-endian trace ID and a
 // trace-flags byte — sit between the version byte and the body length.
-// The CRC still covers the body only, so a v3 frame downgrades to a
-// byte-identical v2 frame by dropping the trace header (StripTrace): the
-// trace context is best-effort diagnostic metadata, deliberately outside
-// checksum protection, and a corrupted trace header at worst mis-joins a
-// trace — never the data.
+// The CRC still covers the body only: the trace context is best-effort
+// diagnostic metadata, deliberately outside checksum protection, and a
+// corrupted trace header at worst mis-joins a trace — never the data.
 const VersionTraced = 3
 
 // traceHeaderLen is the extra header length of a VersionTraced frame.
@@ -165,21 +163,6 @@ func FrameTrace(frame []byte) TraceContext {
 	}
 }
 
-// StripTrace downgrades a VersionTraced frame to the byte-identical
-// Version 2 frame (same body, same CRC) by dropping the trace header.
-// Non-traced input is returned unchanged. This is how a v3 sender talks
-// to a v2 peer: the data survives, the trace context is shed.
-func StripTrace(frame []byte) []byte {
-	if len(frame) < 5+traceHeaderLen || !bytes.Equal(frame[:4], magic[:]) || frame[4] != VersionTraced {
-		return frame
-	}
-	out := make([]byte, 0, len(frame)-traceHeaderLen)
-	out = append(out, frame[:4]...)
-	out = append(out, Version)
-	out = append(out, frame[5+traceHeaderLen:]...)
-	return out
-}
-
 // DecodeBytes parses one framed transmission from a byte slice.
 func DecodeBytes(frame []byte) (*core.Transmission, error) {
 	return Decode(bytes.NewReader(frame))
@@ -190,7 +173,7 @@ func DecodeBytes(frame []byte) (*core.Transmission, error) {
 // The magic, version and length are validated so a corrupted stream cannot
 // drive an unbounded allocation. A clean end of stream at a frame boundary
 // returns io.EOF; the raw frame can be re-parsed with DecodeBytes or
-// appended verbatim to a station log.
+// archived verbatim by the station.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var head [5]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
