@@ -305,6 +305,8 @@ func main() {
 		"scan_cache_hits", int(v["sbr_encode_cache_hits_total"]),
 		"scan_cache_misses", int(v["sbr_encode_cache_misses_total"]),
 		"tail_shifts", int(v["sbr_encode_tail_shifts_total"]),
+		"screened_shifts", int(v["sbr_encode_screened_shifts_total"]),
+		"exact_shifts", int(v["sbr_encode_exact_shifts_total"]),
 		"wall", time.Since(start).Round(time.Millisecond).String(),
 	)
 }

@@ -2,11 +2,14 @@ package sbr
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"runtime"
 	"testing"
 
 	"sbr/internal/core"
+	"sbr/internal/datagen"
 	"sbr/internal/interval"
 	"sbr/internal/metrics"
 	"sbr/internal/timeseries"
@@ -99,5 +102,61 @@ func TestEncodeDeterministicAcrossProcs(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPaperFrameDigests pins the wire frames of the paper's three datasets
+// (seed 1, their own MBase, 10% band, SSE, AutoIns) to SHA-256 digests
+// recorded before the block-FFT screen existed: screening shifts must never
+// change a transmitted byte. The batch counts keep the test short while
+// the screened path still covers most of the scanned shifts, which the
+// test checks and logs.
+func TestPaperFrameDigests(t *testing.T) {
+	for _, tc := range []struct {
+		gen     func(int64) *datagen.Dataset
+		batches int
+		digest  string
+	}{
+		{datagen.Weather, 3, "1f32aed6740f92050e3a87e32b0d553f5e0d7c4e87c0a8822524116a6a45027f"},
+		{datagen.Stocks, 3, "779833c47d078ae0372b3f6e897e34182702ccce5f2a7606da0d29ae23d696e1"},
+		{datagen.PhoneCalls, 2, "f724cd1fd7a3fe258840d23fd9fdfb4cf7d051671e4f4017acb7ce5c12ff5b0e"},
+	} {
+		ds := tc.gen(1)
+		cfg := core.Config{TotalBand: ds.N() * ds.FileLen / 10, MBase: ds.MBase, Metric: metrics.SSE}
+		batches := make([][]timeseries.Series, tc.batches)
+		for i := range batches {
+			batches[i] = ds.File(i)
+		}
+		comp, err := core.NewCompressor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		var screened, scanned int
+		for i, batch := range batches {
+			tx, err := comp.Encode(batch)
+			if err != nil {
+				t.Fatalf("%s batch %d: %v", ds.Name, i, err)
+			}
+			frame, err := wire.Encode(tx)
+			if err != nil {
+				t.Fatalf("%s batch %d: %v", ds.Name, i, err)
+			}
+			h.Write(frame)
+			// With the search's scan cache installed, every scanned shift
+			// is a tail shift; the screened ones are a subset.
+			rep := comp.LastReport()
+			screened += rep.ScreenedShifts
+			scanned += rep.TailShifts
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.digest {
+			t.Errorf("%s: frames digest %s, want %s", ds.Name, got, tc.digest)
+		}
+		share := float64(screened) / float64(scanned)
+		t.Logf("%s: %d of %d scanned shifts went through the screen (%.1f%%)",
+			ds.Name, screened, scanned, 100*share)
+		if share < 0.5 {
+			t.Errorf("%s: the screened path covered only %.1f%% of scanned shifts", ds.Name, 100*share)
+		}
 	}
 }

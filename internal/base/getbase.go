@@ -86,12 +86,13 @@ func GetBase(rows []timeseries.Series, w, maxIns int, fitter regression.Fitter) 
 
 	// errMat[i][j] is the error of approximating CBI j as a·CBI_i + b.
 	// Rows are independent, so the O(K²·W) fill — the dominant cost of the
-	// whole SBR pipeline — fans out across cores. The greedy selection
-	// below stays sequential and deterministic.
+	// whole SBR pipeline — fans out over GOMAXPROCS workers, the cap the
+	// shift-scan engine uses too. The greedy selection below stays
+	// sequential and deterministic.
 	errMat := make([][]float64, k)
 	backing := make([]float64, k*k)
 	pairErr := pairErrs(cands, w, fitter)
-	workers := runtime.NumCPU()
+	workers := runtime.GOMAXPROCS(0)
 	if workers > k {
 		workers = k
 	}

@@ -11,6 +11,8 @@ type encodeMetrics struct {
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
 	tailShifts  *obs.Counter
+	screened    *obs.Counter
+	exact       *obs.Counter
 	scanWorkers *obs.Gauge
 }
 
@@ -24,6 +26,8 @@ func (c *Compressor) Instrument(reg *obs.Registry) {
 		cacheHits:   reg.Counter("sbr_encode_cache_hits_total", "BestMap calls answered from the cross-probe scan cache."),
 		cacheMisses: reg.Counter("sbr_encode_cache_misses_total", "BestMap calls that created their scan-cache entry."),
 		tailShifts:  reg.Counter("sbr_encode_tail_shifts_total", "Candidate-tail shift positions scanned incrementally beyond cached coverage."),
+		screened:    reg.Counter("sbr_encode_screened_shifts_total", "Shift positions SSE scans covered through the block-FFT screen."),
+		exact:       reg.Counter("sbr_encode_exact_shifts_total", "Screened shift positions that still needed the exact per-shift evaluation."),
 		scanWorkers: reg.Gauge("sbr_encode_scan_workers", "Worker cap of the parallel shift-scan engine."),
 	}
 }
@@ -35,5 +39,7 @@ func (m *encodeMetrics) observe(rep *CompressionReport) {
 	m.cacheHits.Add(uint64(rep.CacheHits))
 	m.cacheMisses.Add(uint64(rep.CacheMisses))
 	m.tailShifts.Add(uint64(rep.TailShifts))
+	m.screened.Add(uint64(rep.ScreenedShifts))
+	m.exact.Add(uint64(rep.ExactShifts))
 	m.scanWorkers.Set(float64(rep.ScanWorkers))
 }

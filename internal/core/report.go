@@ -42,6 +42,14 @@ type CompressionReport struct {
 	CacheMisses int
 	TailShifts  int
 	ScanWorkers int
+
+	// ScreenedShifts counts the shifts SSE scans covered through the
+	// block-FFT screen, and ExactShifts how many of those still needed the
+	// exact per-shift evaluation; ExactShifts/ScreenedShifts is the share
+	// of the screen's work that was not saved. Sender-side only, and zero
+	// when no scan took the screened path.
+	ScreenedShifts int
+	ExactShifts    int
 }
 
 // ReportTransmission derives the telemetry record of one transmission —

@@ -64,11 +64,13 @@ type Compressor struct {
 	lastReport  CompressionReport // telemetry record of the last Encode
 
 	// Encode fast-path scratch state, reused across batches: the
-	// concatenated search signal, its prefix sums, and the cache of the
-	// last insert-count search (nil when the last Encode did not search).
+	// concatenated search signal, its prefix sums and block spectra, and
+	// the cache of the last insert-count search (nil when the last Encode
+	// did not search).
 	sigScratch timeseries.Series
 	yScratch   timeseries.Series
 	px         timeseries.Prefix
+	spec       regression.Spectra
 	mapper     *interval.Mapper
 	lastCache  *interval.SearchCache
 
@@ -236,6 +238,9 @@ func (c *Compressor) Encode(rows []timeseries.Series) (*Transmission, error) {
 	c.lastReport.CacheHits = int(hits)
 	c.lastReport.CacheMisses = int(misses)
 	c.lastReport.TailShifts = int(tail)
+	screened, exact := c.spec.Stats()
+	c.lastReport.ScreenedShifts = int(screened)
+	c.lastReport.ExactShifts = int(exact)
 	c.lastReport.ScanWorkers = interval.ScanWorkers()
 	c.met.observe(&c.lastReport)
 	return t, nil
@@ -332,15 +337,17 @@ type searchState struct {
 }
 
 // newSearch builds the search state for one Encode, reusing the
-// compressor's scratch signal, prefix sums and mapper across batches. The
-// scan cache is installed only when an actual Algorithm 7 search will run
-// (AutoIns with more than one candidate); single-probe encodes would pay
-// the bookkeeping without ever re-reading an entry.
+// compressor's scratch signal, prefix sums, block spectra and mapper
+// across batches. The scan cache is installed only when an actual
+// Algorithm 7 search will run (AutoIns with more than one candidate);
+// single-probe encodes would pay the bookkeeping without ever re-reading
+// an entry.
 func (c *Compressor) newSearch(candidates []timeseries.Series, y timeseries.Series, n, m int) *searchState {
 	c.sigScratch = c.pool.AppendSignal(c.sigScratch[:0], candidates)
 	c.px.Reset(c.sigScratch)
+	c.spec.Reset(c.sigScratch)
 	if c.mapper == nil {
-		c.mapper = interval.NewMapperWithPrefix(nil, c.w, c.fitter, &c.px)
+		c.mapper = interval.NewMapperWithPrefix(nil, c.w, c.fitter, &c.px, &c.spec)
 		c.mapper.Quadratic = c.cfg.Quadratic
 	}
 	c.mapper.Cache = nil

@@ -2,10 +2,16 @@
 // an iterative radix-2 FFT, a Bluestein chirp-z fallback for arbitrary
 // lengths, and a top-B sparse approximation of real signals (the Fourier
 // competitor the paper mentions produced "consistently larger errors than
-// DCT"). The DCT package builds its fast transform on this FFT.
+// DCT"). The DCT package builds its fast transform on this FFT, and the
+// screened BestMap scan correlates against it directly through
+// ForwardDIF and InverseDIT.
 package dft
 
-import "math"
+import (
+	"math"
+	"math/bits"
+	"sync"
+)
 
 // FFT computes the in-place forward discrete Fourier transform of the
 // complex sequence (re, im). Any length is supported: powers of two run
@@ -33,17 +39,142 @@ func transform(re, im []float64, inverse bool) {
 	if n <= 1 {
 		return
 	}
-	if n&(n-1) == 0 {
-		radix2(re, im, inverse)
+	if n&(n-1) != 0 {
+		bluestein(re, im, inverse)
 		return
 	}
-	bluestein(re, im, inverse)
+	if inverse {
+		bitReverse(re, im)
+		InverseDIT(re, im)
+		return
+	}
+	ForwardDIF(re, im)
+	bitReverse(re, im)
 }
 
-// radix2 is the iterative Cooley–Tukey algorithm for power-of-two lengths.
-func radix2(re, im []float64, inverse bool) {
+// twiddleTable holds w_k = exp(−2πik/n) for k in [0, n/2), each entry
+// computed directly from its angle. Advancing a twiddle by repeated
+// complex multiplication instead lets rounding error grow with the
+// transform length; a table keeps every factor within an ulp or two. A
+// stage of size s of any longer transform reads the size-s table, so every
+// stage's factors are contiguous.
+type twiddleTable struct {
+	re, im []float64
+}
+
+// twiddles caches one table per power-of-two size, built on first use.
+var twiddles [64]struct {
+	once sync.Once
+	t    twiddleTable
+}
+
+func twiddlesFor(n int) *twiddleTable {
+	slot := &twiddles[bits.TrailingZeros(uint(n))]
+	slot.once.Do(func() {
+		half := n / 2
+		t := twiddleTable{re: make([]float64, half), im: make([]float64, half)}
+		for k := 0; k < half; k++ {
+			ang := -2 * math.Pi * float64(k) / float64(n)
+			t.re[k], t.im[k] = math.Cos(ang), math.Sin(ang)
+		}
+		slot.t = t
+	})
+	return &slot.t
+}
+
+// ForwardDIF is the unscaled forward transform of a power-of-two length
+// sequence by radix-2 decimation in frequency: natural order in,
+// bit-reversed order out. Pointwise products of two such spectra fed to
+// InverseDIT need no permutation pass at all.
+func ForwardDIF(re, im []float64) {
 	n := len(re)
-	// Bit-reversal permutation.
+	im = im[:n]
+	for size := n; size >= 8; size >>= 1 {
+		half := size / 2
+		tw := twiddlesFor(size)
+		twr, twi := tw.re[:half], tw.im[:half:half]
+		for start := 0; start < n; start += size {
+			a, ai := re[start:start+half], im[start:start+half]
+			b, bi := re[start+half:start+size], im[start+half:start+size]
+			ai, b, bi = ai[:len(a)], b[:len(a)], bi[:len(a)] // one bounds check per group
+			for k := range a {
+				dr, di := a[k]-b[k], ai[k]-bi[k]
+				a[k] += b[k]
+				ai[k] += bi[k]
+				b[k] = dr*twr[k] - di*twi[k]
+				bi[k] = dr*twi[k] + di*twr[k]
+			}
+		}
+	}
+	// The last two stages have the factors 1 and −i only.
+	switch {
+	case n >= 4:
+		for s := 0; s+4 <= n; s += 4 {
+			x, y := re[s:s+4], im[s:s+4]
+			a0r, a0i := x[0]+x[2], y[0]+y[2]
+			a2r, a2i := x[0]-x[2], y[0]-y[2]
+			a1r, a1i := x[1]+x[3], y[1]+y[3]
+			a3r, a3i := y[1]-y[3], x[3]-x[1] // (x1 − x3)·(−i)
+			x[0], y[0] = a0r+a1r, a0i+a1i
+			x[1], y[1] = a0r-a1r, a0i-a1i
+			x[2], y[2] = a2r+a3r, a2i+a3i
+			x[3], y[3] = a2r-a3r, a2i-a3i
+		}
+	case n == 2:
+		re[0], re[1] = re[0]+re[1], re[0]-re[1]
+		im[0], im[1] = im[0]+im[1], im[0]-im[1]
+	}
+}
+
+// InverseDIT is the unscaled inverse transform of a power-of-two length
+// sequence by radix-2 decimation in time: bit-reversed order in (as
+// ForwardDIF leaves it), natural order out. The caller applies the 1/n
+// factor, or folds it into one of the operands.
+func InverseDIT(re, im []float64) {
+	n := len(re)
+	im = im[:n]
+	// The first two stages have the factors 1 and +i only.
+	switch {
+	case n >= 4:
+		for s := 0; s+4 <= n; s += 4 {
+			x, y := re[s:s+4], im[s:s+4]
+			a0r, a0i := x[0]+x[1], y[0]+y[1]
+			a1r, a1i := x[0]-x[1], y[0]-y[1]
+			a2r, a2i := x[2]+x[3], y[2]+y[3]
+			a3r, a3i := y[3]-y[2], x[2]-x[3] // (x2 − x3)·(+i)
+			x[0], y[0] = a0r+a2r, a0i+a2i
+			x[2], y[2] = a0r-a2r, a0i-a2i
+			x[1], y[1] = a1r+a3r, a1i+a3i
+			x[3], y[3] = a1r-a3r, a1i-a3i
+		}
+	case n == 2:
+		re[0], re[1] = re[0]+re[1], re[0]-re[1]
+		im[0], im[1] = im[0]+im[1], im[0]-im[1]
+	}
+	for size := 8; size <= n; size <<= 1 {
+		half := size / 2
+		tw := twiddlesFor(size)
+		twr, twi := tw.re[:half], tw.im[:half:half]
+		for start := 0; start < n; start += size {
+			a, ai := re[start:start+half], im[start:start+half]
+			b, bi := re[start+half:start+size], im[start+half:start+size]
+			ai, b, bi = ai[:len(a)], b[:len(a)], bi[:len(a)] // one bounds check per group
+			for k := range a {
+				// t = b·conj(w)
+				tr := b[k]*twr[k] + bi[k]*twi[k]
+				ti := bi[k]*twr[k] - b[k]*twi[k]
+				b[k], bi[k] = a[k]-tr, ai[k]-ti
+				a[k] += tr
+				ai[k] += ti
+			}
+		}
+	}
+}
+
+// bitReverse permutes a power-of-two length sequence into bit-reversed
+// index order (an involution).
+func bitReverse(re, im []float64) {
+	n := len(re)
 	for i, j := 1, 0; i < n; i++ {
 		bit := n >> 1
 		for ; j&bit != 0; bit >>= 1 {
@@ -53,28 +184,6 @@ func radix2(re, im []float64, inverse bool) {
 		if i < j {
 			re[i], re[j] = re[j], re[i]
 			im[i], im[j] = im[j], im[i]
-		}
-	}
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
-	for length := 2; length <= n; length <<= 1 {
-		ang := sign * 2 * math.Pi / float64(length)
-		wRe, wIm := math.Cos(ang), math.Sin(ang)
-		for start := 0; start < n; start += length {
-			curRe, curIm := 1.0, 0.0
-			half := length / 2
-			for k := 0; k < half; k++ {
-				i, j := start+k, start+k+half
-				tRe := re[j]*curRe - im[j]*curIm
-				tIm := re[j]*curIm + im[j]*curRe
-				re[j] = re[i] - tRe
-				im[j] = im[i] - tIm
-				re[i] += tRe
-				im[i] += tIm
-				curRe, curIm = curRe*wRe-curIm*wIm, curRe*wIm+curIm*wRe
-			}
 		}
 	}
 }
@@ -114,12 +223,14 @@ func bluestein(re, im []float64, inverse bool) {
 		bRe[k], bIm[k] = chirpRe[k], -chirpIm[k]
 		bRe[m-k], bIm[m-k] = chirpRe[k], -chirpIm[k]
 	}
-	radix2(aRe, aIm, false)
-	radix2(bRe, bIm, false)
+	// The convolution never needs natural-order spectra: multiply the two
+	// bit-reversed spectra pointwise and invert straight back.
+	ForwardDIF(aRe, aIm)
+	ForwardDIF(bRe, bIm)
 	for k := 0; k < m; k++ {
 		aRe[k], aIm[k] = aRe[k]*bRe[k]-aIm[k]*bIm[k], aRe[k]*bIm[k]+aIm[k]*bRe[k]
 	}
-	radix2(aRe, aIm, true)
+	InverseDIT(aRe, aIm)
 	scale := 1 / float64(m)
 	for k := 0; k < n; k++ {
 		cr, ci := aRe[k]*scale, aIm[k]*scale

@@ -31,7 +31,9 @@ func TestSearchCacheMatchesCacheless(t *testing.T) {
 	for _, kind := range []metrics.Kind{metrics.SSE, metrics.RelativeSSE, metrics.MaxAbs} {
 		fitter := regression.Fitter{Kind: kind}
 		px := timeseries.NewPrefix(xFull)
-		cached := NewMapperWithPrefix(nil, w, fitter, px)
+		var spec regression.Spectra
+		spec.Reset(xFull)
+		cached := NewMapperWithPrefix(nil, w, fitter, px, &spec)
 		cached.Cache = NewSearchCache()
 
 		probes := []struct{ start, length int }{

@@ -105,7 +105,8 @@ type Mapper struct {
 	Cache *SearchCache
 
 	px   *timeseries.Prefix
-	qbuf []Interval // recycled priority-queue backing array for GetIntervals
+	spec *regression.Spectra // block spectra of px's signal; nil scans directly
+	qbuf []Interval          // recycled priority-queue backing array for GetIntervals
 }
 
 // NewMapper builds a Mapper over base signal x.
@@ -117,18 +118,22 @@ func NewMapper(x timeseries.Series, w int, fitter regression.Fitter) *Mapper {
 // caller. px must cover at least x; it may cover a longer backing signal of
 // which x is a prefix, which is how the insert-count search shares one
 // prefix-sum computation across all probes (prefix sums accumulate left to
-// right, so the sums over a shared prefix are bit-identical).
-func NewMapperWithPrefix(x timeseries.Series, w int, fitter regression.Fitter, px *timeseries.Prefix) *Mapper {
-	return &Mapper{X: x, W: w, Fitter: fitter, px: px}
+// right, so the sums over a shared prefix are bit-identical). spec, when
+// not nil, holds block spectra of that same backing signal and lets SSE
+// scans screen shifts by FFT (regression.Spectra); the results are
+// identical either way.
+func NewMapperWithPrefix(x timeseries.Series, w int, fitter regression.Fitter,
+	px *timeseries.Prefix, spec *regression.Spectra) *Mapper {
+	return &Mapper{X: x, W: w, Fitter: fitter, px: px, spec: spec}
 }
 
-// scanner returns the rangeScanner for y[start : start+length) — the fused
-// SSE kernel, the quadratic evaluator, or the generic metric fitter —
-// together with the approximate cost of one shift evaluation (used to
-// decide whether a scan is worth fanning out). Scanners are pure functions
-// of the shift range, which is what makes both the parallel scan and the
-// cross-probe cache bit-exact.
-func (m *Mapper) scanner(y timeseries.Series, start, length int) (rangeScanner, int) {
+// scanner returns the rangeScanner for y[start : start+length) over
+// shifts [lo, hi) — the screened or the fused SSE kernel, the quadratic
+// evaluator, or the generic metric fitter — together with the approximate
+// cost of one shift evaluation (used to decide whether a scan is worth
+// fanning out). Scanners are pure functions of the shift range, which is
+// what makes both the parallel scan and the cross-probe cache bit-exact.
+func (m *Mapper) scanner(y timeseries.Series, start, length, lo, hi int) (rangeScanner, int) {
 	if m.Quadratic {
 		x := m.X
 		return evalScanner(func(s int) shiftFit {
@@ -146,14 +151,21 @@ func (m *Mapper) scanner(y timeseries.Series, start, length int) (rangeScanner, 
 			sumY += v
 			sumY2 += v * v
 		}
-		x, px := m.X, m.px
+		x, px, sp := m.X, m.px, m.spec
+		scan, cost := regression.ScanSSEMins, length
+		// The screened scan emits the same minima; take it when its
+		// transforms cost less than the direct dot products, and report
+		// its per-shift cost so scanMins keeps such cheap scans serial.
+		if screenCost, ok := sp.ScreenCost(length, lo, hi); ok && screenCost < (hi-lo)*length {
+			scan, cost = sp.ScanSSEMins, (screenCost+hi-lo-1)/(hi-lo)
+		}
 		return func(lo, hi int, best float64, out []shiftFit) []shiftFit {
-			regression.ScanSSEMins(x, px, y, sumY, sumY2, start, length, lo, hi, best,
+			scan(x, px, y, sumY, sumY2, start, length, lo, hi, best,
 				func(s int, f regression.Fit) {
 					out = append(out, shiftFit{Shift: s, A: f.A, B: f.B, Err: f.Err})
 				})
 			return out
-		}, length
+		}, cost
 	}
 	x, fitter := m.X, m.Fitter
 	return evalScanner(func(s int) shiftFit {
@@ -204,7 +216,11 @@ func (m *Mapper) BestMap(y timeseries.Series, iv *Interval) {
 	var scanFit shiftFit
 	haveScan := false
 	if shifts > 0 {
-		scan, cost := m.scanner(y, iv.Start, iv.Length)
+		lo := 0
+		if e != nil {
+			lo = min(e.scanned, shifts)
+		}
+		scan, cost := m.scanner(y, iv.Start, iv.Length, lo, shifts)
 		if e != nil {
 			if shifts > e.scanned {
 				// Only the tail beyond the cached coverage needs scanning;

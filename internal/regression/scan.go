@@ -59,57 +59,86 @@ func ScanSSEMins(x timeseries.Series, px *timeseries.Prefix, y timeseries.Series
 	if length <= 0 || hi <= lo {
 		return
 	}
+	k := newSSEScan(x, px, y, sumY, sumY2, startY, length)
+	for s := lo; s < hi; s++ {
+		if f, ok := k.at(s, best); ok {
+			best = f.Err
+			emit(s, f)
+		}
+	}
+}
+
+// sseScan is one interval's scan state: the Y segment and its hoisted
+// moments, and the X signal with its raw prefix sums. Its at method is the
+// one per-shift evaluation that both the plain and the screened scan run,
+// so the two cannot drift apart.
+type sseScan struct {
+	x           timeseries.Series
+	psum, psum2 []float64
+	ys          timeseries.Series
+	n, my, varY float64
+}
+
+func newSSEScan(x timeseries.Series, px *timeseries.Prefix, y timeseries.Series,
+	sumY, sumY2 float64, startY, length int) sseScan {
 	n := float64(length)
 	my := sumY / n
-	varY := sumY2/n - my*my
 	psum, psum2 := px.Raw()
-	ys := y[startY : startY+length]
+	return sseScan{
+		x: x, psum: psum, psum2: psum2,
+		ys: y[startY : startY+length],
+		n:  n, my: my, varY: sumY2/n - my*my,
+	}
+}
 
-	for s := lo; s < hi; s++ {
-		xs := x[s : s+length]
-		yv := ys[:len(xs)] // same length; lets the compiler drop bounds checks
-		// Cross moment with four independent accumulators: the adds of
-		// different accumulators overlap in the pipeline instead of waiting
-		// on one chain. The combination order is fixed, so the value is
-		// deterministic (though not bit-identical to a single-chain sum).
-		var c0, c1, c2, c3 float64
-		i := 0
-		for ; i+4 <= len(xs); i += 4 {
-			c0 += xs[i] * yv[i]
-			c1 += xs[i+1] * yv[i+1]
-			c2 += xs[i+2] * yv[i+2]
-			c3 += xs[i+3] * yv[i+3]
-		}
-		sumXY := (c0 + c1) + (c2 + c3)
-		for ; i < len(xs); i++ {
-			sumXY += xs[i] * yv[i]
-		}
-
-		sumX := psum[s+length] - psum[s]
-		sumX2 := psum2[s+length] - psum2[s]
-		mx := sumX / n
-		varX := sumX2/n - mx*mx
-		if varX <= epsVar {
-			// Degenerate X segment: horizontal line through the Y mean.
-			err := n * varY
-			if err < 0 {
-				err = 0
-			}
-			if err < best {
-				best = err
-				emit(s, Fit{A: 0, B: my, Err: err})
-			}
-			continue
-		}
-		cov := sumXY/n - mx*my
-		a := cov / varX
-		err := n * (varY - a*cov)
+// at fits the Y segment onto X[s : s+length) and returns the fit when its
+// SSE strictly beats best.
+func (k *sseScan) at(s int, best float64) (Fit, bool) {
+	length := len(k.ys)
+	n, my, varY := k.n, k.my, k.varY
+	sumX := k.psum[s+length] - k.psum[s]
+	sumX2 := k.psum2[s+length] - k.psum2[s]
+	mx := sumX / n
+	varX := sumX2/n - mx*mx
+	if varX <= epsVar {
+		// Degenerate X segment: horizontal line through the Y mean. The
+		// cross moment plays no part, so it is not computed.
+		err := n * varY
 		if err < 0 {
 			err = 0
 		}
 		if err < best {
-			best = err
-			emit(s, Fit{A: a, B: my - a*mx, Err: err})
+			return Fit{A: 0, B: my, Err: err}, true
 		}
+		return Fit{}, false
 	}
+
+	xs := k.x[s : s+length]
+	yv := k.ys[:len(xs)] // same length; lets the compiler drop bounds checks
+	// Cross moment with four independent accumulators: the adds of
+	// different accumulators overlap in the pipeline instead of waiting
+	// on one chain. The combination order is fixed, so the value is
+	// deterministic (though not bit-identical to a single-chain sum).
+	var c0, c1, c2, c3 float64
+	i := 0
+	for ; i+4 <= len(xs); i += 4 {
+		c0 += xs[i] * yv[i]
+		c1 += xs[i+1] * yv[i+1]
+		c2 += xs[i+2] * yv[i+2]
+		c3 += xs[i+3] * yv[i+3]
+	}
+	sumXY := (c0 + c1) + (c2 + c3)
+	for ; i < len(xs); i++ {
+		sumXY += xs[i] * yv[i]
+	}
+	cov := sumXY/n - mx*my
+	a := cov / varX
+	err := n * (varY - a*cov)
+	if err < 0 {
+		err = 0
+	}
+	if err < best {
+		return Fit{A: a, B: my - a*mx, Err: err}, true
+	}
+	return Fit{}, false
 }
