@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build fmt-check vet test race chaos soak lint trace-gate selfmon-gate cover bench bench-full bench-smoke query-bench recovery-bench fuzz examples experiments experiments-quick clean
+.PHONY: all build fmt-check vet test race chaos soak lint trace-gate selfmon-gate cover bench-full bench-smoke fuzz examples experiments experiments-quick clean
 
 all: build fmt-check vet test
 
@@ -61,47 +61,15 @@ selfmon-gate:
 cover:
 	$(GO) test -cover ./internal/...
 
-# The encode fast-path trajectory: measures the headline benchmarks and
-# writes BENCH_pr4.json with ns/op, allocs/op and the speedup over the
-# committed pre-optimisation baseline (BENCH_baseline.json).
-BENCH_SUITE = BenchmarkEncodeAutoIns|BenchmarkSBREncode$$|BenchmarkSBRShortcut|BenchmarkGetIntervals|BenchmarkBestMapShiftScan
-bench:
-	$(GO) test -run '^$$' -bench '$(BENCH_SUITE)' -benchmem -benchtime 2s . \
-		| $(GO) run ./cmd/benchreport -baseline BENCH_baseline.json -out BENCH_pr4.json
-	@cat BENCH_pr4.json
-
 # Every benchmark in every package, at full measurement length.
 bench-full:
 	$(GO) test -bench=. -benchmem ./...
 
-# One iteration of every benchmark plus the report pipeline: catches
-# bit-rotted benchmark or tooling code without paying for a measurement run.
+# One iteration of every benchmark: catches bit-rotted benchmark code
+# without paying for a measurement run. Performance claims come from
+# perfbench (bash perfbench/run.sh; see perfbench/README.md).
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./...
-	$(GO) test -run '^$$' -bench '$(BENCH_SUITE)' -benchmem -benchtime 1x . \
-		| $(GO) run ./cmd/benchreport -baseline BENCH_baseline.json -out - >/dev/null
-	$(GO) test -run '^$$' -bench '$(QUERY_BENCH_SUITE)' -benchmem -benchtime 1x . \
-		| $(GO) run ./cmd/benchreport -baseline BENCH_pr9_query_baseline.json -out - >/dev/null
-
-# Query-serving trajectory (PR 9): hot index aggregates, parallel cold
-# range reads and the mixed ingest+query workload, reported against the
-# committed pre-PR read path (station-wide RWMutex, cold fetch under
-# lock). Writes BENCH_pr9_query.json with the speedups and the ingest
-# tail-latency ratios.
-QUERY_BENCH_SUITE = BenchmarkQueryHot|BenchmarkQueryColdParallel|BenchmarkQueryMixedIngest
-query-bench:
-	$(GO) test -run '^$$' -bench '$(QUERY_BENCH_SUITE)' -benchmem -benchtime 2s . \
-		| $(GO) run ./cmd/benchreport -baseline BENCH_pr9_query_baseline.json \
-			-note "Query-serving trajectory: per-sensor locks, snapshot reads, singleflight cold fetch" \
-			-out BENCH_pr9_query.json
-	@cat BENCH_pr9_query.json
-
-# Station restart cost: full-archive replay vs checkpoint + bounded tail.
-# Writes BENCH_pr6_recovery.json (the committed copy documents the gap).
-recovery-bench:
-	$(GO) test -run '^$$' -bench 'BenchmarkRecover' -benchmem -benchtime 2s ./internal/station \
-		| $(GO) run ./cmd/benchreport -note "Restart recovery: full replay vs checkpoint+tail" -out BENCH_pr6_recovery.json
-	@cat BENCH_pr6_recovery.json
 
 fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/wire

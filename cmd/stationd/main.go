@@ -100,7 +100,6 @@ func main() {
 		band       = flag.Int("band", 150, "TotalBand the sensors were configured with")
 		mbase      = flag.Int("mbase", 64, "MBase the sensors were configured with")
 		every      = flag.Duration("report", 10*time.Second, "statistics reporting interval (0: disabled)")
-		cacheSz    = flag.Int("history-cache", httpapi.DefaultCacheEntries, "query-API history cache entries")
 		ckptEvery  = flag.Duration("checkpoint", time.Minute, "station checkpoint + retention interval with -datadir (0: only at shutdown)")
 		retAge     = flag.Duration("retention-age", 0, "drop sealed segments older than this (0: keep forever)")
 		retBytes   = flag.Int64("retention-bytes", 0, "archive byte budget; oldest segments dropped beyond it (0: unlimited)")
@@ -206,7 +205,7 @@ func main() {
 	}
 	dlog.Info("listening for sensors", "addr", srv.Addr(), "band", *band, "mbase", *mbase)
 
-	httpSrv := serveHTTP(dlog, srv, *httpAddr, "query API", httpapi.NewObserved(st, *cacheSz, reg))
+	httpSrv := serveHTTP(dlog, srv, *httpAddr, "query API", httpapi.NewObserved(st, 0, reg))
 
 	// The self-monitoring plane: a sampler feeding SBR-compressed history
 	// of every registered metric, with the alert engine evaluated after

@@ -8,19 +8,20 @@
 //	GET /v1/aggregate?sensor=&row=&from=&to=&kind=avg|sum|min|max    — indexed O(log n) aggregate + error bound
 //	GET /v1/downsample?sensor=&row=&points=                          — window-averaged plotting export
 //	GET /v1/exceedances?sensor=&row=&from=&to=&threshold=            — maximal runs ≥ threshold
-//	GET /v1/stats                                                    — full per-sensor reception stats + cache counters
+//	GET /v1/stats                                                    — full per-sensor reception stats + read-path counters
 //
 // Range, downsample and exceedance queries need the reconstructed samples
-// themselves; those are served through a bounded LRU cache of materialised
-// histories so repeated reads of a quiet sensor cost one reconstruction.
-// Aggregates never materialise anything: they hit the station's
-// hierarchical aggregate index. A `to` of 0 (or omitted) means the end of
-// the recorded history, matching the station's query sentinel.
+// themselves; they read them through the station's windowed reader, which
+// decodes only the chunks a window overlaps. Aggregates never materialise
+// anything: they hit the station's hierarchical aggregate index. A `to` of
+// 0 (or omitted) means the end of the recorded history, matching the
+// station's query sentinel.
 package httpapi
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -29,8 +30,8 @@ import (
 
 	"sbr/internal/obs"
 	"sbr/internal/obs/trace"
+	"sbr/internal/segstore"
 	"sbr/internal/station"
-	"sbr/internal/timeseries"
 )
 
 // TraceHeader carries a trace ID (16 hex digits) on a query request, so a
@@ -38,42 +39,27 @@ import (
 // Responses echo the ID of whatever trace the request recorded into.
 const TraceHeader = "X-Sbr-Trace"
 
-// DefaultCacheEntries bounds the history LRU when New is given a
-// non-positive capacity: enough for a handful of hot sensor/quantity
-// pairs without letting a scan over thousands of sensors pin every
-// reconstruction in memory.
+// DefaultCacheEntries is unused: the front end keeps no cache. It stays
+// only for callers that still pass it to New or NewObserved.
 const DefaultCacheEntries = 64
 
 // API is the HTTP front end over one station. It implements http.Handler.
 type API struct {
-	st    *station.Station
-	cache *historyCache
-	mux   *http.ServeMux
-	reg   *obs.Registry // nil when uninstrumented
+	st  *station.Station
+	mux *http.ServeMux
+	reg *obs.Registry // nil when uninstrumented
 }
 
-// New builds the front end. cacheEntries bounds the LRU of reconstructed
-// histories; non-positive means DefaultCacheEntries.
-func New(st *station.Station, cacheEntries int) *API {
-	return NewObserved(st, cacheEntries, nil)
+// New builds the front end. The int parameter is unused.
+func New(st *station.Station, _ int) *API {
+	return NewObserved(st, 0, nil)
 }
 
 // NewObserved is New with telemetry: per-endpoint request counters and
-// latency histograms plus the history-cache counters are registered on
-// reg (nil: uninstrumented, identical to New).
-func NewObserved(st *station.Station, cacheEntries int, reg *obs.Registry) *API {
-	if cacheEntries <= 0 {
-		cacheEntries = DefaultCacheEntries
-	}
-	a := &API{st: st, cache: newHistoryCache(cacheEntries), mux: http.NewServeMux(), reg: reg}
-	if reg != nil {
-		const help = "History-cache events, by kind."
-		a.cache.hits = reg.Counter("sbr_httpapi_cache_events_total", help, obs.L("kind", "hit"))
-		a.cache.misses = reg.Counter("sbr_httpapi_cache_events_total", help, obs.L("kind", "miss"))
-		a.cache.evictions = reg.Counter("sbr_httpapi_cache_events_total", help, obs.L("kind", "eviction"))
-		a.cache.size = reg.Gauge("sbr_httpapi_history_cache_entries",
-			"Reconstructed histories currently held by the query-API LRU.")
-	}
+// latency histograms are registered on reg (nil: uninstrumented, identical
+// to New). The int parameter is unused.
+func NewObserved(st *station.Station, _ int, reg *obs.Registry) *API {
+	a := &API{st: st, mux: http.NewServeMux(), reg: reg}
 	a.handle("/v1/sensors", a.handleSensors)
 	a.handle("/v1/point", a.handlePoint)
 	a.handle("/v1/range", a.handleRange)
@@ -139,33 +125,13 @@ func (a *API) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	a.mux.ServeHTTP(w, r)
 }
 
-// history returns the reconstructed history of one quantity through the
-// LRU. The sensor's transmission count keys the entry, so a newly received
-// frame misses and triggers one fresh reconstruction. The cache verdict
-// and any reconstruction (with its cold archive fetches) are recorded as
-// children of sp.
-func (a *API) history(id string, row int, sp *trace.Span) (timeseries.Series, error) {
-	stats, err := a.st.SensorStats(id)
-	if err != nil {
-		return nil, err
-	}
-	k := histKey{sensor: id, row: row, frames: stats.Transmissions}
-	csp := sp.Child("httpapi.cache")
-	if hist, ok := a.cache.get(k); ok {
-		csp.Annotate("verdict", "hit")
-		csp.End()
-		return hist, nil
-	}
-	csp.Annotate("verdict", "miss")
-	csp.End()
-	hsp := sp.Child("station.history")
-	hist, err := a.st.HistoryTraced(id, row, hsp)
-	hsp.End()
-	if err != nil {
-		return nil, err
-	}
-	a.cache.put(k, hist)
-	return hist, nil
+// read reads quantity row of sensor id over [from, to) through the
+// station's windowed reader, under a station.history span so the read's
+// cold archive fetches stay attributed to the request.
+func (a *API) read(r *http.Request, id string, row, from, to int) (station.Window, error) {
+	sp := reqSpan(r).Child("station.history")
+	defer sp.End()
+	return a.st.ReadWindow(id, row, from, to, sp)
 }
 
 // sensorInfo is one row of the /v1/sensors inventory.
@@ -210,7 +176,7 @@ type sensorStatsJSON struct {
 }
 
 // handleStats serves the full per-sensor reception statistics plus the
-// history-cache counters — the JSON twin of stationd's periodic report.
+// read-path counters — the JSON twin of stationd's periodic report.
 func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 	sensors := make(map[string]sensorStatsJSON)
 	for _, id := range a.st.Sensors() {
@@ -228,18 +194,9 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 			Restarts:      stats.Restarts,
 		}
 	}
-	out := map[string]any{
-		"sensors": sensors,
-		"cache": map[string]any{
-			"hits":      a.cache.hits.Value(),
-			"misses":    a.cache.misses.Value(),
-			"evictions": a.cache.evictions.Value(),
-			"entries":   a.cache.len(),
-		},
-	}
 	// Read-path counters: query volume and chunks served cold from the
 	// archive (the store's singleflight totals ride along under "store").
-	out["query"] = a.st.ReadStats()
+	out := map[string]any{"sensors": sensors, "query": a.st.ReadStats()}
 	if store := a.st.Archive(); store != nil {
 		out["store"] = store.StoreStats()
 	}
@@ -279,29 +236,14 @@ func (a *API) handleRange(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	hist, err := a.history(id, row, reqSpan(r))
+	win, err := a.read(r, id, row, from, to)
 	if err != nil {
 		writeStationError(w, err)
 		return
 	}
-	if to == 0 {
-		to = len(hist)
-	}
-	if from < 0 || to > len(hist) || from > to {
-		writeError(w, http.StatusBadRequest,
-			fmt.Errorf("httpapi: range [%d,%d) outside history [0,%d)", from, to, len(hist)))
-		return
-	}
-	var bound float64
-	if to > from {
-		if bound, err = a.st.RangeBound(id, from, to); err != nil {
-			writeStationError(w, err)
-			return
-		}
-	}
 	writeJSON(w, map[string]any{
-		"sensor": id, "row": row, "from": from, "to": to,
-		"values": hist[from:to], "bound": bound,
+		"sensor": id, "row": row, "from": win.From, "to": win.To,
+		"values": win.Values, "bound": win.Bound,
 	})
 }
 
@@ -320,13 +262,7 @@ func (a *API) handleAggregate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if to == 0 {
-		if to, err = a.st.HistoryLen(id); err != nil {
-			writeStationError(w, err)
-			return
-		}
-	}
-	value, bound, err := a.st.AggregateWithBoundTraced(id, row, from, to, kind, reqSpan(r))
+	value, bound, to, err := a.st.AggregateWithBoundTraced(id, row, from, to, kind, reqSpan(r))
 	if err != nil {
 		writeStationError(w, err)
 		return
@@ -347,12 +283,12 @@ func (a *API) handleDownsample(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	hist, err := a.history(id, row, reqSpan(r))
+	win, err := a.read(r, id, row, 0, 0)
 	if err != nil {
 		writeStationError(w, err)
 		return
 	}
-	out, err := station.DownsampleSeries(hist, points)
+	out, err := station.DownsampleSeries(win.Values, points)
 	if err != nil {
 		writeStationError(w, err)
 		return
@@ -375,16 +311,12 @@ func (a *API) handleExceedances(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	hist, err := a.history(id, row, reqSpan(r))
+	win, err := a.read(r, id, row, from, to)
 	if err != nil {
 		writeStationError(w, err)
 		return
 	}
-	runs, err := station.ScanExceedances(hist, from, to, threshold)
-	if err != nil {
-		writeStationError(w, err)
-		return
-	}
+	runs := win.Exceedances(threshold)
 	type runJSON struct {
 		Start int     `json:"start"`
 		End   int     `json:"end"`
@@ -468,12 +400,19 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v) //nolint:errcheck — client gone mid-write, nothing to do
 }
 
-// writeStationError maps station errors onto HTTP statuses: unknown
-// sensors are 404, everything else a client-side 400.
+// writeStationError maps a station error onto its HTTP status by type: an
+// unknown sensor is 404, an invalid query 400, history that retention has
+// purged 410, and anything else — a failed archive read, a corrupt
+// segment, a station and archive that disagree — a server-side 500.
 func writeStationError(w http.ResponseWriter, err error) {
-	status := http.StatusBadRequest
-	if strings.Contains(err.Error(), "unknown sensor") {
+	status := http.StatusInternalServerError
+	switch {
+	case errors.Is(err, station.ErrUnknownSensor):
 		status = http.StatusNotFound
+	case errors.Is(err, station.ErrInvalidQuery):
+		status = http.StatusBadRequest
+	case errors.Is(err, segstore.ErrPurged):
+		status = http.StatusGone
 	}
 	writeError(w, status, err)
 }

@@ -6,12 +6,18 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"sbr/internal/core"
 	"sbr/internal/datagen"
 	"sbr/internal/metrics"
+	"sbr/internal/obs"
+	"sbr/internal/segstore"
 	"sbr/internal/station"
 	"sbr/internal/timeseries"
 )
@@ -237,64 +243,181 @@ func TestErrorStatuses(t *testing.T) {
 	}
 }
 
-// TestHistoryCacheReuseAndInvalidation checks that repeated reads hit the
-// LRU and that a newly received frame makes readers see the longer history.
-func TestHistoryCacheReuseAndInvalidation(t *testing.T) {
+// newArchivedStation builds an instrumented station on a segment store in
+// dir that keeps memChunks chunks per sensor in memory and seals a
+// segment every two chunks. send delivers node-1's next transmission.
+func newArchivedStation(t *testing.T, dir string, memChunks int, ret segstore.Retention) (*station.Station, *segstore.Store, func()) {
+	t.Helper()
 	st, err := station.New(testConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := datagen.StocksSized(1, 64, 6)
-	feed(t, st, "node-1", ds, 3)
-	api := New(st, 4)
-
-	out := get(t, api, "/v1/range?sensor=node-1&row=0", http.StatusOK)
-	if len(out["values"].([]any)) != 3*64 {
-		t.Fatalf("history %d, want %d", len(out["values"].([]any)), 3*64)
+	st.Instrument(obs.NewRegistry())
+	store, err := segstore.Open(segstore.Options{
+		Dir: dir, Config: testConfig(), SegmentChunks: 2, NoSync: true, Retention: ret,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	get(t, api, "/v1/range?sensor=node-1&row=0", http.StatusOK)
-	if api.cache.len() != 1 {
-		t.Fatalf("cache holds %d entries, want 1", api.cache.len())
+	t.Cleanup(func() { store.Close() })
+	st.SetArchive(store, memChunks)
+	comp, err := core.NewCompressor(testConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Another three frames: the key (frame count) changes, readers must see
-	// the grown history on the next request.
-	comp, _ := core.NewCompressor(testConfig())
-	for f := 0; f < 6; f++ {
-		tr, err := comp.Encode(ds.File(f))
+	ds := datagen.StocksSized(1, 64, 16)
+	next := 0
+	send := func() {
+		t.Helper()
+		tr, err := comp.Encode(ds.File(next))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if f >= 3 {
-			if err := st.Receive("node-1", tr); err != nil {
-				t.Fatal(err)
-			}
+		if err := st.Receive("node-1", tr); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	}
+	return st, store, send
+}
+
+// values decodes a JSON array of numbers.
+func values(v any) timeseries.Series {
+	raw := v.([]any)
+	out := make(timeseries.Series, len(raw))
+	for i, x := range raw {
+		out[i] = x.(float64)
+	}
+	return out
+}
+
+// runs decodes an /v1/exceedances answer.
+func runs(out map[string]any) []station.Exceedance {
+	var rs []station.Exceedance
+	for _, r := range out["runs"].([]any) {
+		run := r.(map[string]any)
+		rs = append(rs, station.Exceedance{
+			Start: int(run["start"].(float64)), End: int(run["end"].(float64)), Peak: run["peak"].(float64),
+		})
+	}
+	return rs
+}
+
+// TestWindowedReadsFetchOnlyOverlappedChunks pins the one read path:
+// range and exceedance windows inside the archived prefix decode exactly
+// the chunks they overlap, not the whole history, and a frame received
+// between two reads shows in the second.
+func TestWindowedReadsFetchOnlyOverlappedChunks(t *testing.T) {
+	const m, frames, memChunks = 64, 12, 2
+	st, _, send := newArchivedStation(t, t.TempDir(), memChunks, segstore.Retention{})
+	for f := 0; f < frames; f++ {
+		send()
+	}
+	hist, err := st.History("node-1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	threshold := hist.Mean()
+	api := New(st, 0)
+
+	cold := (frames - memChunks) * m
+	for _, win := range [][2]int{{0, 1}, {70, 200}, {m, 3 * m}, {5*m - 1, 5*m + 1}, {2 * m, cold}} {
+		from, to := win[0], win[1]
+		overlap := uint64((to-1)/m - from/m + 1)
+		q := fmt.Sprintf("sensor=node-1&row=0&from=%d&to=%d&threshold=%v", from, to, threshold)
+
+		before := st.ReadStats().ColdChunks
+		out := get(t, api, "/v1/range?"+q, http.StatusOK)
+		if got := st.ReadStats().ColdChunks - before; got != overlap {
+			t.Errorf("range [%d,%d): %d cold chunks decoded, want %d", from, to, got, overlap)
+		}
+		if got := values(out["values"]); !timeseries.Equal(got, hist[from:to], 0) {
+			t.Errorf("range [%d,%d): values differ from the history", from, to)
+		}
+
+		before = st.ReadStats().ColdChunks
+		out = get(t, api, "/v1/exceedances?"+q, http.StatusOK)
+		if got := st.ReadStats().ColdChunks - before; got != overlap {
+			t.Errorf("exceedances [%d,%d): %d cold chunks decoded, want %d", from, to, got, overlap)
+		}
+		want, err := station.ScanExceedances(hist, from, to, threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runs(out); !reflect.DeepEqual(got, want) {
+			t.Errorf("exceedances [%d,%d) = %+v, want %+v", from, to, got, want)
 		}
 	}
-	out = get(t, api, "/v1/range?sensor=node-1&row=0", http.StatusOK)
-	if len(out["values"].([]any)) != 6*64 {
-		t.Fatalf("post-ingest history %d, want %d", len(out["values"].([]any)), 6*64)
+
+	// A frame received between two reads shows in the second: nothing
+	// holds on to the history the first read saw.
+	get(t, api, "/v1/range?sensor=node-1&row=0", http.StatusOK)
+	send()
+	out := get(t, api, "/v1/range?sensor=node-1&row=0", http.StatusOK)
+	if got := out["to"].(float64); got != (frames+1)*m {
+		t.Fatalf("post-ingest range ends at %v, want %d", got, (frames+1)*m)
+	}
+	grown, err := st.History("node-1", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := values(out["values"]); !timeseries.Equal(got, grown, 0) {
+		t.Error("post-ingest range differs from the grown history")
 	}
 }
 
-func TestCacheEviction(t *testing.T) {
-	c := newHistoryCache(2)
-	k := func(i int) histKey { return histKey{sensor: "s", row: i} }
-	c.put(k(0), timeseries.Series{0})
-	c.put(k(1), timeseries.Series{1})
-	if _, ok := c.get(k(0)); !ok {
-		t.Fatal("entry 0 evicted too early")
+// TestStatusByErrorType checks that every per-sensor endpoint picks its
+// status from the type of the station's error: 404 for an unknown sensor,
+// 400 for an invalid query, 410 for history that retention purged, and 500
+// for a failed archive read.
+func TestStatusByErrorType(t *testing.T) {
+	endpoints := []string{
+		"/v1/point?sensor=%s&row=%d&idx=1",
+		"/v1/range?sensor=%s&row=%d&from=0&to=64",
+		"/v1/aggregate?sensor=%s&row=%d&from=1&to=63",
+		"/v1/downsample?sensor=%s&row=%d&points=8",
+		"/v1/exceedances?sensor=%s&row=%d&from=0&to=64&threshold=0",
 	}
-	c.put(k(2), timeseries.Series{2}) // evicts 1 (0 was touched more recently)
-	if _, ok := c.get(k(1)); ok {
-		t.Fatal("entry 1 must have been evicted")
+	check := func(api *API, id string, row, status int) {
+		t.Helper()
+		for _, ep := range endpoints {
+			get(t, api, fmt.Sprintf(ep, id, row), status)
+		}
 	}
-	if _, ok := c.get(k(0)); !ok {
-		t.Fatal("entry 0 must survive")
+
+	st, _ := newStation(t, 2)
+	check(New(st, 0), "ghost", 0, http.StatusNotFound)
+	check(New(st, 0), "node-1", 99, http.StatusBadRequest)
+
+	// Retention drops the sealed segments a checkpoint covers: chunk 0,
+	// which every endpoint reads, is gone.
+	st, store, send := newArchivedStation(t, t.TempDir(), 2, segstore.Retention{MaxBytes: 1})
+	for f := 0; f < 8; f++ {
+		send()
 	}
-	if c.len() != 2 {
-		t.Fatalf("cache holds %d entries, want 2", c.len())
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
+	if n, err := store.EnforceRetention(time.Now()); err != nil || n == 0 {
+		t.Fatalf("retention removed %d segments (%v), want some", n, err)
+	}
+	check(New(st, 0), "node-1", 0, http.StatusGone)
+
+	// A sealed segment file removed behind the open store: reading chunk 0
+	// fails on the server's side.
+	dir := t.TempDir()
+	st, _, send = newArchivedStation(t, dir, 2, segstore.Retention{})
+	for f := 0; f < 8; f++ {
+		send()
+	}
+	segs, err := filepath.Glob(filepath.Join(dir, "segments", "node-1", "*.seg"))
+	if err != nil || len(segs) < 2 {
+		t.Fatalf("segments %v (%v), want a sealed one", segs, err)
+	}
+	if err := os.Remove(segs[0]); err != nil {
+		t.Fatal(err)
+	}
+	check(New(st, 0), "node-1", 0, http.StatusInternalServerError)
 }
 
 // TestConcurrentIngestAndQueries hammers the API from several readers
@@ -379,9 +502,9 @@ func BenchmarkAggregateHTTP(b *testing.B) {
 	}
 }
 
-// BenchmarkRangeHTTPCached measures the cached range path: after the first
-// request the history comes from the LRU.
-func BenchmarkRangeHTTPCached(b *testing.B) {
+// BenchmarkRangeHTTP measures the range path: one chunk read through the
+// station's windowed reader per request.
+func BenchmarkRangeHTTP(b *testing.B) {
 	st, _ := newStation(b, 10)
 	api := New(st, 0)
 	url := "/v1/range?sensor=node-1&row=0&from=0&to=64"

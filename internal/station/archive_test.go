@@ -99,10 +99,10 @@ func compareStations(t *testing.T, got, want *Station, id string) {
 			}
 		}
 	}
-	grb, gerr := got.RangeBound(id, 0, total)
-	wrb, werr := want.RangeBound(id, 0, total)
-	if gerr != nil || werr != nil || grb != wrb {
-		t.Fatalf("RangeBound = (%v,%v), want (%v,%v)", grb, gerr, wrb, werr)
+	gw, gerr := got.ReadWindow(id, 0, 0, total, nil)
+	ww, werr := want.ReadWindow(id, 0, 0, total, nil)
+	if gerr != nil || werr != nil || gw.Bound != ww.Bound {
+		t.Fatalf("ReadWindow bound = (%v,%v), want (%v,%v)", gw.Bound, gerr, ww.Bound, werr)
 	}
 	gp, gerr := got.Run(Query{Sensor: id, Row: 0, Step: 32, Agg: AggMax})
 	wp, werr := want.Run(Query{Sensor: id, Row: 0, Step: 32, Agg: AggMax})

@@ -49,8 +49,8 @@ func (s *Station) Run(q Query) ([]QueryPoint, error) {
 		to = total
 	}
 	if from < 0 || to > total || from >= to {
-		return nil, fmt.Errorf("station: query range [%d,%d) outside history [0,%d)",
-			from, to, total)
+		return nil, fmt.Errorf("%w: query range [%d,%d) outside history [0,%d)",
+			ErrInvalidQuery, from, to, total)
 	}
 	step := q.Step
 	if step <= 0 {
@@ -85,12 +85,11 @@ func (s *Station) Downsample(id string, row, points int) (timeseries.Series, err
 	return DownsampleSeries(hist, points)
 }
 
-// DownsampleSeries reduces an already-reconstructed history to at most
-// points samples by window-averaging. Callers holding a cached history
-// (e.g. the HTTP front end) use it to skip re-materialisation.
+// DownsampleSeries reduces a reconstructed history to at most points
+// samples by window-averaging, each window summed in sample order.
 func DownsampleSeries(hist timeseries.Series, points int) (timeseries.Series, error) {
 	if points <= 0 {
-		return nil, fmt.Errorf("station: non-positive point count %d", points)
+		return nil, fmt.Errorf("%w: non-positive point count %d", ErrInvalidQuery, points)
 	}
 	if points >= len(hist) {
 		return hist, nil
@@ -107,14 +106,14 @@ type Exceedance struct {
 
 // Exceedances scans [from, to) of a quantity's history for maximal runs of
 // samples >= threshold — "when was the temperature above 30 °C, and how
-// hot did it get" over the approximate record. A zero `to` means the end
-// of the history.
+// hot did it get" over the approximate record. Only the window is read;
+// a zero `to` means the end of the history.
 func (s *Station) Exceedances(id string, row int, from, to int, threshold float64) ([]Exceedance, error) {
-	hist, err := s.History(id, row)
+	w, err := s.ReadWindow(id, row, from, to, nil)
 	if err != nil {
 		return nil, err
 	}
-	return ScanExceedances(hist, from, to, threshold)
+	return w.Exceedances(threshold), nil
 }
 
 // ScanExceedances runs the threshold scan over an already-reconstructed
@@ -125,32 +124,37 @@ func ScanExceedances(hist timeseries.Series, from, to int, threshold float64) ([
 		to = len(hist)
 	}
 	if from < 0 || to > len(hist) || from > to {
-		return nil, fmt.Errorf("station: scan range [%d,%d) outside history [0,%d)",
-			from, to, len(hist))
+		return nil, fmt.Errorf("%w: scan range [%d,%d) outside history [0,%d)",
+			ErrInvalidQuery, from, to, len(hist))
 	}
+	return Window{From: from, To: to, Values: hist[from:to]}.Exceedances(threshold), nil
+}
+
+// Exceedances returns the window's maximal runs of samples >= threshold,
+// indexed in history samples; a run still open at To ends there.
+func (w Window) Exceedances(threshold float64) []Exceedance {
 	var out []Exceedance
 	inRun := false
 	var cur Exceedance
-	for i := from; i < to; i++ {
-		v := hist[i]
+	for i, v := range w.Values {
 		if v >= threshold {
 			if !inRun {
 				inRun = true
-				cur = Exceedance{Start: i, Peak: v}
+				cur = Exceedance{Start: w.From + i, Peak: v}
 			} else if v > cur.Peak {
 				cur.Peak = v
 			}
 			continue
 		}
 		if inRun {
-			cur.End = i
+			cur.End = w.From + i
 			out = append(out, cur)
 			inRun = false
 		}
 	}
 	if inRun {
-		cur.End = to
+		cur.End = w.To
 		out = append(out, cur)
 	}
-	return out, nil
+	return out
 }

@@ -2,8 +2,13 @@ package station
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
+	"sbr/internal/core"
+	"sbr/internal/datagen"
+	"sbr/internal/metrics"
 	"sbr/internal/timeseries"
 )
 
@@ -225,5 +230,73 @@ func TestExceedancesEmptyHistory(t *testing.T) {
 	}
 	if _, err := ScanExceedances(nil, -1, 0, 1); err == nil {
 		t.Fatal("negative from accepted")
+	}
+}
+
+// TestReadWindowMatchesWholeHistory checks the windowed reader against the
+// whole-history reference over random windows on both sides of the
+// cold/hot boundary: the samples equal History's slice, Exceedances equals
+// ScanExceedances over History, and the bound is the worst §4.5 bound the
+// sensor shipped for the chunks the window overlaps.
+func TestReadWindowMatchesWholeHistory(t *testing.T) {
+	cfg := core.Config{TotalBand: 160, MBase: 64, Metric: metrics.MaxAbs}
+	st, store := newArchivedStation(t, cfg, t.TempDir(), 3, 2)
+	defer store.Close()
+	comp, err := core.NewCompressor(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := datagen.StocksSized(5, 64, 10)
+	var bounds []float64
+	for f := 0; f < 10; f++ {
+		tr, err := comp.Encode(ds.File(f))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Receive("mx", tr); err != nil {
+			t.Fatal(err)
+		}
+		bounds = append(bounds, tr.ErrBound)
+	}
+	hist, err := st.History("mx", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := ds.FileLen
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 300; i++ {
+		from := rng.Intn(len(hist))
+		to := from + rng.Intn(len(hist)-from+1)
+		end := to
+		if end == 0 {
+			end = len(hist)
+		}
+		w, err := st.ReadWindow("mx", 0, from, to, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if w.From != from || w.To != end || !timeseries.Equal(w.Values, hist[from:end], 0) {
+			t.Fatalf("ReadWindow(%d,%d) = [%d,%d) with %d values, want History[%d:%d]",
+				from, to, w.From, w.To, len(w.Values), from, end)
+		}
+		var bound float64
+		for c := from / m; from < end && c <= (end-1)/m; c++ {
+			bound = max(bound, bounds[c])
+		}
+		if w.Bound != bound {
+			t.Fatalf("ReadWindow(%d,%d) bound %v, want %v", from, to, w.Bound, bound)
+		}
+		threshold := hist[rng.Intn(len(hist))]
+		got, err := st.Exceedances("mx", 0, from, to, threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ScanExceedances(hist, from, to, threshold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Exceedances(%d,%d,%v) = %+v, want %+v", from, to, threshold, got, want)
+		}
 	}
 }

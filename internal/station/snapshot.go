@@ -1,13 +1,14 @@
 package station
 
-// This file is the station's read path. Every historical query —
-// History, At, Range, the aggregates and the windowed Run — starts by
-// capturing a snapshot of the sensor's state under a brief acquisition
-// of the sensor's lock, then runs entirely lock-free: index walks, exact
-// edge scans and cold archive fetches (disk reads + segment decodes)
-// never hold any station lock, so a slow cold query blocks neither
-// ingest nor other readers. See the package comment for why the captured
-// headers stay valid while the writer keeps appending and evicting.
+// This file is the station's read path. Every historical query — point
+// reads, ReadWindow (which serves every read of samples), the aggregates
+// and the windowed Run — starts by capturing a snapshot of the sensor's
+// state under a brief acquisition of the sensor's lock, then runs
+// entirely lock-free: index walks, exact edge scans and cold archive
+// fetches (disk reads + segment decodes) never hold any station lock, so
+// a slow cold query blocks neither ingest nor other readers. See the
+// package comment for why the captured headers stay valid while the
+// writer keeps appending and evicting.
 
 import (
 	"fmt"
@@ -48,7 +49,7 @@ func (sn *snap) totalSamples() int { return sn.totalChunks() * sn.m }
 func (s *Station) snapshot(id string, row int) (*snap, error) {
 	log := s.lookupLog(id)
 	if log == nil {
-		return nil, fmt.Errorf("station: unknown sensor %q", id)
+		return nil, fmt.Errorf("%w %q", ErrUnknownSensor, id)
 	}
 	sn := log.view.Load()
 	if sn == nil {
@@ -78,8 +79,8 @@ func (s *Station) snapshot(id string, row int) (*snap, error) {
 		log.mu.Unlock()
 	}
 	if row < 0 || row >= sn.n {
-		return nil, fmt.Errorf("station: sensor %q has %d quantities, row %d requested",
-			id, sn.n, row)
+		return nil, fmt.Errorf("%w: sensor %q has %d quantities, row %d requested",
+			ErrInvalidQuery, id, sn.n, row)
 	}
 	return sn, nil
 }
@@ -123,14 +124,15 @@ func (sn *snap) chunkRows(c int, sp *trace.Span) ([]timeseries.Series, error) {
 // coldRange streams the decoded rows of cold chunks [c0, c1) in order,
 // fanning segment decodes out through the store's parallel fetch path,
 // recorded as one segstore.cold_fetch span covering the whole fan.
-func (sn *snap) coldRange(c0, c1 int, sp *trace.Span, fn func(c int, rows []timeseries.Series) error) error {
+func (sn *snap) coldRange(c0, c1 int, sp *trace.Span, fn func(c int, rows []timeseries.Series)) error {
 	if sn.store == nil {
 		return fmt.Errorf("station: sensor %q chunk %d evicted and no archive attached", sn.id, c0)
 	}
 	csp := sp.Child("segstore.cold_fetch")
 	csp.AnnotateInt("chunks", int64(c1-c0))
 	err := sn.store.ChunkRangeRows(sn.id, c0, c1, func(c int, rows []timeseries.Series, _ float64) error {
-		return fn(c, rows)
+		fn(c, rows)
+		return nil
 	})
 	csp.End()
 	if err == nil {
@@ -139,59 +141,87 @@ func (sn *snap) coldRange(c0, c1 int, sp *trace.Span, fn func(c int, rows []time
 	return err
 }
 
+// Window is one quantity's reconstructed samples over [From, To) of a
+// sensor's history, read from a single snapshot.
+type Window struct {
+	From, To int
+	Values   timeseries.Series // the To−From samples
+	// Bound is the worst §4.5 per-chunk maximum absolute error over the
+	// chunks the window overlaps: zero for an empty window or a sensor
+	// that did not run under the MaxAbs metric.
+	Bound float64
+}
+
+// ReadWindow is the station's one sample reader: every query that needs
+// reconstructed samples rather than summaries reads through it. It
+// returns quantity row of the named sensor over [from, to), a zero `to`
+// meaning the end of the history as of the same snapshot that serves the
+// samples. Only the chunks the window overlaps are materialised: the cold
+// prefix through the archive's parallel segment fan-out, recorded as
+// children of sp (nil: untraced), the in-memory suffix straight off the
+// snapshot window. It fails with the archive's purge error when retention
+// has dropped part of the window.
+func (s *Station) ReadWindow(id string, row, from, to int, sp *trace.Span) (Window, error) {
+	done := s.queryTimer()
+	defer done()
+	sn, err := s.snapshot(id, row)
+	if err != nil {
+		return Window{}, err
+	}
+	total := sn.totalSamples()
+	if to == 0 {
+		to = total
+	}
+	if from < 0 || to > total || from > to {
+		return Window{}, fmt.Errorf("%w: range [%d,%d) outside history [0,%d)",
+			ErrInvalidQuery, from, to, total)
+	}
+	w := Window{From: from, To: to, Values: make(timeseries.Series, 0, to-from)}
+	if from == to {
+		return w, nil
+	}
+	clip := func(c int, rows []timeseries.Series) {
+		lo, hi := max(from-c*sn.m, 0), min(to-c*sn.m, sn.m)
+		w.Values = append(w.Values, rows[row][lo:hi]...)
+		w.Bound = max(w.Bound, sn.bounds[c])
+	}
+	cLo := from / sn.m
+	cHi := (to + sn.m - 1) / sn.m
+	if coldHi := min(cHi, sn.first); cLo < coldHi {
+		if err := sn.coldRange(cLo, coldHi, sp, clip); err != nil {
+			return Window{}, err
+		}
+	}
+	for c := max(cLo, sn.first); c < cHi; c++ {
+		clip(c, sn.window[c-sn.first])
+	}
+	return w, nil
+}
+
 // History returns the full reconstructed history of quantity row of the
 // named sensor: the concatenation of that row across every received chunk,
 // decoding archived segments for any chunk evicted from memory. It fails
 // with the archive's purge error when retention has dropped part of the
 // history.
 func (s *Station) History(id string, row int) (timeseries.Series, error) {
-	return s.HistoryTraced(id, row, nil)
+	w, err := s.ReadWindow(id, row, 0, 0, nil)
+	return w.Values, err
 }
 
-// HistoryTraced is History recording its archive cold fetches as children
-// of sp (nil: identical to History).
-func (s *Station) HistoryTraced(id string, row int, sp *trace.Span) (timeseries.Series, error) {
-	done := s.queryTimer()
-	defer done()
-	sn, err := s.snapshot(id, row)
-	if err != nil {
-		return nil, err
-	}
-	out := make(timeseries.Series, 0, sn.totalSamples())
-	if sn.first > 0 {
-		err := sn.coldRange(0, sn.first, sp, func(_ int, rows []timeseries.Series) error {
-			out = append(out, rows[row]...)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	for _, rows := range sn.window {
-		out = append(out, rows[row]...)
-	}
-	return out, nil
+// Range answers a historical range query over [from, to) of quantity row
+// (a zero `to` means the end of the history), materialising only the
+// chunks the range overlaps.
+func (s *Station) Range(id string, row, from, to int) (timeseries.Series, error) {
+	w, err := s.ReadWindow(id, row, from, to, nil)
+	return w.Values, err
 }
 
 // At answers a historical point query: the reconstructed value of quantity
 // row at global sample index idx (counted from the first transmission).
 // Samples evicted from memory are served cold from the archive.
 func (s *Station) At(id string, row, idx int) (float64, error) {
-	done := s.queryTimer()
-	defer done()
-	sn, err := s.snapshot(id, row)
-	if err != nil {
-		return 0, err
-	}
-	if idx < 0 || idx >= sn.totalSamples() {
-		return 0, fmt.Errorf("station: sample %d outside recorded history [0,%d)",
-			idx, sn.totalSamples())
-	}
-	rows, err := sn.chunkRows(idx/sn.m, nil)
-	if err != nil {
-		return 0, err
-	}
-	return rows[row][idx%sn.m], nil
+	v, _, err := s.AtWithBound(id, row, idx)
+	return v, err
 }
 
 // AtWithBound answers a point query together with the guaranteed maximum
@@ -205,61 +235,14 @@ func (s *Station) AtWithBound(id string, row, idx int) (value, bound float64, er
 		return 0, 0, err
 	}
 	if idx < 0 || idx >= sn.totalSamples() {
-		return 0, 0, fmt.Errorf("station: sample %d outside recorded history [0,%d)",
-			idx, sn.totalSamples())
+		return 0, 0, fmt.Errorf("%w: sample %d outside recorded history [0,%d)",
+			ErrInvalidQuery, idx, sn.totalSamples())
 	}
 	rows, err := sn.chunkRows(idx/sn.m, nil)
 	if err != nil {
 		return 0, 0, err
 	}
 	return rows[row][idx%sn.m], sn.bounds[idx/sn.m], nil
-}
-
-// Range answers a historical range query over [from, to) of quantity row,
-// materialising only the chunks the range overlaps. The cold prefix is
-// fetched through the archive's parallel segment fan-out; the in-memory
-// suffix comes straight off the snapshot window.
-func (s *Station) Range(id string, row, from, to int) (timeseries.Series, error) {
-	done := s.queryTimer()
-	defer done()
-	sn, err := s.snapshot(id, row)
-	if err != nil {
-		return nil, err
-	}
-	if from < 0 || to > sn.totalSamples() || from > to {
-		return nil, fmt.Errorf("station: range [%d,%d) outside history [0,%d)",
-			from, to, sn.totalSamples())
-	}
-	if from == to {
-		return timeseries.Series{}, nil
-	}
-	out := make(timeseries.Series, 0, to-from)
-	clip := func(c int, rows []timeseries.Series) {
-		lo := from - c*sn.m
-		if lo < 0 {
-			lo = 0
-		}
-		hi := sn.m
-		if limit := to - c*sn.m; limit < hi {
-			hi = limit
-		}
-		out = append(out, rows[row][lo:hi]...)
-	}
-	cLo := from / sn.m
-	cHi := (to + sn.m - 1) / sn.m
-	if coldHi := min(cHi, sn.first); cLo < coldHi {
-		err := sn.coldRange(cLo, coldHi, nil, func(c int, rows []timeseries.Series) error {
-			clip(c, rows)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	for c := max(cLo, sn.first); c < cHi; c++ {
-		clip(c, sn.window[c-sn.first])
-	}
-	return out, nil
 }
 
 // AggregateKind selects a range-aggregate function.
@@ -273,9 +256,10 @@ const (
 )
 
 // Aggregate answers a historical aggregate query over [from, to) of
-// quantity row. It is answered from the hierarchical aggregate index in
-// O(log n) chunk-summary merges; only the ragged sub-chunk edges of the
-// range touch the reconstructed samples.
+// quantity row (a zero `to` means the end of the history). It is answered
+// from the hierarchical aggregate index in O(log n) chunk-summary merges;
+// only the ragged sub-chunk edges of the range touch the reconstructed
+// samples.
 func (s *Station) Aggregate(id string, row, from, to int, kind AggregateKind) (float64, error) {
 	v, _, err := s.AggregateWithBound(id, row, from, to, kind)
 	return v, err
@@ -288,32 +272,40 @@ func (s *Station) Aggregate(id string, row, from, to int, kind AggregateKind) (f
 // per-sample bound applies. The bound is zero when the sensor did not run
 // under the MaxAbs metric.
 func (s *Station) AggregateWithBound(id string, row, from, to int, kind AggregateKind) (value, bound float64, err error) {
-	return s.AggregateWithBoundTraced(id, row, from, to, kind, nil)
+	value, bound, _, err = s.AggregateWithBoundTraced(id, row, from, to, kind, nil)
+	return value, bound, err
 }
 
 // AggregateWithBoundTraced is AggregateWithBound recording the index walk
-// and any archive cold fetches as children of sp (nil: untraced).
-func (s *Station) AggregateWithBoundTraced(id string, row, from, to int, kind AggregateKind, sp *trace.Span) (value, bound float64, err error) {
+// and any archive cold fetches as children of sp (nil: untraced). It also
+// returns the range's end: `to`, or for a zero `to` the history length on
+// the snapshot that answered.
+func (s *Station) AggregateWithBoundTraced(id string, row, from, to int, kind AggregateKind, sp *trace.Span) (value, bound float64, end int, err error) {
 	done := s.queryTimer()
 	defer done()
 	sn, err := s.snapshot(id, row)
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	total := sn.totalSamples()
+	if to == 0 {
+		to = total
+	}
 	if from < 0 || to > total || from > to {
-		return 0, 0, fmt.Errorf("station: range [%d,%d) outside history [0,%d)", from, to, total)
+		return 0, 0, 0, fmt.Errorf("%w: range [%d,%d) outside history [0,%d)",
+			ErrInvalidQuery, from, to, total)
 	}
 	if from == to {
-		return 0, 0, fmt.Errorf("station: aggregate over empty range [%d,%d)", from, to)
+		return 0, 0, 0, fmt.Errorf("%w: aggregate over empty range [%d,%d)", ErrInvalidQuery, from, to)
 	}
 	wsp := sp.Child("query.index_walk")
 	sum, err := sn.summarize(row, from, to, sp)
 	wsp.End()
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
-	return answerSummary(sum, kind)
+	value, bound, err = answerSummary(sum, kind)
+	return value, bound, to, err
 }
 
 // answerSummary turns a merged span summary into the aggregate answer and
@@ -329,7 +321,7 @@ func answerSummary(sum query.Summary, kind AggregateKind) (value, bound float64,
 	case AggMax:
 		return sum.Max, sum.BoundMax, nil
 	default:
-		return math.NaN(), 0, fmt.Errorf("station: unknown aggregate kind %d", kind)
+		return math.NaN(), 0, fmt.Errorf("%w: unknown aggregate kind %d", ErrInvalidQuery, kind)
 	}
 }
 

@@ -70,6 +70,15 @@ import (
 // violation, which is what makes retransmission idempotent end to end.
 var ErrDuplicate = errors.New("station: duplicate transmission")
 
+// ErrUnknownSensor reports a query naming a sensor the station has never
+// heard from.
+var ErrUnknownSensor = errors.New("station: unknown sensor")
+
+// ErrInvalidQuery reports a query the station cannot answer as asked: a
+// quantity row the sensor does not have, a sample or range outside the
+// recorded history, or a malformed parameter.
+var ErrInvalidQuery = errors.New("station: invalid query")
+
 // sensorShards is the size of the sharded sensor directory. Power of two;
 // large enough that directory lookups on different sensors almost never
 // share a cache line of lock, small enough to iterate cheaply.
@@ -711,7 +720,7 @@ type Stats struct {
 func (s *Station) SensorStats(id string) (Stats, error) {
 	log := s.lookupLog(id)
 	if log == nil {
-		return Stats{}, fmt.Errorf("station: unknown sensor %q", id)
+		return Stats{}, fmt.Errorf("%w %q", ErrUnknownSensor, id)
 	}
 	log.mu.Lock()
 	defer log.mu.Unlock()
@@ -731,40 +740,18 @@ func (s *Station) SensorStats(id string) (Stats, error) {
 func (s *Station) HistoryLen(id string) (int, error) {
 	log := s.lookupLog(id)
 	if log == nil {
-		return 0, fmt.Errorf("station: unknown sensor %q", id)
+		return 0, fmt.Errorf("%w %q", ErrUnknownSensor, id)
 	}
 	log.mu.Lock()
 	defer log.mu.Unlock()
 	return log.totalChunks() * log.m, nil
 }
 
-// RangeBound returns the worst guaranteed maximum absolute error across
-// the chunks overlapping [from, to) of the named sensor's history.
-func (s *Station) RangeBound(id string, from, to int) (float64, error) {
-	log := s.lookupLog(id)
-	if log == nil {
-		return 0, fmt.Errorf("station: unknown sensor %q", id)
-	}
-	log.mu.Lock()
-	defer log.mu.Unlock()
-	total := log.totalChunks() * log.m
-	if from < 0 || to > total || from >= to {
-		return 0, fmt.Errorf("station: range [%d,%d) outside history [0,%d)", from, to, total)
-	}
-	var worst float64
-	for c := from / log.m; c <= (to-1)/log.m; c++ {
-		if log.bounds[c] > worst {
-			worst = log.bounds[c]
-		}
-	}
-	return worst, nil
-}
-
 // BaseSignal returns the current base-signal replica of the named sensor.
 func (s *Station) BaseSignal(id string) (timeseries.Series, error) {
 	log := s.lookupLog(id)
 	if log == nil {
-		return nil, fmt.Errorf("station: unknown sensor %q", id)
+		return nil, fmt.Errorf("%w %q", ErrUnknownSensor, id)
 	}
 	log.mu.Lock()
 	defer log.mu.Unlock()

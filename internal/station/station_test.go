@@ -1,6 +1,7 @@
 package station
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -139,25 +140,25 @@ func TestStationQueryErrors(t *testing.T) {
 	ds := smallDataset()
 	feed(t, st, "s", ds, 1, false)
 
-	if _, err := st.History("unknown", 0); err == nil {
+	if _, err := st.History("unknown", 0); !errors.Is(err, ErrUnknownSensor) {
 		t.Error("unknown sensor accepted")
 	}
-	if _, err := st.History("s", 99); err == nil {
+	if _, err := st.History("s", 99); !errors.Is(err, ErrInvalidQuery) {
 		t.Error("row out of range accepted")
 	}
-	if _, err := st.At("s", 0, -1); err == nil {
+	if _, err := st.At("s", 0, -1); !errors.Is(err, ErrInvalidQuery) {
 		t.Error("negative index accepted")
 	}
-	if _, err := st.At("s", 0, ds.FileLen); err == nil {
+	if _, err := st.At("s", 0, ds.FileLen); !errors.Is(err, ErrInvalidQuery) {
 		t.Error("index beyond history accepted")
 	}
-	if _, err := st.Range("s", 0, 10, 5); err == nil {
+	if _, err := st.Range("s", 0, 10, 5); !errors.Is(err, ErrInvalidQuery) {
 		t.Error("inverted range accepted")
 	}
-	if _, err := st.Aggregate("s", 0, 3, 3, AggAvg); err == nil {
+	if _, err := st.Aggregate("s", 0, 3, 3, AggAvg); !errors.Is(err, ErrInvalidQuery) {
 		t.Error("empty aggregate range accepted")
 	}
-	if _, err := st.Aggregate("s", 0, 0, 4, AggregateKind(42)); err == nil {
+	if _, err := st.Aggregate("s", 0, 0, 4, AggregateKind(42)); !errors.Is(err, ErrInvalidQuery) {
 		t.Error("unknown aggregate kind accepted")
 	}
 }
@@ -186,7 +187,7 @@ func TestStationMultipleSensors(t *testing.T) {
 	if len(sa.BaseInserts) != 2 {
 		t.Errorf("BaseInserts = %v", sa.BaseInserts)
 	}
-	if _, err := st.SensorStats("nope"); err == nil {
+	if _, err := st.SensorStats("nope"); !errors.Is(err, ErrUnknownSensor) {
 		t.Error("unknown sensor stats accepted")
 	}
 }
@@ -211,7 +212,7 @@ func TestStationBaseSignalReplica(t *testing.T) {
 	if !timeseries.Equal(replica, comp.BaseSignal(), 0) {
 		t.Error("station base-signal replica diverged from the sender")
 	}
-	if _, err := st.BaseSignal("nope"); err == nil {
+	if _, err := st.BaseSignal("nope"); !errors.Is(err, ErrUnknownSensor) {
 		t.Error("unknown sensor base signal accepted")
 	}
 }
@@ -323,18 +324,18 @@ func TestStationErrorBounds(t *testing.T) {
 				idx, v, orig, bound)
 		}
 	}
-	worst, err := st.RangeBound("s", 0, 2*ds.FileLen)
+	win, err := st.ReadWindow("s", 0, 0, 2*ds.FileLen, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if worst <= 0 {
+	if win.Bound <= 0 {
 		t.Error("range bound missing")
 	}
-	if _, err := st.RangeBound("s", 5, 5); err == nil {
-		t.Error("empty range bound accepted")
+	if win, err := st.ReadWindow("s", 0, 5, 5, nil); err != nil || len(win.Values) != 0 || win.Bound != 0 {
+		t.Errorf("empty window = (%d values, bound %v, %v), want no values and a zero bound", len(win.Values), win.Bound, err)
 	}
-	if _, err := st.RangeBound("nope", 0, 1); err == nil {
-		t.Error("unknown sensor accepted")
+	if _, err := st.ReadWindow("nope", 0, 0, 1, nil); !errors.Is(err, ErrUnknownSensor) {
+		t.Errorf("unknown sensor: %v, want ErrUnknownSensor", err)
 	}
 }
 

@@ -1,11 +1,11 @@
-// Query-serving benchmark suite (PR 9): measures the station's read path
-// under concurrency — hot in-memory aggregates, cold archive-backed range
-// reads issued by many parallel readers, and a mixed workload where
-// queries compete with live ingest. `make query-bench` runs it and writes
-// BENCH_pr9_query.json with the speedup over the committed pre-PR
-// baseline (BENCH_pr9_query_baseline.json); the acceptance bar is the
-// mixed/cold numbers, where the old station-wide RWMutex serialised every
-// cold segment decode and stalled ingest behind readers.
+// Query-serving benchmark suite: measures the station's read path under
+// concurrency — hot in-memory aggregates, cold archive-backed range reads
+// issued by many parallel readers, and a mixed workload where queries
+// compete with live ingest. The mixed and cold numbers are the ones that
+// matter: a station-wide RWMutex would serialise every cold segment
+// decode and stall ingest behind readers. Run it with
+//
+//	go test -run '^$' -bench 'BenchmarkQuery' -benchmem .
 package sbr
 
 import (
