@@ -75,6 +75,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz=FuzzReadFrame -fuzztime=30s ./internal/wire
 	$(GO) test -run '^$$' -fuzz=FuzzScanSegment -fuzztime=30s ./internal/segstore
+	$(GO) test -run '^$$' -fuzz=FuzzDecodeMetadata -fuzztime=30s ./internal/segstore
 	$(GO) test -run '^$$' -fuzz=FuzzOpen -fuzztime=30s ./internal/outbox
 
 examples:

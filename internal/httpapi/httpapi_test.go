@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -371,17 +372,26 @@ func TestWindowedReadsFetchOnlyOverlappedChunks(t *testing.T) {
 // 400 for an invalid query, 410 for history that retention purged, and 500
 // for a failed archive read.
 func TestStatusByErrorType(t *testing.T) {
+	// The chunk-aligned aggregate is answered from the aggregate index
+	// alone, which still holds the purged chunks' leaves: it must answer
+	// 410 all the same.
+	const aligned = "/v1/aggregate?sensor=%s&row=%d&from=0&to=128&kind=sum"
 	endpoints := []string{
 		"/v1/point?sensor=%s&row=%d&idx=1",
 		"/v1/range?sensor=%s&row=%d&from=0&to=64",
 		"/v1/aggregate?sensor=%s&row=%d&from=1&to=63",
 		"/v1/downsample?sensor=%s&row=%d&points=8",
 		"/v1/exceedances?sensor=%s&row=%d&from=0&to=64&threshold=0",
+		aligned,
 	}
 	check := func(api *API, id string, row, status int) {
 		t.Helper()
 		for _, ep := range endpoints {
-			get(t, api, fmt.Sprintf(ep, id, row), status)
+			want := status
+			if ep == aligned && status == http.StatusInternalServerError {
+				want = http.StatusOK // no archive read is involved, so nothing fails
+			}
+			get(t, api, fmt.Sprintf(ep, id, row), want)
 		}
 	}
 
@@ -418,6 +428,58 @@ func TestStatusByErrorType(t *testing.T) {
 		t.Fatal(err)
 	}
 	check(New(st, 0), "node-1", 0, http.StatusInternalServerError)
+}
+
+// TestRestartReadsNoSealedRecords damages a record inside a sealed
+// segment and leaves its footer whole. A restart reads the checkpoint and
+// the footers only, so it succeeds, and an aggregate over the damaged
+// chunks still answers from the footers' summaries; a cold read of the
+// damaged segment answers 500.
+func TestRestartReadsNoSealedRecords(t *testing.T) {
+	const aligned = "/v1/aggregate?sensor=node-1&row=0&from=0&to=256&kind=max"
+	dir := t.TempDir()
+	st, store, send := newArchivedStation(t, dir, 2, segstore.Retention{})
+	for f := 0; f < 8; f++ {
+		send()
+	}
+	before := get(t, New(st, 0), aligned, http.StatusOK)
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Flip a byte halfway between the first sealed segment's header block
+	// and its footer, whose offset the trailer names.
+	segs, err := filepath.Glob(filepath.Join(dir, "segments", "node-1", "*.seg"))
+	if err != nil || len(segs) != 4 {
+		t.Fatalf("segments %v (%v), want 4 sealed", segs, err)
+	}
+	data, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	headerEnd := 16 + int(binary.LittleEndian.Uint32(data[8:12]))
+	footerAt := int(binary.LittleEndian.Uint64(data[len(data)-12:]))
+	data[(headerEnd+footerAt)/2] ^= 0x40
+	if err := os.WriteFile(segs[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, _, _ := newArchivedStation(t, dir, 2, segstore.Retention{})
+	rec, err := st2.Recover()
+	if err != nil {
+		t.Fatalf("restart over a damaged record: %v", err)
+	}
+	if !rec.FromCheckpoint || rec.Replayed != 0 {
+		t.Errorf("recovery %+v, want from the checkpoint with nothing replayed", rec)
+	}
+	api := New(st2, 0)
+	if after := get(t, api, aligned, http.StatusOK); !reflect.DeepEqual(after, before) {
+		t.Errorf("aggregate after restart %v, want %v", after, before)
+	}
+	get(t, api, "/v1/point?sensor=node-1&row=0&idx=1", http.StatusInternalServerError)
 }
 
 // TestConcurrentIngestAndQueries hammers the API from several readers

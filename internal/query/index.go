@@ -17,6 +17,7 @@ package query
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"sbr/internal/obs"
 	"sbr/internal/timeseries"
@@ -67,24 +68,31 @@ func Summarize(s timeseries.Series, bound float64) Summary {
 	if len(s) == 0 {
 		return Summary{}
 	}
-	out := Summary{
-		Count:    len(s),
-		Sum:      s[0],
-		Min:      s[0],
-		Max:      s[0],
-		BoundMax: bound,
-		BoundSum: bound * float64(len(s)),
-	}
+	sum, lo, hi := s[0], s[0], s[0]
 	for _, v := range s[1:] {
-		out.Sum += v
-		if v < out.Min {
-			out.Min = v
+		sum += v
+		if v < lo {
+			lo = v
 		}
-		if v > out.Max {
-			out.Max = v
+		if v > hi {
+			hi = v
 		}
 	}
-	return out
+	return Leaf(len(s), sum, lo, hi, bound)
+}
+
+// Leaf is the summary of count samples with the given sum, minimum and
+// maximum from a chunk that shipped with the given maximum-absolute error
+// bound: Summarize's result, rebuilt from the digest an archive keeps.
+func Leaf(count int, sum, min, max, bound float64) Summary {
+	return Summary{
+		Count:    count,
+		Sum:      sum,
+		Min:      min,
+		Max:      max,
+		BoundMax: bound,
+		BoundSum: bound * float64(count),
+	}
 }
 
 // Index is the per-sensor hierarchical aggregate index: one append-only
@@ -162,24 +170,12 @@ func (ix *Index) AppendChunk(rows []timeseries.Series, bound float64) error {
 	return nil
 }
 
-// RowLeaves returns a copy of one quantity's per-chunk summaries (the
-// segment-tree leaves) in chunk order — the serialisable snapshot a
-// station checkpoint persists so a restart can rebuild the index without
-// re-decoding the archived history.
-func (ix *Index) RowLeaves(row int) []Summary {
-	if row < 0 || row >= len(ix.rows) {
-		return nil
-	}
-	t := ix.rows[row]
-	if len(t.levels) == 0 {
-		return nil
-	}
-	return append([]Summary(nil), t.levels[0]...)
-}
-
-// NewIndexFromLeaves rebuilds an index from a leaves snapshot (one slice
-// of per-chunk summaries per quantity, as produced by RowLeaves). Every
-// row must hold the same number of chunks.
+// NewIndexFromLeaves rebuilds an index from per-chunk summaries (one
+// slice per quantity, in chunk order) — what a restart reads back from
+// the archive's segment footers. Every row must hold the same number of
+// chunks. Each tree is built bottom-up, every level once and at its exact
+// length, with the same node values incremental AppendChunk calls would
+// have produced; the leaf slices become the trees' first levels.
 func NewIndexFromLeaves(n, m int, leaves [][]Summary) (*Index, error) {
 	if len(leaves) != n {
 		return nil, fmt.Errorf("query: %d leaf rows for %d quantities", len(leaves), n)
@@ -193,11 +189,33 @@ func NewIndexFromLeaves(n, m int, leaves [][]Summary) (*Index, error) {
 			return nil, fmt.Errorf("query: leaf row %d has %d chunks, row 0 has %d",
 				row, len(ls), len(leaves[0]))
 		}
-		for _, s := range ls {
-			ix.rows[row].append(s)
-		}
+		ix.rows[row] = buildTree(ls)
 	}
 	return ix, nil
+}
+
+// buildTree lays a tree over leaves level by level: node i of each level
+// merges children 2i and 2i+1 of the level below, or copies a lone right
+// edge child, up to a single root — exactly the nodes append leaves.
+func buildTree(leaves []Summary) *tree {
+	t := &tree{count: len(leaves)}
+	if len(leaves) == 0 {
+		return t
+	}
+	t.levels = make([][]Summary, 1, bits.Len(uint(len(leaves)-1))+1)
+	t.levels[0] = leaves
+	for lv := leaves; len(lv) > 1; {
+		up := make([]Summary, (len(lv)+1)/2)
+		for i := range up {
+			up[i] = lv[2*i]
+			if 2*i+1 < len(lv) {
+				up[i] = Merge(lv[2*i], lv[2*i+1])
+			}
+		}
+		t.levels = append(t.levels, up)
+		lv = up
+	}
+	return t
 }
 
 // QueryChunks merges the summaries of chunks [c0, c1) of one quantity in

@@ -144,3 +144,82 @@ func TestAppendCost(t *testing.T) {
 		}
 	}
 }
+
+// sameSummaryBits compares two summaries bit for bit.
+func sameSummaryBits(a, b Summary) bool {
+	return a.Count == b.Count &&
+		math.Float64bits(a.Sum) == math.Float64bits(b.Sum) &&
+		math.Float64bits(a.Min) == math.Float64bits(b.Min) &&
+		math.Float64bits(a.Max) == math.Float64bits(b.Max) &&
+		math.Float64bits(a.BoundMax) == math.Float64bits(b.BoundMax) &&
+		math.Float64bits(a.BoundSum) == math.Float64bits(b.BoundSum)
+}
+
+// sameTree reports whether two trees hold bit-identical levels.
+func sameTree(a, b *tree) bool {
+	if a.count != b.count || len(a.levels) != len(b.levels) {
+		return false
+	}
+	for lv := range a.levels {
+		if len(a.levels[lv]) != len(b.levels[lv]) {
+			return false
+		}
+		for i := range a.levels[lv] {
+			if !sameSummaryBits(a.levels[lv][i], b.levels[lv][i]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// TestNewIndexFromLeavesMatchesAppends pins the bottom-up restore: for
+// every leaf count from 1 to 1025 the rebuilt tree's levels are
+// bit-identical to incremental appends of the same leaves, each level is
+// allocated at its exact length, and the two stay identical as further
+// chunks arrive.
+func TestNewIndexFromLeavesMatchesAppends(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const m = 4
+	leaf := func() Summary {
+		s := make(timeseries.Series, m)
+		for i := range s {
+			s[i] = rng.NormFloat64() * 1e3
+		}
+		return Summarize(s, rng.Float64())
+	}
+	for n := 1; n <= 1025; n++ {
+		leaves := make([]Summary, n)
+		inc := &tree{}
+		for i := range leaves {
+			leaves[i] = leaf()
+			inc.append(leaves[i])
+		}
+		restored := make([]Summary, n)
+		copy(restored, leaves)
+		ix, err := NewIndexFromLeaves(1, m, [][]Summary{restored})
+		if err != nil {
+			t.Fatal(err)
+		}
+		built := ix.rows[0]
+		if !sameTree(built, inc) {
+			t.Fatalf("%d leaves: bottom-up levels differ from incremental appends", n)
+		}
+		for lv, level := range built.levels {
+			if cap(level) != len(level) {
+				t.Fatalf("%d leaves: level %d has cap %d for %d nodes", n, lv, cap(level), len(level))
+			}
+		}
+		if cap(built.levels) != len(built.levels) {
+			t.Fatalf("%d leaves: %d levels allocated for %d", n, cap(built.levels), len(built.levels))
+		}
+		for k := 0; k < 3; k++ {
+			s := leaf()
+			built.append(s)
+			inc.append(s)
+		}
+		if !sameTree(built, inc) {
+			t.Fatalf("%d leaves: levels diverge after further appends", n)
+		}
+	}
+}

@@ -1,8 +1,7 @@
 package segstore
 
 import (
-	"encoding/json"
-	"errors"
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,56 +12,130 @@ import (
 
 	"sbr/internal/blocklog"
 	"sbr/internal/core"
-	"sbr/internal/query"
 )
 
 // SensorCheckpoint is one sensor's slice of a station checkpoint: the
-// decoder replica state after the last covered chunk, the aggregate-index
-// leaves, and the receive-path bookkeeping a restart must resume with.
+// decoder replica state after the last covered chunk and the receive-path
+// bookkeeping a restart must resume with. It holds nothing per chunk, so
+// a checkpoint's size depends on the sensor count, not on history length;
+// the per-chunk facts come back from the segment footers (Recovery).
 type SensorCheckpoint struct {
 	// Chunks is the coverage: the checkpoint reflects chunks [0, Chunks).
 	// Recovery replays archived records from this index on.
-	Chunks int `json:"chunks"`
+	Chunks int
 	// N and M are the chunk shape (quantities × samples per chunk).
-	N int `json:"n"`
-	M int `json:"m"`
+	N int
+	M int
 	// Decoder resumes the live replica (W, next seq, pool slots).
-	Decoder core.DecoderState `json:"decoder"`
-	// IndexLeaves[i] is quantity i's per-chunk summaries in chunk order;
-	// the aggregate index is rebuilt from them without decoding anything.
-	IndexLeaves [][]query.Summary `json:"index_leaves"`
-	// Bounds is the per-chunk §4.5 error bound, aligned with chunk index.
-	Bounds []float64 `json:"bounds"`
+	Decoder core.DecoderState
 	// Receive-path counters and duplicate-detection state.
-	Frames   int    `json:"frames"`
-	Bytes    int    `json:"bytes"`
-	Values   int    `json:"values"`
-	Inserts  []int  `json:"inserts"`
-	Restarts int    `json:"restarts"`
-	NextSeq  int    `json:"next_seq"`
-	SrcNonce uint64 `json:"src_nonce,omitempty"`
-	ZeroSum  uint64 `json:"zero_sum,omitempty"`
+	Frames   int
+	Bytes    int
+	Values   int
+	Restarts int
+	NextSeq  int
+	SrcNonce uint64
+	ZeroSum  uint64
 }
 
-// Checkpoint is a durable snapshot of station state. Loading one and
-// replaying the archived tail (chunks >= each sensor's Chunks) reproduces
-// the station exactly; without one, recovery falls back to replaying the
-// whole archive.
+// Checkpoint is a durable snapshot of station state. Loading one, with the
+// per-chunk facts of the archived chunks it covers, and replaying the
+// archived tail (chunks >= each sensor's Chunks) reproduces the station
+// exactly; without one, recovery falls back to replaying the whole archive.
 type Checkpoint struct {
-	Version int                          `json:"version"`
-	Unix    int64                        `json:"unix"`
-	Sensors map[string]*SensorCheckpoint `json:"sensors"`
+	Unix    int64
+	Sensors map[string]*SensorCheckpoint
 }
 
-const checkpointVersion = 1
+// A checkpoint file is a magic preamble and one CRC32C-framed block:
+//
+//	file    := magic₈ block
+//	payload := unix₈ sensors₄ sensor*
+//	sensor  := id-len₂ id chunks₈ n₄ m₄ frames₈ bytes₈ values₈ restarts₈
+//	           next-seq₈ nonce₈ zero-sum₈ decoder-state
+//
+// with the segment header's decoder-state encoding, sensors in id order.
+var ckptMagic = [8]byte{'S', 'B', 'R', 'C', 'K', 'P', '1', 0}
+
+// ckptSensorMin is the smallest encoding of one sensor: an empty id and a
+// decoder state with no slots.
+const ckptSensorMin = 2 + 8 + 4 + 4 + 7*8 + 4 + 8 + 4
+
 const checkpointPrefix = "ckpt-"
+const checkpointExt = ".bin"
 const checkpointKeep = 2
 
-// ErrNoCheckpoint reports that the store holds no loadable checkpoint.
-var ErrNoCheckpoint = errors.New("segstore: no checkpoint")
-
 func checkpointName(seq int64) string {
-	return fmt.Sprintf("%s%016d.json", checkpointPrefix, seq)
+	return fmt.Sprintf("%s%016d%s", checkpointPrefix, seq, checkpointExt)
+}
+
+// encodeCheckpoint serialises ck as a whole checkpoint file.
+func encodeCheckpoint(ck *Checkpoint) ([]byte, error) {
+	ids := make([]string, 0, len(ck.Sensors))
+	for id := range ck.Sensors {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	p := le.AppendUint64(nil, uint64(ck.Unix))
+	p = le.AppendUint32(p, uint32(len(ids)))
+	for _, id := range ids {
+		sc := ck.Sensors[id]
+		var err error
+		if p, err = appendID(p, id); err != nil {
+			return nil, err
+		}
+		p = le.AppendUint64(p, uint64(sc.Chunks))
+		p = le.AppendUint32(p, uint32(sc.N))
+		p = le.AppendUint32(p, uint32(sc.M))
+		for _, v := range []int{sc.Frames, sc.Bytes, sc.Values, sc.Restarts, sc.NextSeq} {
+			p = le.AppendUint64(p, uint64(v))
+		}
+		p = le.AppendUint64(p, sc.SrcNonce)
+		p = le.AppendUint64(p, sc.ZeroSum)
+		p = appendDecoderState(p, sc.Decoder)
+	}
+	return blocklog.Append(append([]byte(nil), ckptMagic[:]...), p), nil
+}
+
+// decodeCheckpoint parses a whole checkpoint file: magic, then exactly one
+// block whose checksum holds.
+func decodeCheckpoint(data []byte) (*Checkpoint, error) {
+	if !bytes.HasPrefix(data, ckptMagic[:]) {
+		return nil, fmt.Errorf("segstore: bad checkpoint magic")
+	}
+	body := bytes.NewReader(data[len(ckptMagic):])
+	payload, err := blocklog.Read(body, body.Size())
+	if err != nil || body.Len() != 0 {
+		return nil, fmt.Errorf("segstore: checkpoint block torn or trailed")
+	}
+	return parseCheckpoint(payload)
+}
+
+// parseCheckpoint decodes a checkpoint block payload. The sensor count is
+// checked against the bytes that remain before the map is allocated.
+func parseCheckpoint(payload []byte) (*Checkpoint, error) {
+	r := fields{b: payload}
+	ck := &Checkpoint{Unix: int64(r.u64())}
+	n := r.u32()
+	if r.err == nil && n > len(r.b)/ckptSensorMin {
+		return nil, fmt.Errorf("segstore: checkpoint of %d sensors holds %d bytes", n, len(r.b))
+	}
+	ck.Sensors = make(map[string]*SensorCheckpoint, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		id := r.id()
+		sc := &SensorCheckpoint{Chunks: r.int(), N: r.u32(), M: r.u32(),
+			Frames: r.int(), Bytes: r.int(), Values: r.int(), Restarts: r.int(), NextSeq: r.int(),
+			SrcNonce: r.u64(), ZeroSum: r.u64()}
+		sc.Decoder = r.decoderState()
+		if _, dup := ck.Sensors[id]; dup && r.err == nil {
+			return nil, fmt.Errorf("segstore: checkpoint names sensor %q twice", id)
+		}
+		ck.Sensors[id] = sc
+	}
+	if err := r.done("checkpoint"); err != nil {
+		return nil, err
+	}
+	return ck, nil
 }
 
 // WriteCheckpoint durably installs ck as the newest checkpoint (atomic
@@ -75,11 +148,10 @@ func (s *Store) WriteCheckpoint(ck *Checkpoint) error {
 	if s.closed {
 		return fmt.Errorf("segstore: store is closed")
 	}
-	ck.Version = checkpointVersion
 	if ck.Unix == 0 {
 		ck.Unix = time.Now().Unix()
 	}
-	data, err := json.Marshal(ck)
+	data, err := encodeCheckpoint(ck)
 	if err != nil {
 		return fmt.Errorf("segstore: encoding checkpoint: %w", err)
 	}
@@ -87,15 +159,21 @@ func (s *Store) WriteCheckpoint(ck *Checkpoint) error {
 	if err := blocklog.Install(filepath.Join(s.dir, checkpointName(seq)), data, !s.opts.NoSync); err != nil {
 		return fmt.Errorf("segstore: checkpoint: %w", err)
 	}
+	s.noteCheckpointLocked(ck, seq)
+	s.pruneCheckpoints(seq)
+	s.updateCheckpointAgeLocked()
+	return nil
+}
+
+// noteCheckpointLocked makes ck, installed as seq, the checkpoint that
+// retention's coverage rule and the age gauge follow. Caller holds s.mu.
+func (s *Store) noteCheckpointLocked(ck *Checkpoint, seq int64) {
 	s.ckptSeq = seq
 	s.ckptUnix = ck.Unix
 	s.ckptCover = make(map[string]int, len(ck.Sensors))
 	for id, sc := range ck.Sensors {
 		s.ckptCover[id] = sc.Chunks
 	}
-	s.pruneCheckpoints(seq)
-	s.updateCheckpointAgeLocked()
-	return nil
 }
 
 // pruneCheckpoints removes checkpoint files older than the newest
@@ -118,10 +196,10 @@ func (s *Store) checkpointFiles() map[int64]string {
 	}
 	for _, e := range entries {
 		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, checkpointPrefix) || !strings.HasSuffix(name, ".json") {
+		if e.IsDir() || !strings.HasPrefix(name, checkpointPrefix) || !strings.HasSuffix(name, checkpointExt) {
 			continue
 		}
-		seqStr := strings.TrimSuffix(strings.TrimPrefix(name, checkpointPrefix), ".json")
+		seqStr := strings.TrimSuffix(strings.TrimPrefix(name, checkpointPrefix), checkpointExt)
 		seq, err := strconv.ParseInt(seqStr, 10, 64)
 		if err != nil {
 			continue
@@ -131,34 +209,27 @@ func (s *Store) checkpointFiles() map[int64]string {
 	return out
 }
 
-// LoadCheckpoint returns the newest loadable checkpoint, falling back to
-// older ones when the newest is unparsable (a crash mid-rename cannot
-// produce that, but a corrupt disk can), or ErrNoCheckpoint.
-func (s *Store) LoadCheckpoint() (*Checkpoint, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ck, seq, err := s.loadLatestCheckpoint()
+// refuseOldCheckpoints fails when dir holds checkpoints of the earlier
+// JSON format. The segments beside them do not scan either, and failing
+// before anything is read leaves the directory exactly as it was.
+func refuseOldCheckpoints(dir string) error {
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return fmt.Errorf("segstore: reading data dir: %w", err)
 	}
-	if ck == nil {
-		return nil, ErrNoCheckpoint
-	}
-	if seq > s.ckptSeq {
-		s.ckptSeq = seq
-		s.ckptUnix = ck.Unix
-		s.ckptCover = make(map[string]int, len(ck.Sensors))
-		for id, sc := range ck.Sensors {
-			s.ckptCover[id] = sc.Chunks
+	for _, e := range entries {
+		if name := e.Name(); strings.HasPrefix(name, checkpointPrefix) && strings.HasSuffix(name, ".json") {
+			return fmt.Errorf("segstore: checkpoint %s: %w", name, errOldFormat)
 		}
 	}
-	return ck, nil
+	return nil
 }
 
 // loadLatestCheckpoint scans checkpoint files newest-first and returns the
-// first that parses. (nil, 0, nil) means none exist; unreadable files are
-// skipped, not fatal. Caller holds s.mu.
-func (s *Store) loadLatestCheckpoint() (*Checkpoint, int64, error) {
+// first that decodes — a newest one that fails its checksum (a crash
+// mid-rename cannot produce that, but a corrupt disk can) falls back to
+// the one before — or nil when none does. Open calls it once.
+func (s *Store) loadLatestCheckpoint() (*Checkpoint, int64) {
 	files := s.checkpointFiles()
 	seqs := make([]int64, 0, len(files))
 	for seq := range files {
@@ -170,13 +241,11 @@ func (s *Store) loadLatestCheckpoint() (*Checkpoint, int64, error) {
 		if err != nil {
 			continue
 		}
-		var ck Checkpoint
-		if err := json.Unmarshal(data, &ck); err != nil || ck.Version != checkpointVersion {
-			continue
+		if ck, err := decodeCheckpoint(data); err == nil {
+			return ck, seq
 		}
-		return &ck, seq, nil
 	}
-	return nil, 0, nil
+	return nil, 0
 }
 
 // CheckpointCoverage reports the chunk count the latest checkpoint covers

@@ -3,6 +3,7 @@ package segstore
 import (
 	"container/list"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -41,8 +42,7 @@ type cacheItem struct {
 
 type segCacheEntry struct {
 	firstChunk int
-	rows       [][]timeseries.Series // per record, per quantity
-	bounds     []float64             // per record
+	chunks     []decodedChunk // per record
 }
 
 func newSegCache(capacity int) *segCache {
@@ -119,10 +119,10 @@ type flight struct {
 func resolveRef(sensor string, ss *sensorSegs, chunk int) (segRef, error) {
 	if a := ss.active; a != nil && chunk >= a.header.FirstChunk {
 		return segRef{
-			key:        cacheKey(sensor, a.header.FirstChunk, len(a.recs)),
+			key:        cacheKey(sensor, a.header.FirstChunk, len(a.frames)),
 			firstChunk: a.header.FirstChunk,
 			lastChunk:  a.lastChunk(),
-			scan:       segScan{Header: a.header, Recs: a.recs, Frames: a.frames},
+			scan:       segScan{Header: a.header, Frames: a.frames},
 		}, nil
 	}
 	i := sort.Search(len(ss.sealed), func(i int) bool {
@@ -258,10 +258,10 @@ func (s *Store) ChunkRows(sensor string, chunk int) ([]timeseries.Series, float6
 		return nil, 0, s.reclassify(sensor, chunk, err)
 	}
 	i := chunk - e.firstChunk
-	if i < 0 || i >= len(e.rows) {
+	if i < 0 || i >= len(e.chunks) {
 		return nil, 0, fmt.Errorf("segstore: sensor %q chunk %d missing from its segment", sensor, chunk)
 	}
-	return e.rows[i], e.bounds[i], nil
+	return e.chunks[i].rows, e.chunks[i].bound, nil
 }
 
 // DefaultFetchWorkers bounds the parallel segment decodes of one range
@@ -359,17 +359,20 @@ func (s *Store) ChunkRangeRows(sensor string, from, to int, fn func(chunk int, r
 		}
 		e := entries[ri]
 		i := c - e.firstChunk
-		if i < 0 || i >= len(e.rows) {
+		if i < 0 || i >= len(e.chunks) {
 			return fmt.Errorf("segstore: sensor %q chunk %d missing from its segment", sensor, c)
 		}
-		if err := fn(c, e.rows[i], e.bounds[i]); err != nil {
+		if err := fn(c, e.chunks[i].rows, e.chunks[i].bound); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// scanSealed loads one sealed segment from disk, verifying every checksum.
+// scanSealed loads the header and records of one sealed segment from
+// disk, verifying every checksum. The trailer names where the records
+// end, and the read stops there: the footer is neither read nor parsed.
+// Only a damaged trailer sends the scan on to the footer, where it stops.
 func (s *Store) scanSealed(sm segMeta) (segScan, error) {
 	path := filepath.Join(s.dir, filepath.FromSlash(sm.File))
 	f, err := os.Open(path)
@@ -377,11 +380,11 @@ func (s *Store) scanSealed(sm segMeta) (segScan, error) {
 		return segScan{}, fmt.Errorf("segstore: opening sealed segment: %w", err)
 	}
 	defer f.Close()
-	fi, err := f.Stat()
+	end, err := footerOffset(f, sm.Bytes)
 	if err != nil {
-		return segScan{}, err
+		end = sm.Bytes
 	}
-	scan, err := scanSegment(f, fi.Size())
+	scan, err := scanSegment(io.NewSectionReader(f, 0, end), end)
 	if err != nil {
 		return segScan{}, fmt.Errorf("segstore: sealed segment %s: %w", sm.File, err)
 	}
@@ -395,15 +398,11 @@ func (s *Store) scanSealed(sm segMeta) (segScan, error) {
 // decodeScan runs the cold decode of one scanned segment and packages it
 // as a cache entry.
 func decodeScan(cfg core.Config, scan segScan) (*segCacheEntry, error) {
-	rows, err := decodeSegmentChunks(cfg, scan)
+	chunks, err := decodeSegmentChunks(cfg, scan)
 	if err != nil {
 		return nil, err
 	}
-	bounds := make([]float64, len(scan.Recs))
-	for i, r := range scan.Recs {
-		bounds[i] = r.Bound
-	}
-	return &segCacheEntry{firstChunk: scan.Header.FirstChunk, rows: rows, bounds: bounds}, nil
+	return &segCacheEntry{firstChunk: scan.Header.FirstChunk, chunks: chunks}, nil
 }
 
 // ReplayFrom streams the archived raw frames of one sensor with chunk

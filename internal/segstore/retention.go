@@ -102,6 +102,7 @@ func (s *Store) EnforceRetention(now time.Time) (int, error) {
 	if len(victims) == 0 {
 		return 0, nil
 	}
+	s.publishWatermarksLocked()
 	// Durable forget first, then delete; leftovers from a crash in between
 	// are swept at the next Open.
 	if err := s.writeManifest(); err != nil {

@@ -2,15 +2,15 @@ package segstore
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 
 	"sbr/internal/blocklog"
 	"sbr/internal/core"
+	"sbr/internal/query"
 	"sbr/internal/timeseries"
 	"sbr/internal/wire"
 )
@@ -18,18 +18,26 @@ import (
 // On-disk segment layout. A segment file is a magic preamble followed by a
 // sequence of CRC32C-framed blocks (internal/blocklog):
 //
-//	file   := magic₈ header-block record-block* [footer-block trailer₁₂]
-//	trailer:= footer-offset₈ "SGFT"
+//	file    := magic₈ header-block record-block* [footer-block trailer₁₂]
+//	header  := 'H' first₈ n₄ m₄ created₈ decoder-state id-len₂ id
+//	record  := 'R' chunk₈ unix₈ frame
+//	footer  := 'F' first₈ records₄ n₄ entry*
+//	entry   := unix₈ bound₈ inserts₄ (sum₈ min₈ max₈)×n
+//	trailer := footer-offset₈ "SGFT"
+//	decoder-state := w₄ next₈ slots₄ value₈×(w·slots)
 //
-// The first payload byte tags the block kind ('H' header, 'R' record,
-// 'F' footer). The header carries the sensor identity, the chunk shape and
-// the decoder replica state at segment start, so a sealed segment is
-// self-contained: a cold reader seeds a replica from the header and decodes
-// the segment's records without touching any other part of the history.
-// Records hold the wire-encoded SBR transmission verbatim (the compressed
-// unit of record), its §4.5 error bound and a per-row summary. The footer
-// is the segment's index — chunk range, time range and per-record byte
-// offsets — reachable in one seek through the fixed-size trailer.
+// Every field is fixed-width little endian. The header carries the sensor
+// identity, the chunk shape and the decoder replica state at segment
+// start, so a sealed segment is self-contained: a cold reader seeds a
+// replica from the header and decodes the segment's records without
+// touching any other part of the history — or the footer. A record holds
+// the wire-encoded SBR transmission verbatim (the compressed unit of
+// record, which already carries its §4.5 bound and insert count) and the
+// time it was archived. The footer holds one fixed-width entry per record:
+// what a restart needs to rebuild the station's per-chunk state (bound,
+// inserted base intervals, per-quantity sum/min/max) without decoding a
+// frame. It is the only home of those facts on disk, reached in one read
+// through the fixed-size trailer.
 //
 // Torn writes are detected by the framing: a crash mid-append leaves a
 // block whose length field or checksum cannot be satisfied, and the scanner
@@ -37,10 +45,21 @@ import (
 // truncate the tail and keep appending.
 
 // segMagic opens every segment file.
-var segMagic = [8]byte{'S', 'B', 'R', 'S', 'E', 'G', '1', 0}
+var segMagic = [8]byte{'S', 'B', 'R', 'S', 'E', 'G', '2', 0}
+
+// oldSegMagic opened the segments of the earlier format, whose headers,
+// footers and checkpoints were JSON. Open refuses its files by name
+// rather than treating them as damage.
+var oldSegMagic = [8]byte{'S', 'B', 'R', 'S', 'E', 'G', '1', 0}
+
+// errOldFormat reports a file of the earlier format.
+var errOldFormat = errors.New("segstore: written in the earlier SBRSEG1 format with JSON metadata, which this version does not read: discard the data directory")
 
 // trailerMagic closes a sealed segment, preceded by the footer offset.
 var trailerMagic = [4]byte{'S', 'G', 'F', 'T'}
+
+// trailerLen is the size of the trailer that commits a seal.
+const trailerLen = 12
 
 // Block kind tags (first payload byte).
 const (
@@ -49,173 +68,346 @@ const (
 	blockFooter = 'F'
 )
 
-// segHeader is the header block payload (JSON after the kind tag).
+// recordHeadLen is the record payload before the frame: kind, chunk, unix.
+const recordHeadLen = 17
+
+// footerHeadLen is the footer payload before its entries: kind, first
+// chunk, record count, quantities.
+const footerHeadLen = 17
+
+// footerEntryLen is the fixed width of one footer entry for n quantities.
+func footerEntryLen(n int) int { return 20 + 24*n }
+
+// segHeader is the header block payload.
 type segHeader struct {
-	Sensor      string            `json:"sensor"`
-	FirstChunk  int               `json:"first_chunk"`
-	N           int               `json:"n"`
-	M           int               `json:"m"`
-	Decoder     core.DecoderState `json:"decoder"`
-	CreatedUnix int64             `json:"created_unix"`
+	Sensor      string
+	FirstChunk  int
+	N           int
+	M           int
+	CreatedUnix int64
+	Decoder     core.DecoderState
 }
 
-// rowSummary is the per-quantity digest stored with every record and in
-// the footer index: enough to answer chunk-aligned aggregates without
-// decoding (count is the header's M; bounds derive from the record bound).
-type rowSummary struct {
-	Sum float64 `json:"sum"`
-	Min float64 `json:"min"`
-	Max float64 `json:"max"`
+// RowSummary digests one quantity of one chunk. With the chunk's bound and
+// sample count it is the chunk's aggregate-index leaf (query.Leaf).
+type RowSummary struct {
+	Sum, Min, Max float64
 }
 
-// recMeta is one record's footer-index entry. Offset addresses the record
-// block inside the file.
+// ChunkFacts is what the station keeps per archived chunk besides its
+// samples: the time the chunk was archived, its §4.5 error bound, the base
+// intervals it inserted and one RowSummary per quantity. A sealed
+// segment's footer is their one home on disk.
+type ChunkFacts struct {
+	Unix    int64
+	Bound   float64
+	Inserts int
+	Rows    []RowSummary
+}
+
+// recMeta locates one whole record found by a scan.
 type recMeta struct {
-	Chunk  int          `json:"chunk"`
-	Offset int64        `json:"offset"`
-	Unix   int64        `json:"unix"`
-	Bound  float64      `json:"bound"`
-	Rows   []rowSummary `json:"rows"`
+	Offset int64 // file offset of the record block
+	Unix   int64
 }
 
-// segFooter is the footer block payload (JSON after the kind tag): the
-// sealed segment's index.
-type segFooter struct {
-	FirstChunk int       `json:"first_chunk"`
-	Records    int       `json:"records"`
-	MinUnix    int64     `json:"min_unix"`
-	MaxUnix    int64     `json:"max_unix"`
-	Recs       []recMeta `json:"recs"`
+var le = binary.LittleEndian
+
+func appendFloat(b []byte, v float64) []byte { return le.AppendUint64(b, math.Float64bits(v)) }
+
+// appendDecoderState encodes st. Every base slot is W values wide, as
+// core.Decoder.State produces them.
+func appendDecoderState(b []byte, st core.DecoderState) []byte {
+	b = le.AppendUint32(b, uint32(st.W))
+	b = le.AppendUint64(b, uint64(st.Next))
+	b = le.AppendUint32(b, uint32(len(st.Base)))
+	for _, slot := range st.Base {
+		for _, v := range slot {
+			b = appendFloat(b, v)
+		}
+	}
+	return b
 }
 
-// record is one archived transmission: the raw wire frame plus the
-// metadata that rides in the record block.
-type record struct {
-	Chunk int
-	Unix  int64
-	Bound float64
-	Rows  []rowSummary
-	Frame []byte
+// appendID encodes a sensor id behind its u16 length.
+func appendID(b []byte, id string) ([]byte, error) {
+	if len(id) > math.MaxUint16 {
+		return nil, fmt.Errorf("segstore: sensor id of %d bytes is too long", len(id))
+	}
+	b = le.AppendUint16(b, uint16(len(id)))
+	return append(b, id...), nil
+}
+
+// fields reads the fixed-width little-endian fields of one block payload.
+// The first read past the end sets err, and every read after it yields
+// zero, so a decoder checks err once, after its last field.
+type fields struct {
+	b   []byte
+	err error
+}
+
+func (r *fields) take(n int) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n > len(r.b) {
+		r.err = fmt.Errorf("segstore: block ends %d bytes early", n-len(r.b))
+		return nil
+	}
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *fields) u16() int {
+	if b := r.take(2); b != nil {
+		return int(le.Uint16(b))
+	}
+	return 0
+}
+
+func (r *fields) u32() int {
+	if b := r.take(4); b != nil {
+		return int(le.Uint32(b))
+	}
+	return 0
+}
+
+func (r *fields) u64() uint64 {
+	if b := r.take(8); b != nil {
+		return le.Uint64(b)
+	}
+	return 0
+}
+
+// int reads a u64 that must fit a non-negative int.
+func (r *fields) int() int {
+	v := r.u64()
+	if v > math.MaxInt64 && r.err == nil {
+		r.err = fmt.Errorf("segstore: count %d out of range", v)
+	}
+	return int(v)
+}
+
+func (r *fields) f64() float64 { return math.Float64frombits(r.u64()) }
+
+func (r *fields) id() string { return string(r.take(r.u16())) }
+
+// done reports the first error, or trailing bytes the decoder did not
+// consume.
+func (r *fields) done(what string) error {
+	if r.err != nil {
+		return fmt.Errorf("segstore: %s: %w", what, r.err)
+	}
+	if len(r.b) != 0 {
+		return fmt.Errorf("segstore: %s: %d trailing bytes", what, len(r.b))
+	}
+	return nil
+}
+
+// decoderState reads a decoder-state, checking the slot count against the
+// bytes that remain before allocating anything.
+func (r *fields) decoderState() core.DecoderState {
+	st := core.DecoderState{W: r.u32(), Next: r.int()}
+	slots := r.u32()
+	if r.err != nil || slots == 0 {
+		return st
+	}
+	if st.W == 0 || slots > len(r.b)/(8*st.W) {
+		r.err = fmt.Errorf("%d base slots of width %d exceed the block", slots, st.W)
+		return st
+	}
+	vals := make(timeseries.Series, slots*st.W)
+	for i := range vals {
+		vals[i] = r.f64()
+	}
+	st.Base = make([]timeseries.Series, slots)
+	for i := range st.Base {
+		st.Base[i] = vals[i*st.W : (i+1)*st.W : (i+1)*st.W]
+	}
+	return st
 }
 
 // encodeHeaderBlock frames a header block.
 func encodeHeaderBlock(h segHeader) ([]byte, error) {
-	body, err := json.Marshal(h)
+	p := make([]byte, 0, 64+len(h.Sensor)+8*h.Decoder.W*len(h.Decoder.Base))
+	p = append(p, blockHeader)
+	p = le.AppendUint64(p, uint64(h.FirstChunk))
+	p = le.AppendUint32(p, uint32(h.N))
+	p = le.AppendUint32(p, uint32(h.M))
+	p = le.AppendUint64(p, uint64(h.CreatedUnix))
+	p = appendDecoderState(p, h.Decoder)
+	p, err := appendID(p, h.Sensor)
 	if err != nil {
-		return nil, fmt.Errorf("segstore: encoding segment header: %w", err)
+		return nil, err
 	}
-	return blocklog.Append(nil, append([]byte{blockHeader}, body...)), nil
+	return blocklog.Append(nil, p), nil
+}
+
+// decodeHeader parses a header block payload, kind tag included.
+func decodeHeader(payload []byte) (segHeader, error) {
+	if len(payload) == 0 || payload[0] != blockHeader {
+		return segHeader{}, fmt.Errorf("segstore: not a segment header")
+	}
+	r := fields{b: payload[1:]}
+	h := segHeader{FirstChunk: r.int(), N: r.u32(), M: r.u32(), CreatedUnix: int64(r.u64())}
+	h.Decoder = r.decoderState()
+	h.Sensor = r.id()
+	if err := r.done("segment header"); err != nil {
+		return segHeader{}, err
+	}
+	if h.N <= 0 || h.M <= 0 {
+		return segHeader{}, fmt.Errorf("segstore: segment header shape %dx%d", h.N, h.M)
+	}
+	return h, nil
 }
 
 // encodeRecordBlock frames a record block.
-func encodeRecordBlock(rec record) []byte {
-	payload := make([]byte, 0, 64+len(rec.Frame))
-	payload = append(payload, blockRecord)
-	payload = binary.AppendUvarint(payload, uint64(rec.Chunk))
-	payload = binary.AppendVarint(payload, rec.Unix)
-	payload = appendFloat(payload, rec.Bound)
-	payload = binary.AppendUvarint(payload, uint64(len(rec.Rows)))
-	for _, rs := range rec.Rows {
-		payload = appendFloat(payload, rs.Sum)
-		payload = appendFloat(payload, rs.Min)
-		payload = appendFloat(payload, rs.Max)
-	}
-	payload = binary.AppendUvarint(payload, uint64(len(rec.Frame)))
-	payload = append(payload, rec.Frame...)
-	return blocklog.Append(nil, payload)
+func encodeRecordBlock(chunk int, unix int64, frame []byte) []byte {
+	p := make([]byte, 0, recordHeadLen+len(frame))
+	p = append(p, blockRecord)
+	p = le.AppendUint64(p, uint64(chunk))
+	p = le.AppendUint64(p, uint64(unix))
+	p = append(p, frame...)
+	return blocklog.Append(nil, p)
 }
 
-// encodeFooterBlock frames a footer block plus the trailer; footerOff is
-// the file offset the footer block will land at.
-func encodeFooterBlock(ft segFooter, footerOff int64) ([]byte, error) {
-	body, err := json.Marshal(ft)
-	if err != nil {
-		return nil, fmt.Errorf("segstore: encoding segment footer: %w", err)
-	}
-	out := blocklog.Append(nil, append([]byte{blockFooter}, body...))
-	var trailer [12]byte
-	binary.LittleEndian.PutUint64(trailer[0:8], uint64(footerOff))
-	copy(trailer[8:12], trailerMagic[:])
-	return append(out, trailer[:]...), nil
-}
-
-func appendFloat(buf []byte, v float64) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
-	return append(buf, b[:]...)
-}
-
-// decodeRecord parses a record block payload (after the kind tag has been
-// verified by the caller).
-func decodeRecord(payload []byte) (record, error) {
-	r := bytes.NewReader(payload[1:])
-	var rec record
-	chunk, err := binary.ReadUvarint(r)
-	if err != nil {
-		return rec, fmt.Errorf("segstore: record chunk: %w", err)
-	}
-	unix, err := binary.ReadVarint(r)
-	if err != nil {
-		return rec, fmt.Errorf("segstore: record time: %w", err)
-	}
-	bound, err := readFloat(r)
-	if err != nil {
-		return rec, fmt.Errorf("segstore: record bound: %w", err)
-	}
-	nrows, err := binary.ReadUvarint(r)
-	if err != nil {
-		return rec, fmt.Errorf("segstore: record row count: %w", err)
-	}
-	if nrows > blocklog.MaxBlock/24 {
-		return rec, fmt.Errorf("segstore: implausible record row count %d", nrows)
-	}
-	rows := make([]rowSummary, nrows)
-	for i := range rows {
-		if rows[i].Sum, err = readFloat(r); err != nil {
-			return rec, fmt.Errorf("segstore: record summary: %w", err)
-		}
-		if rows[i].Min, err = readFloat(r); err != nil {
-			return rec, fmt.Errorf("segstore: record summary: %w", err)
-		}
-		if rows[i].Max, err = readFloat(r); err != nil {
-			return rec, fmt.Errorf("segstore: record summary: %w", err)
+// encodeFooterBlock frames a footer block holding one entry per fact,
+// each with n row summaries, plus the trailer; footerOff is the file
+// offset the footer block will land at.
+func encodeFooterBlock(first, n int, facts []ChunkFacts, footerOff int64) []byte {
+	p := make([]byte, 0, footerHeadLen+len(facts)*footerEntryLen(n))
+	p = append(p, blockFooter)
+	p = le.AppendUint64(p, uint64(first))
+	p = le.AppendUint32(p, uint32(len(facts)))
+	p = le.AppendUint32(p, uint32(n))
+	for _, f := range facts {
+		p = le.AppendUint64(p, uint64(f.Unix))
+		p = appendFloat(p, f.Bound)
+		p = le.AppendUint32(p, uint32(f.Inserts))
+		for _, rs := range f.Rows {
+			p = appendFloat(p, rs.Sum)
+			p = appendFloat(p, rs.Min)
+			p = appendFloat(p, rs.Max)
 		}
 	}
-	frameLen, err := binary.ReadUvarint(r)
-	if err != nil {
-		return rec, fmt.Errorf("segstore: record frame length: %w", err)
-	}
-	if frameLen != uint64(r.Len()) {
-		return rec, fmt.Errorf("segstore: record frame length %d, %d bytes remain", frameLen, r.Len())
-	}
-	frame := make([]byte, frameLen)
-	if _, err := io.ReadFull(r, frame); err != nil {
-		return rec, fmt.Errorf("segstore: record frame: %w", err)
-	}
-	rec.Chunk = int(chunk)
-	rec.Unix = unix
-	rec.Bound = bound
-	rec.Rows = rows
-	rec.Frame = frame
-	return rec, nil
+	out := blocklog.Append(nil, p)
+	out = le.AppendUint64(out, uint64(footerOff))
+	return append(out, trailerMagic[:]...)
 }
 
-func readFloat(r *bytes.Reader) (float64, error) {
-	var b [8]byte
-	if _, err := io.ReadFull(r, b[:]); err != nil {
-		return 0, err
+// footerHead parses the fixed head of a footer block payload, kind tag
+// included — first chunk, record count, quantities — and checks that
+// exactly count entries follow, so the entries' size is bounded by the
+// payload before anything is allocated. It returns the entry bytes.
+func footerHead(payload []byte) (first, count, n int, entries []byte, err error) {
+	if len(payload) == 0 || payload[0] != blockFooter {
+		return 0, 0, 0, nil, fmt.Errorf("segstore: not a segment footer")
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b[:])), nil
+	r := fields{b: payload[1:]}
+	first, count, n = r.int(), r.u32(), r.u32()
+	if r.err != nil {
+		return 0, 0, 0, nil, r.done("segment footer")
+	}
+	if n == 0 {
+		return 0, 0, 0, nil, fmt.Errorf("segstore: segment footer with no quantities")
+	}
+	// n < 2³², so the entry width cannot overflow.
+	if w := footerEntryLen(n); len(r.b)%w != 0 || count != len(r.b)/w {
+		return 0, 0, 0, nil, fmt.Errorf("segstore: segment footer of %d entries holds %d bytes", count, len(r.b))
+	}
+	return first, count, n, r.b, nil
+}
+
+// decodeFooter parses a footer block payload, kind tag included, into its
+// first chunk and per-record facts.
+func decodeFooter(payload []byte) (int, []ChunkFacts, error) {
+	first, count, n, entries, err := footerHead(payload)
+	if err != nil {
+		return 0, nil, err
+	}
+	r := fields{b: entries}
+	facts := make([]ChunkFacts, count)
+	rows := make([]RowSummary, count*n)
+	for i := range facts {
+		f := &facts[i]
+		f.Unix = int64(r.u64())
+		f.Bound = r.f64()
+		f.Inserts = r.u32()
+		f.Rows = rows[i*n : (i+1)*n : (i+1)*n]
+		for j := range f.Rows {
+			f.Rows[j] = RowSummary{Sum: r.f64(), Min: r.f64(), Max: r.f64()}
+		}
+	}
+	if err := r.done("segment footer"); err != nil {
+		return 0, nil, err
+	}
+	return first, facts, nil
+}
+
+// parseTrailer returns the footer offset a sealed file's trailer names.
+func parseTrailer(tr []byte) (int64, bool) {
+	if len(tr) != trailerLen || string(tr[8:]) != string(trailerMagic[:]) {
+		return 0, false
+	}
+	return int64(le.Uint64(tr[:8])), true
+}
+
+// footerOffset reads the trailer of a sealed file of size bytes and
+// returns the footer offset it names: the end of the records.
+func footerOffset(f io.ReaderAt, size int64) (int64, error) {
+	var tr [trailerLen]byte
+	if size < int64(len(segMagic))+trailerLen {
+		return 0, fmt.Errorf("segstore: %d bytes cannot hold a sealed segment", size)
+	}
+	if _, err := f.ReadAt(tr[:], size-trailerLen); err != nil {
+		return 0, fmt.Errorf("segstore: reading trailer: %w", err)
+	}
+	off, ok := parseTrailer(tr[:])
+	if !ok || off <= int64(len(segMagic)) || off > size-trailerLen-8 {
+		return 0, fmt.Errorf("segstore: bad segment trailer")
+	}
+	return off, nil
+}
+
+// footerFacts reads the footer block of a sealed file of size bytes — the
+// one block a restart reads per sealed segment — and returns its first
+// chunk and facts.
+func footerFacts(f io.ReaderAt, size int64) (int, []ChunkFacts, error) {
+	off, err := footerOffset(f, size)
+	if err != nil {
+		return 0, nil, err
+	}
+	avail := size - trailerLen - off
+	payload, err := blocklog.Read(io.NewSectionReader(f, off, avail), avail)
+	if err != nil || int64(8+len(payload)) != avail {
+		return 0, nil, fmt.Errorf("segstore: torn segment footer")
+	}
+	return decodeFooter(payload)
+}
+
+// summarizeRows digests the decoded rows for the footer with
+// query.Summarize, so a restart rebuilds the very leaves the live index
+// holds.
+func summarizeRows(rows []timeseries.Series) []RowSummary {
+	out := make([]RowSummary, len(rows))
+	for i, r := range rows {
+		sm := query.Summarize(r, 0)
+		out[i] = RowSummary{Sum: sm.Sum, Min: sm.Min, Max: sm.Max}
+	}
+	return out
 }
 
 // segScan is the result of scanning a segment file front to back.
 type segScan struct {
 	Header segHeader
-	Recs   []recMeta // record index rebuilt from the records themselves
+	Recs   []recMeta // one per whole record, in order
 	Frames [][]byte  // raw wire frames, in record order
-	Footer *segFooter
+	// Sealed reports a whole footer, matching the records, and trailer:
+	// the seal is durable. Open reads the footer's facts separately.
+	Sealed bool
 	// Good is the offset just past the last whole block (including a
-	// footer); a file longer than Good carries a torn tail.
+	// footer and its trailer); a file longer than Good carries a torn tail.
 	Good int64
 	Size int64
 }
@@ -224,77 +416,70 @@ type segScan struct {
 // checksum, and reports everything recoverable plus the torn-tail cut
 // point. It never fails on torn or corrupt tails — only on files whose
 // preamble or header block is unusable (err != nil and Header unset).
+// Given only the bytes before a sealed file's footer, it reads the header
+// and the records and stops cleanly at their end.
 func scanSegment(r io.Reader, size int64) (segScan, error) {
 	scan := segScan{Size: size}
 	br := bufio.NewReaderSize(r, 1<<16)
 	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil || magic != segMagic {
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return scan, fmt.Errorf("segstore: segment too short for its magic")
+	}
+	if magic == oldSegMagic {
+		return scan, errOldFormat
+	}
+	if magic != segMagic {
 		return scan, fmt.Errorf("segstore: bad segment magic")
 	}
 	off := int64(len(segMagic))
 	payload, err := blocklog.Read(br, size-off)
-	if err != nil || len(payload) == 0 || payload[0] != blockHeader {
+	if err != nil {
 		return scan, fmt.Errorf("segstore: unreadable segment header")
 	}
-	if err := json.Unmarshal(payload[1:], &scan.Header); err != nil {
-		return scan, fmt.Errorf("segstore: decoding segment header: %w", err)
-	}
-	if scan.Header.N <= 0 || scan.Header.M <= 0 {
-		return scan, fmt.Errorf("segstore: segment header shape %dx%d", scan.Header.N, scan.Header.M)
+	if scan.Header, err = decodeHeader(payload); err != nil {
+		return scan, err
 	}
 	off += int64(8 + len(payload))
 	scan.Good = off
 	for {
 		payload, err := blocklog.Read(br, size-off)
-		if err != nil {
-			// io.EOF is a clean end (unsealed segment); anything else is a
-			// torn tail cut back to Good.
+		if err != nil || len(payload) == 0 {
+			// io.EOF is a clean end (unsealed segment, or the end of a
+			// sealed one's records); anything else is a torn tail cut back
+			// to Good.
 			return scan, nil
 		}
 		blockLen := int64(8 + len(payload))
-		if len(payload) == 0 {
-			return scan, nil
-		}
 		switch payload[0] {
 		case blockRecord:
-			rec, derr := decodeRecord(payload)
-			if derr != nil {
-				return scan, nil
-			}
 			want := scan.Header.FirstChunk + len(scan.Recs)
-			if rec.Chunk != want || len(rec.Rows) != scan.Header.N {
-				// A record out of sequence is indistinguishable from
-				// corruption that happened to keep a valid CRC.
+			// A record out of sequence is indistinguishable from
+			// corruption that happened to keep a valid CRC.
+			if len(payload) < recordHeadLen || le.Uint64(payload[1:9]) != uint64(want) {
 				return scan, nil
 			}
-			scan.Recs = append(scan.Recs, recMeta{
-				Chunk: rec.Chunk, Offset: off, Unix: rec.Unix,
-				Bound: rec.Bound, Rows: rec.Rows,
-			})
-			scan.Frames = append(scan.Frames, rec.Frame)
+			scan.Recs = append(scan.Recs, recMeta{Offset: off, Unix: int64(le.Uint64(payload[9:17]))})
+			scan.Frames = append(scan.Frames, payload[recordHeadLen:])
 			off += blockLen
 			scan.Good = off
 		case blockFooter:
-			var ft segFooter
-			if json.Unmarshal(payload[1:], &ft) != nil {
-				return scan, nil
-			}
-			if ft.FirstChunk != scan.Header.FirstChunk || ft.Records != len(scan.Recs) {
+			first, count, n, _, err := footerHead(payload)
+			if err != nil || first != scan.Header.FirstChunk || count == 0 ||
+				count != len(scan.Recs) || n != scan.Header.N {
 				return scan, nil
 			}
 			// The footer only counts with its trailer intact: a tail torn
 			// inside the trailer means the seal never became durable, so the
 			// footer bytes fall with the tear and the segment stays active.
-			var tr [12]byte
+			var tr [trailerLen]byte
 			if _, err := io.ReadFull(br, tr[:]); err != nil {
 				return scan, nil
 			}
-			if binary.LittleEndian.Uint64(tr[0:8]) != uint64(off) ||
-				!bytes.Equal(tr[8:12], trailerMagic[:]) {
+			if at, ok := parseTrailer(tr[:]); !ok || at != off {
 				return scan, nil
 			}
-			scan.Footer = &ft
-			off += blockLen + 12 // block + trailer
+			scan.Sealed = true
+			off += blockLen + trailerLen
 			scan.Good = off
 			return scan, nil
 		default:
@@ -303,18 +488,48 @@ func scanSegment(r io.Reader, size int64) (segScan, error) {
 	}
 }
 
+// tornFirstWrite reports whether a segment file of size bytes whose
+// preamble or header does not scan is what a crash inside the segment's
+// first write leaves behind: too short to hold the magic and a whole
+// header block. No record can follow such a header, so deleting the file
+// loses nothing that was acknowledged. Any other unreadable segment may
+// hold acknowledged records and is left for the operator.
+func tornFirstWrite(f io.ReaderAt, size int64) bool {
+	var head [16]byte // the magic and the header block's length and checksum
+	n, err := f.ReadAt(head[:], 0)
+	switch {
+	case err != nil && !errors.Is(err, io.EOF):
+		return false // unreadable, not short: keep it
+	case n < len(segMagic):
+		return true
+	case [8]byte(head[:8]) != segMagic:
+		return false
+	case n < len(head):
+		return true
+	}
+	return int64(len(head))+int64(le.Uint32(head[8:12])) > size
+}
+
+// decodedChunk is one record replayed through a cold decoder.
+type decodedChunk struct {
+	rows    []timeseries.Series
+	bound   float64
+	inserts int
+}
+
 // decodeSegmentChunks replays a scanned segment's records through a cold
-// decoder seeded from the header state, returning the reconstructed rows
-// of every record in order. The result is byte-identical to what the live
-// station computed when it first received the frames, because the decode
-// pipeline is deterministic and the header snapshot reproduces the replica
-// pool exactly as it stood at segment start.
-func decodeSegmentChunks(cfg core.Config, scan segScan) ([][]timeseries.Series, error) {
+// decoder seeded from the header state, returning every record's
+// reconstructed rows, bound and insert count in order. The rows are
+// byte-identical to what the live station computed when it first received
+// the frames, because the decode pipeline is deterministic and the header
+// snapshot reproduces the replica pool exactly as it stood at segment
+// start.
+func decodeSegmentChunks(cfg core.Config, scan segScan) ([]decodedChunk, error) {
 	dec, err := core.NewDecoderAt(cfg, scan.Header.Decoder)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]timeseries.Series, 0, len(scan.Frames))
+	out := make([]decodedChunk, 0, len(scan.Frames))
 	for i, frame := range scan.Frames {
 		t, err := wire.DecodeBytes(frame)
 		if err != nil {
@@ -331,7 +546,26 @@ func decodeSegmentChunks(cfg core.Config, scan segScan) ([][]timeseries.Series, 
 		if err != nil {
 			return nil, fmt.Errorf("segstore: chunk %d: %w", scan.Header.FirstChunk+i, err)
 		}
-		out = append(out, rows)
+		out = append(out, decodedChunk{rows: rows, bound: t.ErrBound, inserts: t.Ins()})
 	}
 	return out, nil
+}
+
+// factsFromScan rebuilds the per-chunk facts of a segment whose footer is
+// missing — the active segment, or a sealed one whose footer is unreadable
+// — by decoding its records.
+func factsFromScan(cfg core.Config, scan segScan) ([]ChunkFacts, error) {
+	chunks, err := decodeSegmentChunks(cfg, scan)
+	if err != nil {
+		return nil, err
+	}
+	facts := make([]ChunkFacts, len(chunks))
+	for i, c := range chunks {
+		if len(c.rows) != scan.Header.N {
+			return nil, fmt.Errorf("segstore: chunk %d has %d rows, segment header says %d",
+				scan.Header.FirstChunk+i, len(c.rows), scan.Header.N)
+		}
+		facts[i] = ChunkFacts{Unix: scan.Recs[i].Unix, Bound: c.bound, Inserts: c.inserts, Rows: summarizeRows(c.rows)}
+	}
+	return facts, nil
 }

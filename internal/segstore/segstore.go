@@ -6,17 +6,20 @@
 //
 // Records are CRC32C-framed blocks in per-sensor segment files. The active
 // segment absorbs appends (fsynced by default, so an acknowledged frame is
-// durable); once it holds SegmentChunks records it is sealed — a footer
-// index (chunk range, time range, per-record byte offsets and per-row
-// summaries) is written and the manifest is atomically replaced. Each
-// segment header carries the decoder replica state at segment start, so a
-// cold read decodes one segment in isolation: queries over history evicted
-// from station memory load and decode only the segments whose index
-// overlaps the requested range. Periodic station checkpoints (replica pool
-// + query-index snapshot) land next to the manifest and bound recovery to
-// checkpoint-load plus a tail replay of the records appended since.
-// Background retention drops the oldest sealed segments by age or byte
-// budget, never touching records newer than the last checkpoint.
+// durable); once it holds SegmentChunks records it is sealed — a binary
+// footer holding each record's per-chunk facts (bound, inserted base
+// intervals, per-row sum/min/max, time) is written and the manifest is
+// atomically replaced. Each segment header carries the decoder replica
+// state at segment start, so a cold read decodes one segment in isolation
+// and never reads its footer: queries over history evicted from station
+// memory load and decode only the segments whose chunks overlap the
+// requested range. Periodic station checkpoints (decoder replicas and
+// receive bookkeeping, nothing per chunk) land next to the manifest; a
+// restart reads the newest checkpoint and one footer per sealed segment
+// and hands both to the station (TakeRecovery), which then replays only
+// the records appended since the checkpoint. Background retention drops
+// the oldest sealed segments by age or byte budget, never touching records
+// newer than the last checkpoint.
 //
 // Crash safety relies on two invariants: every block is independently
 // checksummed (a torn append is detected and truncated at reopen), and the
@@ -28,14 +31,15 @@
 package segstore
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sbr/internal/blocklog"
@@ -94,49 +98,23 @@ type Options struct {
 	Retention Retention
 }
 
-// segMeta is one sealed segment's manifest entry.
-type segMeta struct {
-	File       string `json:"file"` // store-relative path
-	FirstChunk int    `json:"first_chunk"`
-	LastChunk  int    `json:"last_chunk"`
-	Bytes      int64  `json:"bytes"`
-	MinUnix    int64  `json:"min_unix"`
-	MaxUnix    int64  `json:"max_unix"`
-}
-
-// sensorManifest is one sensor's slice of the manifest.
-type sensorManifest struct {
-	// PurgedThrough is the retention watermark: chunks [0, PurgedThrough)
-	// are gone from the archive.
-	PurgedThrough int       `json:"purged_through"`
-	Segments      []segMeta `json:"segments"`
-}
-
-// manifest is the store's authoritative index of sealed segments, always
-// replaced by atomic rename.
-type manifest struct {
-	Version int                        `json:"version"`
-	Sensors map[string]*sensorManifest `json:"sensors"`
-}
-
-const manifestVersion = 1
-const manifestName = "MANIFEST.json"
 const segExt = ".seg"
 
 // activeSeg is the per-sensor segment currently absorbing appends. Its
 // raw frames are mirrored in memory (bounded by SegmentChunks) so tail
-// replay and cold reads of the newest chunks need no extra file reads.
+// replay and cold reads of the newest chunks need no extra file reads,
+// and its per-chunk facts wait there for the footer the seal writes.
 type activeSeg struct {
 	f      *os.File
 	path   string // absolute
 	rel    string // store-relative (manifest form)
 	header segHeader
-	recs   []recMeta
-	frames [][]byte
+	facts  []ChunkFacts // one per record
+	frames [][]byte     // one per record
 	size   int64
 }
 
-func (a *activeSeg) lastChunk() int { return a.header.FirstChunk + len(a.recs) - 1 }
+func (a *activeSeg) lastChunk() int { return a.header.FirstChunk + len(a.frames) - 1 }
 
 // sensorSegs is the in-memory index of one sensor's archive.
 type sensorSegs struct {
@@ -148,7 +126,7 @@ type sensorSegs struct {
 // nextChunk returns the chunk index the next append must carry.
 func (ss *sensorSegs) nextChunk() int {
 	if ss.active != nil {
-		return ss.active.header.FirstChunk + len(ss.active.recs)
+		return ss.active.header.FirstChunk + len(ss.active.frames)
 	}
 	if n := len(ss.sealed); n > 0 {
 		return ss.sealed[n-1].LastChunk + 1
@@ -197,16 +175,41 @@ type Store struct {
 	cache     *segCache
 	flights   map[string]*flight // in-progress segment decodes, by cache key
 	met       storeMetrics
-	tornTails int // torn active-segment tails Open truncated
+	tornTails int      // torn active-segment tails Open truncated
+	recovery  Recovery // what Open read back, until TakeRecovery
 	closed    bool
+
+	// watermarks maps each sensor with purged history to its purge
+	// watermark, for readers that must not wait on s.mu. It is replaced
+	// whole whenever a watermark moves, which only Open and retention do.
+	watermarks atomic.Pointer[map[string]int]
+}
+
+// Recovery is what Open read back for Station.Recover: the checkpoint it
+// decoded and every sensor's per-chunk facts.
+type Recovery struct {
+	// Checkpoint is the newest loadable checkpoint (nil: none).
+	Checkpoint *Checkpoint
+	// Facts holds each sensor's facts for every archived chunk, from its
+	// purge watermark to its newest chunk: the sealed segments' footers,
+	// then the active segment's records decoded.
+	Facts map[string]SensorFacts
+}
+
+// SensorFacts is one sensor's per-chunk facts: Chunks[i] describes chunk
+// First+i, and First is the sensor's purge watermark.
+type SensorFacts struct {
+	First  int
+	Chunks []ChunkFacts
 }
 
 // Open opens (creating if needed) a segment store rooted at opts.Dir and
 // recovers whatever a previous process — cleanly shut down or crashed —
-// left behind: sealed segments are taken from the manifest, the active
-// segment is rescanned with its torn tail truncated, a segment sealed but
-// not yet recorded in the manifest finishes sealing, and compaction
-// leftovers are swept.
+// left behind: sealed segments are taken from the manifest and their
+// footers read, the active segment is rescanned with its torn tail
+// truncated, a segment sealed but not yet recorded in the manifest
+// finishes sealing, and compaction leftovers are swept. The newest
+// checkpoint and the per-chunk facts wait for TakeRecovery.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("segstore: empty data directory")
@@ -220,6 +223,9 @@ func Open(opts Options) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(opts.Dir, "segments"), 0o755); err != nil {
 		return nil, fmt.Errorf("segstore: creating data dir: %w", err)
 	}
+	if err := refuseOldCheckpoints(opts.Dir); err != nil {
+		return nil, err
+	}
 	s := &Store{
 		dir:       opts.Dir,
 		opts:      opts,
@@ -232,56 +238,59 @@ func Open(opts Options) (*Store, error) {
 	if err := s.loadManifest(); err != nil {
 		return nil, err
 	}
-	if ck, seq, err := s.loadLatestCheckpoint(); err == nil && ck != nil {
-		s.ckptSeq = seq
-		s.ckptUnix = ck.Unix
-		for id, sc := range ck.Sensors {
-			s.ckptCover[id] = sc.Chunks
-		}
+	if ck, seq := s.loadLatestCheckpoint(); ck != nil {
+		s.noteCheckpointLocked(ck, seq)
+		s.recovery.Checkpoint = ck
 	}
 	if err := s.recoverSegments(); err != nil {
 		return nil, err
 	}
+	if err := s.readFooters(); err != nil {
+		return nil, err
+	}
+	s.publishWatermarksLocked()
 	s.updateGauges()
 	return s, nil
 }
 
-// loadManifest reads the manifest (absent: empty store) and verifies the
-// files it names are present.
-func (s *Store) loadManifest() error {
-	data, err := os.ReadFile(filepath.Join(s.dir, manifestName))
-	if errors.Is(err, os.ErrNotExist) {
-		return nil
+// TakeRecovery hands over what Open read back. The store keeps no copy, so
+// the facts are freed once the station has rebuilt its state from them; a
+// second call returns an empty Recovery.
+func (s *Store) TakeRecovery() Recovery {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	r := s.recovery
+	s.recovery = Recovery{}
+	return r
+}
+
+// PurgedThrough returns the sensor's purge watermark: retention has
+// dropped its chunks [0, PurgedThrough). It takes no lock, so readers can
+// check it on every query without waiting behind an append's fsync.
+func (s *Store) PurgedThrough(sensor string) int {
+	if m := s.watermarks.Load(); m != nil {
+		return (*m)[sensor]
 	}
-	if err != nil {
-		return fmt.Errorf("segstore: reading manifest: %w", err)
-	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return fmt.Errorf("segstore: decoding manifest: %w", err)
-	}
-	if m.Version != manifestVersion {
-		return fmt.Errorf("segstore: unsupported manifest version %d", m.Version)
-	}
-	for id, sm := range m.Sensors {
-		ss := &sensorSegs{purged: sm.PurgedThrough, sealed: sm.Segments}
-		sort.Slice(ss.sealed, func(i, j int) bool {
-			return ss.sealed[i].FirstChunk < ss.sealed[j].FirstChunk
-		})
-		for _, sm := range ss.sealed {
-			if _, err := os.Stat(filepath.Join(s.dir, sm.File)); err != nil {
-				return fmt.Errorf("segstore: manifest names missing segment %s: %w", sm.File, err)
-			}
+	return 0
+}
+
+// publishWatermarksLocked republishes the purge watermarks for
+// PurgedThrough. Caller holds s.mu (or is Open).
+func (s *Store) publishWatermarksLocked() {
+	m := make(map[string]int)
+	for id, ss := range s.sensors {
+		if ss.purged > 0 {
+			m[id] = ss.purged
 		}
-		s.sensors[id] = ss
 	}
-	return nil
+	s.watermarks.Store(&m)
 }
 
 // recoverSegments scans the segments tree for files the manifest does not
 // know: per sensor, the one past the sealed range is the active segment
-// (rescanned, torn tail truncated, or seal finished if it has a footer);
-// anything else is a compaction leftover and is deleted.
+// (rescanned, torn tail truncated, its records decoded for their facts, or
+// its seal finished if it has a footer); anything else is a compaction
+// leftover and is deleted.
 func (s *Store) recoverSegments() error {
 	root := filepath.Join(s.dir, "segments")
 	dirs, err := os.ReadDir(root)
@@ -327,14 +336,18 @@ func (s *Store) recoverSegments() error {
 				return err
 			}
 			scan, serr := scanSegment(fh, fi.Size())
+			torn := serr != nil && tornFirstWrite(fh, fi.Size())
 			fh.Close()
-			if serr != nil {
-				// Unusable preamble or header: the crash landed inside the
-				// very first write of a fresh segment — nothing recoverable.
+			if torn {
+				// The crash landed inside the very first write of a fresh
+				// segment: nothing recoverable, nothing acknowledged.
 				if err := os.Remove(path); err != nil {
-					return fmt.Errorf("segstore: removing unreadable segment: %w", err)
+					return fmt.Errorf("segstore: removing torn segment: %w", err)
 				}
 				continue
+			}
+			if serr != nil {
+				return fmt.Errorf("segstore: segment %s: %w", rel, serr)
 			}
 			cands = append(cands, cand{path: path, rel: rel, scan: scan})
 		}
@@ -359,12 +372,18 @@ func (s *Store) recoverSegments() error {
 				}
 				continue
 			}
-			if c.scan.Footer != nil {
+			if c.scan.Sealed {
 				// Sealed on disk but the crash beat the manifest update:
 				// finish the job.
 				ss.sealed = append(ss.sealed, metaFromScan(c.rel, c.scan))
 				sealedDirty = true
 				continue
+			}
+			// The records carry frames only: their facts, which the seal
+			// will write into the footer, come from one cold decode.
+			facts, err := factsFromScan(s.opts.Config, c.scan)
+			if err != nil {
+				return fmt.Errorf("segstore: active segment %s: %w", c.rel, err)
 			}
 			if c.scan.Good < c.scan.Size {
 				if err := blocklog.TruncateSync(c.path, c.scan.Good); err != nil {
@@ -382,7 +401,7 @@ func (s *Store) recoverSegments() error {
 			}
 			ss.active = &activeSeg{
 				f: fh, path: c.path, rel: c.rel,
-				header: c.scan.Header, recs: c.scan.Recs,
+				header: c.scan.Header, facts: facts,
 				frames: c.scan.Frames, size: c.scan.Good,
 			}
 		}
@@ -411,6 +430,61 @@ func metaFromScan(rel string, scan segScan) segMeta {
 	return sm
 }
 
+// readFooters gathers every sensor's per-chunk facts for TakeRecovery: one
+// footer read per sealed segment, then the active segment's decoded facts.
+// The footer reads also prove that the files the manifest names exist and
+// tile each sensor's chunks from its purge watermark without a gap.
+func (s *Store) readFooters() error {
+	s.recovery.Facts = make(map[string]SensorFacts, len(s.sensors))
+	for id, ss := range s.sensors {
+		var facts []ChunkFacts
+		for _, sm := range ss.sealed {
+			if want := ss.purged + len(facts); sm.FirstChunk != want {
+				return fmt.Errorf("segstore: sensor %q: segment %s starts at chunk %d, want %d",
+					id, sm.File, sm.FirstChunk, want)
+			}
+			f, err := s.readFooter(sm)
+			if err != nil {
+				return err
+			}
+			facts = append(facts, f...)
+		}
+		if a := ss.active; a != nil {
+			facts = append(facts, a.facts...)
+		}
+		s.recovery.Facts[id] = SensorFacts{First: ss.purged, Chunks: facts}
+	}
+	return nil
+}
+
+// readFooter returns one sealed segment's per-chunk facts from its footer,
+// found through the trailer. A footer that does not decode is rebuilt
+// from the segment's records, so bit rot in it costs one cold decode
+// rather than the restart.
+func (s *Store) readFooter(sm segMeta) ([]ChunkFacts, error) {
+	f, err := os.Open(filepath.Join(s.dir, filepath.FromSlash(sm.File)))
+	if err != nil {
+		return nil, fmt.Errorf("segstore: manifest names missing segment %s: %w", sm.File, err)
+	}
+	defer f.Close()
+	want := sm.LastChunk - sm.FirstChunk + 1
+	if first, facts, err := footerFacts(f, sm.Bytes); err == nil && first == sm.FirstChunk && len(facts) == want {
+		return facts, nil
+	}
+	scan, err := scanSegment(io.NewSectionReader(f, 0, sm.Bytes), sm.Bytes)
+	if err != nil {
+		return nil, fmt.Errorf("segstore: sealed segment %s: %w", sm.File, err)
+	}
+	if len(scan.Recs) != want {
+		return nil, fmt.Errorf("segstore: sealed segment %s: footer and records unreadable", sm.File)
+	}
+	facts, err := factsFromScan(s.opts.Config, scan)
+	if err != nil {
+		return nil, fmt.Errorf("segstore: sealed segment %s: %w", sm.File, err)
+	}
+	return facts, nil
+}
+
 // safeName maps a sensor ID to its directory name, sanitising path
 // separators.
 func safeName(id string) string {
@@ -437,18 +511,20 @@ func (s *Store) NeedsSegment(sensor string) bool {
 
 // Append archives one accepted transmission: chunk is the station's global
 // chunk index for the sensor, rows the decoded quantities, bound the §4.5
-// error bound, frame the raw wire bytes, and state a lazy snapshot of the
-// decoder replica *before* this frame was decoded — evaluated only when
-// the append opens a fresh segment, whose header it becomes.
-func (s *Store) Append(sensor string, chunk int, rows []timeseries.Series, bound float64, frame []byte, state func() core.DecoderState) error {
-	return s.AppendTraced(sensor, chunk, rows, bound, frame, state, nil)
+// error bound, inserts the base intervals it inserted, frame the raw wire
+// bytes, and state a lazy snapshot of the decoder replica *before* this
+// frame was decoded — evaluated only when the append opens a fresh
+// segment, whose header it becomes. Only the chunk, the time and the frame
+// are written now; the rest waits in memory for the seal's footer.
+func (s *Store) Append(sensor string, chunk int, rows []timeseries.Series, bound float64, inserts int, frame []byte, state func() core.DecoderState) error {
+	return s.AppendTraced(sensor, chunk, rows, bound, inserts, frame, state, nil)
 }
 
 // AppendTraced is Append recording the durability work — the per-record
 // fsync and any segment seal — as children of sp (nil: identical to
 // Append). The fsync child is the usual answer to "where did this
 // frame's receive latency go".
-func (s *Store) AppendTraced(sensor string, chunk int, rows []timeseries.Series, bound float64, frame []byte, state func() core.DecoderState, sp *trace.Span) error {
+func (s *Store) AppendTraced(sensor string, chunk int, rows []timeseries.Series, bound float64, inserts int, frame []byte, state func() core.DecoderState, sp *trace.Span) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -468,9 +544,11 @@ func (s *Store) AppendTraced(sensor string, chunk int, rows []timeseries.Series,
 		}
 	}
 	a := ss.active
+	if len(rows) != a.header.N {
+		return fmt.Errorf("segstore: sensor %q chunk %d has %d rows, segment has %d", sensor, chunk, len(rows), a.header.N)
+	}
 	now := time.Now().Unix()
-	rec := record{Chunk: chunk, Unix: now, Bound: bound, Rows: summarizeRows(rows), Frame: frame}
-	block := encodeRecordBlock(rec)
+	block := encodeRecordBlock(chunk, now, frame)
 	if _, err := a.f.Write(block); err != nil {
 		return fmt.Errorf("segstore: appending record: %w", err)
 	}
@@ -482,13 +560,11 @@ func (s *Store) AppendTraced(sensor string, chunk int, rows []timeseries.Series,
 			return fmt.Errorf("segstore: syncing record: %w", err)
 		}
 	}
-	a.recs = append(a.recs, recMeta{
-		Chunk: chunk, Offset: a.size, Unix: now, Bound: bound, Rows: rec.Rows,
-	})
+	a.facts = append(a.facts, ChunkFacts{Unix: now, Bound: bound, Inserts: inserts, Rows: summarizeRows(rows)})
 	a.frames = append(a.frames, append([]byte(nil), frame...))
 	a.size += int64(len(block))
 	s.met.appends.Inc()
-	if len(a.recs) >= s.opts.SegmentChunks {
+	if len(a.frames) >= s.opts.SegmentChunks {
 		ssp := sp.Child("segstore.seal")
 		err := s.sealActive(ss)
 		if err == nil {
@@ -501,28 +577,6 @@ func (s *Store) AppendTraced(sensor string, chunk int, rows []timeseries.Series,
 	}
 	s.updateGauges()
 	return nil
-}
-
-// summarizeRows digests the decoded rows for the record and footer index.
-func summarizeRows(rows []timeseries.Series) []rowSummary {
-	out := make([]rowSummary, len(rows))
-	for i, r := range rows {
-		if len(r) == 0 {
-			continue
-		}
-		rs := rowSummary{Sum: r[0], Min: r[0], Max: r[0]}
-		for _, v := range r[1:] {
-			rs.Sum += v
-			if v < rs.Min {
-				rs.Min = v
-			}
-			if v > rs.Max {
-				rs.Max = v
-			}
-		}
-		out[i] = rs
-	}
-	return out
 }
 
 // openSegment creates the sensor's next active segment, its header holding
@@ -564,37 +618,30 @@ func (s *Store) openSegment(sensor string, ss *sensorSegs, firstChunk int, rows 
 	return nil
 }
 
-// sealActive writes the footer index and trailer, fsyncs and closes the
-// active segment, and moves it to the sealed list. The caller must hold
-// s.mu and follow up with writeManifest.
+// sealActive writes the footer and trailer, fsyncs and closes the active
+// segment, and moves it to the sealed list. The caller must hold s.mu and
+// follow up with writeManifest.
 func (s *Store) sealActive(ss *sensorSegs) error {
 	a := ss.active
 	if a == nil {
 		return nil
 	}
-	if len(a.recs) == 0 {
+	if len(a.frames) == 0 {
 		// Nothing durable in it: drop the empty shell instead of sealing.
 		a.f.Close()
 		ss.active = nil
 		return os.Remove(a.path)
 	}
-	ft := segFooter{
-		FirstChunk: a.header.FirstChunk,
-		Records:    len(a.recs),
-	}
-	for i, r := range a.recs {
-		if i == 0 || r.Unix < ft.MinUnix {
-			ft.MinUnix = r.Unix
+	sm := segMeta{File: a.rel, FirstChunk: a.header.FirstChunk, LastChunk: a.lastChunk()}
+	for i, f := range a.facts {
+		if i == 0 || f.Unix < sm.MinUnix {
+			sm.MinUnix = f.Unix
 		}
-		if r.Unix > ft.MaxUnix {
-			ft.MaxUnix = r.Unix
+		if f.Unix > sm.MaxUnix {
+			sm.MaxUnix = f.Unix
 		}
 	}
-	ft.Recs = a.recs
-	block, err := encodeFooterBlock(ft, a.size)
-	if err != nil {
-		return err
-	}
+	block := encodeFooterBlock(a.header.FirstChunk, a.header.N, a.facts, a.size)
 	if _, err := a.f.Write(block); err != nil {
 		return fmt.Errorf("segstore: writing segment footer: %w", err)
 	}
@@ -606,37 +653,14 @@ func (s *Store) sealActive(ss *sensorSegs) error {
 	if err := a.f.Close(); err != nil {
 		return fmt.Errorf("segstore: closing sealed segment: %w", err)
 	}
-	ss.sealed = append(ss.sealed, segMeta{
-		File:       a.rel,
-		FirstChunk: a.header.FirstChunk,
-		LastChunk:  a.lastChunk(),
-		Bytes:      a.size + int64(len(block)),
-		MinUnix:    ft.MinUnix,
-		MaxUnix:    ft.MaxUnix,
-	})
+	sm.Bytes = a.size + int64(len(block))
+	ss.sealed = append(ss.sealed, sm)
 	ss.active = nil
 	return nil
 }
 
-// writeManifest atomically replaces the manifest with the current sealed
-// index. The caller must hold s.mu.
-func (s *Store) writeManifest() error {
-	m := manifest{Version: manifestVersion, Sensors: make(map[string]*sensorManifest, len(s.sensors))}
-	for id, ss := range s.sensors {
-		m.Sensors[id] = &sensorManifest{PurgedThrough: ss.purged, Segments: ss.sealed}
-	}
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("segstore: encoding manifest: %w", err)
-	}
-	if err := blocklog.Install(filepath.Join(s.dir, manifestName), data, !s.opts.NoSync); err != nil {
-		return fmt.Errorf("segstore: manifest: %w", err)
-	}
-	return nil
-}
-
-// Close seals every active segment (graceful shutdown: the footer index
-// and manifest make the next boot cheap) and closes the store.
+// Close seals every active segment (graceful shutdown: the footers and
+// manifest make the next boot cheap) and closes the store.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -1,10 +1,13 @@
 package segstore
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -66,7 +69,7 @@ func feedStore(t testing.TB, s *Store, cfg core.Config, sensor string, frames []
 			t.Fatal(err)
 		}
 		if i >= from {
-			err = s.Append(sensor, i, rows, tr.ErrBound, frame,
+			err = s.Append(sensor, i, rows, tr.ErrBound, tr.Ins(), frame,
 				func() core.DecoderState { return pre })
 			if err != nil {
 				t.Fatalf("append chunk %d: %v", i, err)
@@ -138,7 +141,7 @@ func TestAppendSealReadback(t *testing.T) {
 	checkAll(t, s, "node", rows, bounds, 0)
 
 	// Out-of-order appends are rejected: the archive is strictly sequential.
-	if err := s.Append("node", 12, rows[9], bounds[9], frames[9], nil); err == nil {
+	if err := s.Append("node", 12, rows[9], bounds[9], 0, frames[9], nil); err == nil {
 		t.Error("out-of-order append accepted")
 	}
 }
@@ -175,6 +178,7 @@ func TestCloseSealsAndReopens(t *testing.T) {
 	var pre core.DecoderState
 	var lastRows []timeseries.Series
 	var lastBound float64
+	var lastIns int
 	for i, frame := range frames {
 		tr, _ := wire.DecodeBytes(frame)
 		pre = dec.State()
@@ -183,10 +187,10 @@ func TestCloseSealsAndReopens(t *testing.T) {
 			t.Fatal(err)
 		}
 		if i == 6 {
-			lastRows, lastBound = r, tr.ErrBound
+			lastRows, lastBound, lastIns = r, tr.ErrBound, tr.Ins()
 		}
 	}
-	err = again.Append("node", 6, lastRows, lastBound, frames[6],
+	err = again.Append("node", 6, lastRows, lastBound, lastIns, frames[6],
 		func() core.DecoderState { return pre })
 	if err != nil {
 		t.Fatalf("append after reopen: %v", err)
@@ -239,9 +243,19 @@ func TestCheckpointRoundtripAndPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	// reopened returns the checkpoint a fresh Open of dir hands over.
+	reopened := func() *Checkpoint {
+		t.Helper()
+		re, err := Open(Options{Dir: dir, Config: cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		return re.TakeRecovery().Checkpoint
+	}
 
-	if _, err := s.LoadCheckpoint(); !errors.Is(err, ErrNoCheckpoint) {
-		t.Fatalf("empty store LoadCheckpoint = %v, want ErrNoCheckpoint", err)
+	if ck := s.TakeRecovery().Checkpoint; ck != nil {
+		t.Fatalf("empty store recovered checkpoint %+v, want none", ck)
 	}
 	for i := 1; i <= 3; i++ {
 		ck := &Checkpoint{
@@ -258,24 +272,25 @@ func TestCheckpointRoundtripAndPruning(t *testing.T) {
 	if len(files) != checkpointKeep {
 		t.Errorf("%d checkpoint files on disk, want %d", len(files), checkpointKeep)
 	}
-	ck, err := s.LoadCheckpoint()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Sensors["node"].Chunks != 30 || ck.Unix != 1003 {
-		t.Errorf("loaded checkpoint %+v, want the newest (chunks 30)", ck.Sensors["node"])
+	ck := reopened()
+	if ck == nil || ck.Sensors["node"].Chunks != 30 || ck.Unix != 1003 {
+		t.Fatalf("loaded checkpoint %+v, want the newest (chunks 30)", ck)
 	}
 
-	// Destroy the newest: loading falls back to the survivor.
-	if err := os.WriteFile(filepath.Join(dir, checkpointName(3)), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ck, err = s.LoadCheckpoint()
+	// Damage the newest inside its block: its checksum fails and loading
+	// falls back to the survivor.
+	path := filepath.Join(dir, checkpointName(3))
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Sensors["node"].Chunks != 20 {
-		t.Errorf("fallback checkpoint covers %d chunks, want 20", ck.Sensors["node"].Chunks)
+	data[len(data)-1] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ck = reopened()
+	if ck == nil || ck.Sensors["node"].Chunks != 20 {
+		t.Fatalf("fallback checkpoint %+v, want the survivor (chunks 20)", ck)
 	}
 }
 
@@ -368,5 +383,148 @@ func TestRetentionByAge(t *testing.T) {
 	}
 	if removed != 2 {
 		t.Errorf("retention removed %d segments, want 2", removed)
+	}
+}
+
+// TestDamagedFooter corrupts a sealed segment's footer, then its trailer,
+// behind an open store: cold reads never need either, so every chunk
+// still reads back, and the next Open rebuilds the lost facts from the
+// segment's records.
+func TestDamagedFooter(t *testing.T) {
+	cfg := testConfig()
+	for _, damage := range []struct {
+		name string
+		at   func(footerAt, size int) int
+	}{
+		{"footer", func(footerAt, _ int) int { return footerAt + 8 + footerHeadLen }}, // the first entry's time
+		{"trailer", func(_, size int) int { return size - 1 }},                        // the trailer magic
+	} {
+		t.Run(damage.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows, bounds := feedStore(t, s, cfg, "node", makeFrames(t, cfg, 8, 16), 0)
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			s, err = Open(Options{Dir: dir, Config: cfg, SegmentChunks: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			want := s.TakeRecovery().Facts["node"]
+			if want.First != 0 || len(want.Chunks) != 8 {
+				t.Fatalf("recovered facts for chunks [%d,+%d), want [0,+8)", want.First, len(want.Chunks))
+			}
+			for c, f := range want.Chunks {
+				if f.Bound != bounds[c] || !reflect.DeepEqual(f.Rows, summarizeRows(rows[c])) {
+					t.Fatalf("chunk %d facts %+v differ from the live decode", c, f)
+				}
+			}
+
+			path := filepath.Join(dir, "segments", "node", "000000000000"+segExt)
+			data, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			footerAt := int(le.Uint64(data[len(data)-trailerLen:]))
+			data[damage.at(footerAt, len(data))] ^= 0x40
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			checkAll(t, s, "node", rows, bounds, 0)
+
+			again, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 4})
+			if err != nil {
+				t.Fatalf("reopen with a damaged %s: %v", damage.name, err)
+			}
+			defer again.Close()
+			if got := again.TakeRecovery().Facts["node"]; !reflect.DeepEqual(got, want) {
+				t.Errorf("facts rebuilt from the records differ from the footers'")
+			}
+			checkAll(t, again, "node", rows, bounds, 0)
+		})
+	}
+}
+
+// TestOpenDeletesOnlyTornFirstWrites: Open deletes a segment that does not
+// scan only when it is too short to hold the magic and a whole header
+// block — all that a crash inside a segment's first write can leave, and
+// nothing acknowledged. A whole file that does not scan may hold
+// acknowledged records: a segment of the earlier SBRSEG1 format, or one
+// whose header is damaged, fails Open with an error naming it and stays as
+// it was; a checkpoint of the earlier JSON format fails Open too.
+func TestOpenDeletesOnlyTornFirstWrites(t *testing.T) {
+	cfg := testConfig()
+	s, err := Open(Options{Dir: t.TempDir(), Config: cfg, SegmentChunks: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedStore(t, s, cfg, "node", makeFrames(t, cfg, 2, 16), 0)
+	path := activeSegPath(t, s.dir, "node")
+	full, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	scan, err := scanSegment(bytes.NewReader(full), int64(len(full)))
+	if err != nil || len(scan.Recs) != 2 {
+		t.Fatalf("staging scan: %d recs, %v", len(scan.Recs), err)
+	}
+	headerEnd := int(scan.Recs[0].Offset)
+
+	// stage writes data as the sensor's only segment in a fresh directory.
+	stage := func(data []byte) (dir, seg string) {
+		dir = t.TempDir()
+		if err := os.MkdirAll(filepath.Join(dir, "segments", "node"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		seg = filepath.Join(dir, "segments", "node", filepath.Base(path))
+		if err := os.WriteFile(seg, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return dir, seg
+	}
+
+	for cut := 0; cut < headerEnd; cut++ {
+		dir, seg := stage(full[:cut])
+		re, err := Open(Options{Dir: dir, Config: cfg})
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		if _, err := os.Stat(seg); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("cut %d: torn first write kept (%v)", cut, err)
+		}
+		if ids := re.Sensors(); len(ids) != 0 {
+			t.Fatalf("cut %d: sensors %v after a torn first write", cut, ids)
+		}
+		re.Close()
+	}
+
+	old := append([]byte("SBRSEG1\x00"), full[len(segMagic):]...)
+	damaged := append([]byte(nil), full...)
+	damaged[headerEnd-1] ^= 0xff // inside the header block's payload
+	for name, data := range map[string][]byte{"old format": old, "damaged header": damaged} {
+		dir, seg := stage(data)
+		_, err := Open(Options{Dir: dir, Config: cfg})
+		if err == nil || !strings.Contains(err.Error(), filepath.Base(seg)) {
+			t.Errorf("%s: Open = %v, want an error naming %s", name, err, filepath.Base(seg))
+		}
+		if name == "old format" && !errors.Is(err, errOldFormat) {
+			t.Errorf("%s: Open = %v, want errOldFormat", name, err)
+		}
+		if got, rerr := os.ReadFile(seg); rerr != nil || !bytes.Equal(got, data) {
+			t.Errorf("%s: Open changed or removed the segment (%v)", name, rerr)
+		}
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "ckpt-0000000000000001.json"), []byte("{}"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(Options{Dir: dir, Config: cfg}); !errors.Is(err, errOldFormat) {
+		t.Errorf("JSON checkpoint: Open = %v, want errOldFormat", err)
 	}
 }

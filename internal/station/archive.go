@@ -34,14 +34,14 @@ func (s *Station) Archive() *segstore.Store {
 	return store
 }
 
-// Checkpoint snapshots the station — per sensor: decoder replica state,
-// aggregate-index leaves, error bounds and receive bookkeeping — and
-// durably installs it in the archive. Each sensor's slice is captured
-// under that sensor's own lock (so per-sensor state is internally
-// consistent); no lock is held across sensors or during the write, which
-// keeps the checkpoint fsync entirely off the receive and query paths. A
-// sensor absorbing frames mid-walk is simply captured at whichever chunk
-// count the lock observed — recovery replays anything past it.
+// Checkpoint snapshots the station — per sensor: decoder replica state and
+// receive bookkeeping, nothing per chunk — and durably installs it in the
+// archive. Each sensor's slice is captured under that sensor's own lock
+// (so per-sensor state is internally consistent); no lock is held across
+// sensors or during the write, which keeps the checkpoint fsync entirely
+// off the receive and query paths. A sensor absorbing frames mid-walk is
+// simply captured at whichever chunk count the lock observed — recovery
+// replays anything past it.
 func (s *Station) Checkpoint() error {
 	store, _ := s.archiveBinding()
 	if store == nil {
@@ -54,26 +54,19 @@ func (s *Station) Checkpoint() error {
 		if log.frames == 0 || log.index == nil {
 			return
 		}
-		sc := &segstore.SensorCheckpoint{
+		ck.Sensors[id] = &segstore.SensorCheckpoint{
 			Chunks:   log.totalChunks(),
 			N:        log.n,
 			M:        log.m,
 			Decoder:  log.decoder.State(),
-			Bounds:   append([]float64(nil), log.bounds...),
 			Frames:   log.frames,
 			Bytes:    log.bytes,
 			Values:   log.values,
-			Inserts:  append([]int(nil), log.inserts...),
 			Restarts: log.restarts,
 			NextSeq:  log.nextSeq,
 			SrcNonce: log.srcNonce,
 			ZeroSum:  log.zeroSum,
 		}
-		sc.IndexLeaves = make([][]query.Summary, log.n)
-		for row := 0; row < log.n; row++ {
-			sc.IndexLeaves[row] = log.index.RowLeaves(row)
-		}
-		ck.Sensors[id] = sc
 	})
 	return store.WriteCheckpoint(ck)
 }
@@ -85,29 +78,30 @@ type RecoverStats struct {
 	Replayed       int  // tail frames replayed through the receive path
 }
 
-// Recover rebuilds the station from the attached archive: load the newest
-// checkpoint (decoder replicas and aggregate indexes come back without
-// decoding anything), then replay only the archived records past each
-// sensor's checkpoint coverage through the normal receive path. Without a
-// checkpoint it degrades to replaying the whole archive. Call once, before
-// serving traffic, with the archive already attached. The torn segment
-// tails the archive truncated when it was opened are counted here, with
-// the replayed frames, in the station's crash-recovery telemetry.
+// Recover rebuilds the station from the attached archive. It takes what
+// the archive's Open read back — the newest checkpoint and every archived
+// chunk's facts from the segment footers — and restores each checkpointed
+// sensor from them without decoding a frame: decoder replica and receive
+// bookkeeping from the checkpoint, error bounds, insert counts and the
+// aggregate index from the facts, starting at the purge watermark. It then
+// replays only the archived records past each sensor's checkpoint coverage
+// through the normal receive path. Without a checkpoint it degrades to
+// replaying the whole archive. Call once, before serving traffic, with the
+// archive already attached. The torn segment tails the archive truncated
+// when it was opened are counted here, with the replayed frames, in the
+// station's crash-recovery telemetry.
 func (s *Station) Recover() (RecoverStats, error) {
 	var st RecoverStats
 	store, _ := s.archiveBinding()
 	if store == nil {
 		return st, errors.New("station: no archive attached")
 	}
-	ck, err := store.LoadCheckpoint()
-	if err != nil && !errors.Is(err, segstore.ErrNoCheckpoint) {
-		return st, err
-	}
+	rec := store.TakeRecovery()
 	cover := make(map[string]int)
-	if ck != nil {
+	if ck := rec.Checkpoint; ck != nil {
 		st.FromCheckpoint = true
 		for id, sc := range ck.Sensors {
-			log, rerr := s.restoreSensor(sc)
+			log, rerr := s.restoreSensor(sc, rec.Facts[id])
 			if rerr != nil {
 				return st, fmt.Errorf("station: restoring sensor %q: %w", id, rerr)
 			}
@@ -155,36 +149,73 @@ func (s *Station) installLog(id string, l *sensorLog) {
 	sh.mu.Unlock()
 }
 
-// restoreSensor rebuilds one sensor's log from its checkpoint slice.
-func (s *Station) restoreSensor(sc *segstore.SensorCheckpoint) (*sensorLog, error) {
+// restoreSensor rebuilds one sensor's log from its checkpoint slice and
+// the facts of its archived chunks. The chunks below the purge watermark
+// are gone from every structure: bounds, insert counts and the index
+// start at facts.First, which every read checks before it looks.
+//
+// A sensor checkpointed while degraded covers chunks its archive never
+// took; they lived in memory only and died with the process. It comes
+// back degraded, as it left, with its decoder replica where the
+// checkpoint put it — so the sensor's next frame still decodes — and
+// those chunks lost: chunks [archived, first), whose bounds, insert
+// counts and index leaves are zero padding that no read reaches.
+func (s *Station) restoreSensor(sc *segstore.SensorCheckpoint, facts segstore.SensorFacts) (*sensorLog, error) {
 	dec, err := core.NewDecoderAt(s.cfg, sc.Decoder)
 	if err != nil {
 		return nil, err
 	}
+	held := sc.Chunks - facts.First
+	if held < 0 {
+		return nil, fmt.Errorf("checkpoint covers chunks [0,%d), below the purge watermark %d",
+			sc.Chunks, facts.First)
+	}
+	archived := min(sc.Chunks, facts.First+len(facts.Chunks))
 	log := &sensorLog{
 		decoder:  dec,
 		n:        sc.N,
 		m:        sc.M,
+		base:     facts.First,
 		first:    sc.Chunks,
-		archived: sc.Chunks,
-		bounds:   append([]float64(nil), sc.Bounds...),
+		archived: archived,
+		archDown: archived < sc.Chunks,
+		bounds:   make([]float64, held),
+		inserts:  make([]int, held),
 		frames:   sc.Frames,
 		bytes:    sc.Bytes,
 		values:   sc.Values,
-		inserts:  append([]int(nil), sc.Inserts...),
 		restarts: sc.Restarts,
 		nextSeq:  sc.NextSeq,
 		srcNonce: sc.SrcNonce,
 		zeroSum:  sc.ZeroSum,
 	}
-	if sc.Chunks > 0 {
-		ix, err := query.NewIndexFromLeaves(sc.N, sc.M, sc.IndexLeaves)
-		if err != nil {
-			return nil, err
+	if sc.Chunks == 0 {
+		return log, nil
+	}
+	leaves := make([][]query.Summary, sc.N)
+	for row := range leaves {
+		leaves[row] = make([]query.Summary, held)
+	}
+	for i, f := range facts.Chunks[:archived-facts.First] {
+		if len(f.Rows) != sc.N {
+			return nil, fmt.Errorf("chunk %d has %d row summaries, want %d", facts.First+i, len(f.Rows), sc.N)
 		}
-		met := s.metrics()
-		ix.Instrument(met.queryQueries, met.queryNodes)
-		log.index = ix
+		log.bounds[i] = f.Bound
+		log.inserts[i] = f.Inserts
+		for row, rs := range f.Rows {
+			leaves[row][i] = query.Leaf(sc.M, rs.Sum, rs.Min, rs.Max, f.Bound)
+		}
+	}
+	ix, err := query.NewIndexFromLeaves(sc.N, sc.M, leaves)
+	if err != nil {
+		return nil, err
+	}
+	met := s.metrics()
+	ix.Instrument(met.queryQueries, met.queryNodes)
+	log.index = ix
+	if log.archDown {
+		s.degraded.Add(1)
+		met.degradedSensors.Add(1)
 	}
 	return log, nil
 }

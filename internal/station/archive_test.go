@@ -1,9 +1,13 @@
 package station
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
+	"time"
 
 	"sbr/internal/blocklog"
 	"sbr/internal/core"
@@ -387,4 +391,288 @@ func TestArchiveDegradedMode(t *testing.T) {
 		t.Errorf("eviction passed the durable watermark: first=%d archived=%d", log.first, log.archived)
 	}
 	compareStations(t, st, ref, "s")
+}
+
+// newestCheckpointSize returns the size of the newest checkpoint file in
+// dir.
+func newestCheckpointSize(t *testing.T, dir string) int64 {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, "ckpt-*"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("checkpoint files %v (%v)", names, err)
+	}
+	sort.Strings(names)
+	fi, err := os.Stat(names[len(names)-1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fi.Size()
+}
+
+// TestCheckpointSizeIndependentOfHistory: a checkpoint holds decoder state
+// and receive bookkeeping only, so its size stays flat while the archive
+// grows tenfold.
+func TestCheckpointSizeIndependentOfHistory(t *testing.T) {
+	cfg := restoreConfig()
+	frames := encodeTestFrames(t, cfg, 300, 16)
+	dir := t.TempDir()
+	st, store := newArchivedStation(t, cfg, dir, 4, 8)
+	defer store.Close()
+
+	feedFrames(t, st, "s", frames[:30])
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	small, archived := newestCheckpointSize(t, dir), store.StoreStats().Bytes
+	feedFrames(t, st, "s", frames[30:])
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if grown := store.StoreStats().Bytes; grown < 9*archived {
+		t.Fatalf("archive grew from %d to %d bytes, want about tenfold", archived, grown)
+	}
+	if large := newestCheckpointSize(t, dir); large != small {
+		t.Errorf("checkpoint grew from %d to %d bytes with the history", small, large)
+	}
+}
+
+// TestRecoverAfterPurgeStartsAtWatermark purges a sensor's oldest
+// segments, keeps ingesting, then restarts. The rebuilt state starts at the
+// purge watermark: every read below it answers ErrPurged — the
+// chunk-aligned aggregate the index could otherwise serve included — the
+// retained history answers exactly as an unpurged reference station does,
+// and BaseInserts lists the retained chunks only.
+func TestRecoverAfterPurgeStartsAtWatermark(t *testing.T) {
+	cfg := restoreConfig()
+	const m = 16
+	frames := encodeTestFrames(t, cfg, 20, m)
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedFrames(t, ref, "s", frames)
+
+	for _, graceful := range []bool{false, true} {
+		dir := t.TempDir()
+		st, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := segstore.Open(segstore.Options{Dir: dir, Config: cfg, SegmentChunks: 4,
+			Retention: segstore.Retention{MaxBytes: 1}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.SetArchive(store, 4)
+		feedFrames(t, st, "s", frames[:12])
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if n, err := store.EnforceRetention(time.Now()); err != nil || n != 3 {
+			t.Fatalf("retention removed %d segments (%v), want 3", n, err)
+		}
+		const purged = 12 // chunks [0,12) are gone
+		feedFrames(t, st, "s", frames[12:])
+		if _, _, err := st.AggregateWithBound("s", 0, 0, 2*m, AggSum); !errors.Is(err, segstore.ErrPurged) {
+			t.Fatalf("live aligned aggregate below the watermark = %v, want ErrPurged", err)
+		}
+		if graceful {
+			if err := st.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := store.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+
+		st2, store2 := newArchivedStation(t, cfg, dir, 4, 4)
+		rec, err := st2.Recover()
+		if err != nil {
+			t.Fatalf("graceful=%v: %v", graceful, err)
+		}
+		if want := map[bool]int{false: 8, true: 0}[graceful]; rec.Replayed != want {
+			t.Errorf("graceful=%v: replayed %d frames, want %d", graceful, rec.Replayed, want)
+		}
+		total := len(frames) * m
+		for _, r := range [][2]int{{0, 2 * m}, {m + 3, total}, {purged*m - 1, total}} {
+			if _, _, err := st2.AggregateWithBound("s", 0, r[0], r[1], AggSum); !errors.Is(err, segstore.ErrPurged) {
+				t.Errorf("graceful=%v: aggregate %v = %v, want ErrPurged", graceful, r, err)
+			}
+		}
+		if _, err := st2.At("s", 0, m); !errors.Is(err, segstore.ErrPurged) {
+			t.Errorf("graceful=%v: point below the watermark = %v, want ErrPurged", graceful, err)
+		}
+		for _, kind := range []AggregateKind{AggAvg, AggSum, AggMin, AggMax} {
+			for _, r := range [][2]int{{purged * m, total}, {purged*m + 5, total - 7}, {total - 3*m, total}} {
+				gv, gb, gerr := st2.AggregateWithBound("s", 0, r[0], r[1], kind)
+				wv, wb, werr := ref.AggregateWithBound("s", 0, r[0], r[1], kind)
+				if gerr != nil || werr != nil || gv != wv || gb != wb {
+					t.Fatalf("graceful=%v: aggregate kind %d %v = (%v,%v,%v), want (%v,%v,%v)",
+						graceful, kind, r, gv, gb, gerr, wv, wb, werr)
+				}
+			}
+		}
+		gw, gerr := st2.ReadWindow("s", 0, purged*m, total, nil)
+		ww, werr := ref.ReadWindow("s", 0, purged*m, total, nil)
+		if gerr != nil || werr != nil || gw.Bound != ww.Bound || len(gw.Values) != len(ww.Values) {
+			t.Fatalf("graceful=%v: ReadWindow = (%v,%v), want (%v,%v)", graceful, gw.Bound, gerr, ww.Bound, werr)
+		}
+		for i := range ww.Values {
+			if gw.Values[i] != ww.Values[i] {
+				t.Fatalf("graceful=%v: ReadWindow[%d] = %v, want %v", graceful, i, gw.Values[i], ww.Values[i])
+			}
+		}
+		gs, err := st2.SensorStats("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws, err := ref.SensorStats("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gs.BaseInserts, ws.BaseInserts[purged:]) {
+			t.Errorf("graceful=%v: BaseInserts %v, want the retained chunks' %v", graceful, gs.BaseInserts, ws.BaseInserts[purged:])
+		}
+		store2.Close()
+	}
+}
+
+// TestRecoverCheckpointInsideActiveSegment crashes after a checkpoint
+// that covers part of the active segment: the facts of those chunks have
+// no footer yet and come from Open's decode of the segment's records, and
+// the restarted station must still answer like an uncrashed reference.
+func TestRecoverCheckpointInsideActiveSegment(t *testing.T) {
+	cfg := restoreConfig()
+	frames := encodeTestFrames(t, cfg, 12, 16)
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedFrames(t, ref, "s", frames[:11])
+
+	dir := t.TempDir()
+	st, _ := newArchivedStation(t, cfg, dir, 3, 4)
+	feedFrames(t, st, "s", frames[:10]) // chunks 8 and 9 sit in the active segment
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	feedFrames(t, st, "s", frames[10:11])
+	// Crash: no Close, the active segment [8,11) stays unsealed.
+
+	st2, store2 := newArchivedStation(t, cfg, dir, 3, 4)
+	defer store2.Close()
+	rec, err := st2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.FromCheckpoint || rec.Replayed != 1 {
+		t.Errorf("recovery %+v, want the checkpoint plus a 1-frame tail", rec)
+	}
+	compareStations(t, st2, ref, "s")
+	gs, _ := st2.SensorStats("s")
+	ws, _ := ref.SensorStats("s")
+	if !reflect.DeepEqual(gs.BaseInserts, ws.BaseInserts) {
+		t.Errorf("BaseInserts %v, want %v", gs.BaseInserts, ws.BaseInserts)
+	}
+	feedFrames(t, st2, "s", frames[11:])
+	feedFrames(t, ref, "s", frames[11:])
+	compareStations(t, st2, ref, "s")
+}
+
+// TestRecoverDegradedSensor stops a station while one sensor is degraded,
+// so its checkpoint covers chunks the archive never took. Each restart
+// must still recover the whole station: the healthy sensor answers as
+// before, and the degraded one comes back degraded with its archived
+// chunks readable, the chunks it held in memory only failing every read
+// that touches them, and its next frames decoding exactly as on a station
+// that never stopped.
+func TestRecoverDegradedSensor(t *testing.T) {
+	cfg := restoreConfig()
+	const m = 16
+	frames := encodeTestFrames(t, cfg, 16, m)
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedFrames(t, ref, "bad", frames)
+
+	dir := t.TempDir()
+	st, store := newArchivedStation(t, cfg, dir, 2, 4)
+	feedFrames(t, st, "good", frames[:8])
+	feedFrames(t, st, "bad", frames[:4])
+	// A directory where "bad"'s next segment file belongs fails the append
+	// that would create it: the sensor degrades at chunk 4.
+	if err := os.Mkdir(filepath.Join(dir, "segments", "bad", "000000000004.seg"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	feedFrames(t, st, "bad", frames[4:8])
+	if !st.ArchiveDegraded() {
+		t.Fatal("failed append did not degrade the sensor")
+	}
+
+	const archived = 4 // chunks of "bad" the archive holds
+	fed := 8
+	for restart := 1; restart <= 2; restart++ {
+		if err := st.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st, store = newArchivedStation(t, cfg, dir, 2, 4)
+		if _, err := st.Recover(); err != nil {
+			t.Fatalf("restart %d: Recover: %v", restart, err)
+		}
+		if !st.ArchiveDegraded() {
+			t.Errorf("restart %d: degraded sensor came back healthy", restart)
+		}
+
+		good, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedFrames(t, good, "good", frames[:fed])
+		compareStations(t, st, good, "good")
+
+		if n, err := st.HistoryLen("bad"); err != nil || n != fed*m {
+			t.Fatalf("restart %d: HistoryLen = %d (%v), want %d", restart, n, err, fed*m)
+		}
+		checkSame := func(what string, from, to int) {
+			t.Helper()
+			gw, gerr := st.ReadWindow("bad", 0, from, to, nil)
+			ww, werr := ref.ReadWindow("bad", 0, from, to, nil)
+			if gerr != nil || werr != nil || !reflect.DeepEqual(gw, ww) {
+				t.Fatalf("restart %d: %s window [%d,%d) = (%v,%v), want (%v,%v)",
+					restart, what, from, to, gw, gerr, ww, werr)
+			}
+			for _, kind := range []AggregateKind{AggAvg, AggSum, AggMin, AggMax} {
+				for _, r := range [][2]int{{from, to}, {from + 3, to - 5}} {
+					gv, gb, gerr := st.AggregateWithBound("bad", 0, r[0], r[1], kind)
+					wv, wb, werr := ref.AggregateWithBound("bad", 0, r[0], r[1], kind)
+					if gerr != nil || werr != nil || gv != wv || gb != wb {
+						t.Fatalf("restart %d: %s aggregate kind %d %v = (%v,%v,%v), want (%v,%v,%v)",
+							restart, what, kind, r, gv, gb, gerr, wv, wb, werr)
+					}
+				}
+			}
+		}
+		checkSame("archived", 0, archived*m)
+		for _, r := range [][2]int{{archived*m - 1, archived*m + 1}, {0, fed * m}, {fed*m - 1, fed * m}} {
+			if _, err := st.ReadWindow("bad", 0, r[0], r[1], nil); err == nil {
+				t.Errorf("restart %d: window %v over lost chunks answered", restart, r)
+			}
+			if _, _, err := st.AggregateWithBound("bad", 0, r[0], r[1], AggSum); err == nil {
+				t.Errorf("restart %d: aggregate %v over lost chunks answered", restart, r)
+			}
+		}
+		if _, err := st.At("bad", 0, archived*m); err == nil {
+			t.Errorf("restart %d: point in a lost chunk answered", restart)
+		}
+
+		feedFrames(t, st, "good", frames[fed:fed+4])
+		feedFrames(t, st, "bad", frames[fed:fed+4])
+		checkSame("after restart", fed*m, (fed+4)*m)
+		fed += 4
+	}
+	store.Close()
 }

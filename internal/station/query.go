@@ -52,6 +52,9 @@ func (s *Station) Run(q Query) ([]QueryPoint, error) {
 		return nil, fmt.Errorf("%w: query range [%d,%d) outside history [0,%d)",
 			ErrInvalidQuery, from, to, total)
 	}
+	if err := sn.readable(from, to); err != nil {
+		return nil, err
+	}
 	step := q.Step
 	if step <= 0 {
 		step = to - from

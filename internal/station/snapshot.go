@@ -23,21 +23,47 @@ import (
 
 // snap is an immutable view of one sensor's history, valid without locks
 // for its whole lifetime. Chunks [0, first) are cold (archive only);
-// window[i] holds global chunk first+i; bounds and index cover the full
-// history [0, first+len(window)).
+// window[i] holds global chunk first+i; bounds[c-base] and index leaf
+// c-base cover chunks [base, first+len(window)). Chunks [archived, first),
+// empty unless Recover restored a degraded sensor, are lost.
 type snap struct {
-	id     string
-	n, m   int
-	first  int
-	window [][]timeseries.Series
-	bounds []float64
-	index  *query.Snapshot
-	store  *segstore.Store
-	met    *stationMetrics
+	id       string
+	n, m     int
+	base     int
+	first    int
+	archived int
+	window   [][]timeseries.Series
+	bounds   []float64
+	index    *query.Snapshot
+	store    *segstore.Store
+	met      *stationMetrics
 }
 
-func (sn *snap) totalChunks() int  { return sn.first + len(sn.window) }
-func (sn *snap) totalSamples() int { return sn.totalChunks() * sn.m }
+func (sn *snap) totalChunks() int    { return sn.first + len(sn.window) }
+func (sn *snap) totalSamples() int   { return sn.totalChunks() * sn.m }
+func (sn *snap) bound(c int) float64 { return sn.bounds[c-sn.base] }
+
+// readable fails when samples [from, to) reach history that is gone:
+// below the purge watermark (the archive's ErrPurged), or into the lost
+// chunks [archived, first) of a sensor that was degraded when the station
+// last stopped (see restoreSensor). Every read checks it before it looks
+// anywhere — window, aggregate index or archive — so gone history answers
+// the same whichever structure could still serve it, and no read reaches
+// below base or into the padding that stands in for lost chunks.
+func (sn *snap) readable(from, to int) error {
+	if sn.store == nil {
+		return nil
+	}
+	if p := sn.store.PurgedThrough(sn.id); from/sn.m < p {
+		return fmt.Errorf("%w: sensor %q sample %d (archive starts at chunk %d)",
+			segstore.ErrPurged, sn.id, from, p)
+	}
+	if sn.archived < sn.first && from < sn.first*sn.m && to > sn.archived*sn.m {
+		return fmt.Errorf("station: sensor %q chunks [%d,%d) were lost: accepted while the archive was failing, and the station restarted before they were archived",
+			sn.id, sn.archived, sn.first)
+	}
+	return nil
+}
 
 // snapshot captures the named sensor's read view and validates the
 // quantity row. The common case — a sensor that has not absorbed a frame
@@ -63,14 +89,16 @@ func (s *Station) snapshot(id string, row int) (*snap, error) {
 			log.mu.Lock()
 		}
 		sn = &snap{
-			id:     id,
-			n:      log.n,
-			m:      log.m,
-			first:  log.first,
-			window: log.chunks,
-			bounds: log.bounds,
-			store:  store,
-			met:    met,
+			id:       id,
+			n:        log.n,
+			m:        log.m,
+			base:     log.base,
+			first:    log.first,
+			archived: log.archived,
+			window:   log.chunks,
+			bounds:   log.bounds,
+			store:    store,
+			met:      met,
 		}
 		if log.index != nil {
 			sn.index = log.index.Snapshot()
@@ -180,10 +208,13 @@ func (s *Station) ReadWindow(id string, row, from, to int, sp *trace.Span) (Wind
 	if from == to {
 		return w, nil
 	}
+	if err := sn.readable(from, to); err != nil {
+		return Window{}, err
+	}
 	clip := func(c int, rows []timeseries.Series) {
 		lo, hi := max(from-c*sn.m, 0), min(to-c*sn.m, sn.m)
 		w.Values = append(w.Values, rows[row][lo:hi]...)
-		w.Bound = max(w.Bound, sn.bounds[c])
+		w.Bound = max(w.Bound, sn.bound(c))
 	}
 	cLo := from / sn.m
 	cHi := (to + sn.m - 1) / sn.m
@@ -238,11 +269,14 @@ func (s *Station) AtWithBound(id string, row, idx int) (value, bound float64, er
 		return 0, 0, fmt.Errorf("%w: sample %d outside recorded history [0,%d)",
 			ErrInvalidQuery, idx, sn.totalSamples())
 	}
+	if err := sn.readable(idx, idx+1); err != nil {
+		return 0, 0, err
+	}
 	rows, err := sn.chunkRows(idx/sn.m, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	return rows[row][idx%sn.m], sn.bounds[idx/sn.m], nil
+	return rows[row][idx%sn.m], sn.bound(idx / sn.m), nil
 }
 
 // AggregateKind selects a range-aggregate function.
@@ -298,6 +332,9 @@ func (s *Station) AggregateWithBoundTraced(id string, row, from, to int, kind Ag
 	if from == to {
 		return 0, 0, 0, fmt.Errorf("%w: aggregate over empty range [%d,%d)", ErrInvalidQuery, from, to)
 	}
+	if err := sn.readable(from, to); err != nil {
+		return 0, 0, 0, err
+	}
 	wsp := sp.Child("query.index_walk")
 	sum, err := sn.summarize(row, from, to, sp)
 	wsp.End()
@@ -326,10 +363,11 @@ func answerSummary(sum query.Summary, kind AggregateKind) (value, bound float64,
 }
 
 // summarize reduces [from, to) of one quantity: whole chunks come from the
-// aggregate-index snapshot in O(log n) merges (the index spans the full
-// history, evicted chunks included), the ragged edges from an exact scan
+// aggregate-index snapshot in O(log n) merges (the index spans the history
+// from base, evicted chunks included), the ragged edges from an exact scan
 // of the overlapped chunk windows — cold-loaded from the archive when
-// evicted. The caller has validated the range.
+// evicted. The caller has validated the range and checked it against the
+// purge watermark.
 func (sn *snap) summarize(row, from, to int, sp *trace.Span) (query.Summary, error) {
 	m := sn.m
 	c0 := (from + m - 1) / m // first fully covered chunk
@@ -339,7 +377,7 @@ func (sn *snap) summarize(row, from, to int, sp *trace.Span) (query.Summary, err
 		// no whole chunk in between: the exact scan is already minimal.
 		return sn.scanRange(row, from, to, sp)
 	}
-	sum, err := sn.index.QueryChunks(row, c0, c1)
+	sum, err := sn.index.QueryChunks(row, c0-sn.base, c1-sn.base)
 	if err != nil {
 		// Unreachable: receive() keeps the index in lock-step with chunks,
 		// and the snapshot captured both under one lock.
@@ -377,7 +415,7 @@ func (sn *snap) scanRange(row, from, to int, sp *trace.Span) (query.Summary, err
 		if limit := to - c*sn.m; limit < hi {
 			hi = limit
 		}
-		out = query.Merge(out, query.Summarize(rows[row][lo:hi], sn.bounds[c]))
+		out = query.Merge(out, query.Summarize(rows[row][lo:hi], sn.bound(c)))
 		from = c*sn.m + hi
 	}
 	return out, nil

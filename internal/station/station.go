@@ -287,25 +287,31 @@ type sensorLog struct {
 	// holds global chunk first+i. With an archive attached, chunks below
 	// first have been evicted after being made durable and are served cold
 	// from the segment store; without one, first stays 0 and the window is
-	// the whole history. bounds and the aggregate index always cover the
-	// full history — they are tiny per chunk, and keeping them hot is what
-	// keeps aggregates O(log n) regardless of eviction.
+	// the whole history. bounds, inserts and the aggregate index cover the
+	// history from chunk base on: they are tiny per chunk, and keeping them
+	// hot is what keeps aggregates O(log n) regardless of eviction. base is
+	// 0, or the purge watermark the archive stood at when Recover rebuilt
+	// the log — retention only moves the watermark up, and every read
+	// checks it first, so no read reaches below base. archived never falls
+	// below first, except for a degraded sensor Recover restored: its
+	// chunks [archived, first) were lost with the restart.
 	//
 	// Snapshot discipline: chunks and bounds are append-only as seen from
 	// any captured slice header — eviction builds a fresh slice instead of
 	// mutating the shared backing array, so a query snapshot stays valid
 	// without holding the lock.
+	base     int
 	first    int
 	archived int  // chunks [0, archived) durably appended to the archive
 	archDown bool // archive append failed: stop archiving and evicting
 
 	chunks   [][]timeseries.Series // chunks[i][row] has m samples
-	bounds   []float64             // per-chunk max-abs error bound (0: none)
-	index    *query.Index          // hierarchical aggregate index over the chunks
+	bounds   []float64             // bounds[c-base]: chunk c's max-abs error bound (0: none)
+	index    *query.Index          // aggregate index; leaf i is chunk base+i
 	frames   int                   // frames received
 	bytes    int                   // raw bytes received
 	values   int                   // abstract bandwidth values received
-	inserts  []int                 // base intervals inserted per transmission
+	inserts  []int                 // inserts[c-base]: base intervals chunk c inserted
 	restarts int                   // sensor reboots observed (sequence reset to zero)
 
 	// Retransmission state. nextSeq is the sequence the current sensor
@@ -622,7 +628,7 @@ func (s *Station) receive(id string, t *core.Transmission, frame []byte, rawByte
 	gchunk := log.totalChunks() - 1 // global index of the chunk just appended
 	if archiving {
 		asp := rsp.Child("segstore.append")
-		aerr := store.AppendTraced(id, gchunk, rows, t.ErrBound, frame,
+		aerr := store.AppendTraced(id, gchunk, rows, t.ErrBound, t.Ins(), frame,
 			func() core.DecoderState { return preState }, asp)
 		asp.End()
 		if aerr != nil {
@@ -711,9 +717,13 @@ type Stats struct {
 	Quantities    int
 	SamplesPerRow int
 	RawBytes      int
-	Values        int   // abstract bandwidth consumed
-	BaseInserts   []int // inserted base intervals per transmission (Table 6)
-	Restarts      int   // sensor reboots observed
+	Values        int // abstract bandwidth consumed
+	// BaseInserts lists the base intervals each transmission inserted
+	// (Table 6). After retention purged history and the station restarted,
+	// it covers the retained chunks only; chunks a degraded sensor lost
+	// with a restart read 0.
+	BaseInserts []int
+	Restarts    int // sensor reboots observed
 }
 
 // SensorStats reports reception statistics for the named sensor.
