@@ -307,6 +307,8 @@ func main() {
 		"tail_shifts", int(v["sbr_encode_tail_shifts_total"]),
 		"screened_shifts", int(v["sbr_encode_screened_shifts_total"]),
 		"exact_shifts", int(v["sbr_encode_exact_shifts_total"]),
+		"sibling_pairs", int(v["sbr_encode_sibling_pairs_total"]),
+		"helper_pairs", int(v["sbr_encode_helper_pairs_total"]),
 		"wall", time.Since(start).Round(time.Millisecond).String(),
 	)
 }

@@ -40,11 +40,11 @@ func encodeFrames(t *testing.T, cfg core.Config, batches [][]timeseries.Series) 
 }
 
 // TestEncodeDeterministicAcrossProcs is the bit-determinism contract of the
-// parallel shift-scan engine: for every base builder and error metric, the
-// full AutoIns encode must produce byte-identical wire frames whether the
-// engine runs on one worker or many. ParallelScanThreshold is dropped to 1
-// so even these small inputs take the chunked parallel path, and the whole
-// matrix runs under -race in CI (see make race).
+// encoder's sibling helper: for every base builder and error metric, the
+// full AutoIns encode must produce byte-identical wire frames whether
+// GetIntervals maps on one goroutine or two. ParallelScanThreshold is
+// dropped to 1 so even these small inputs start the helper at GOMAXPROCS
+// 4, and CI runs the whole matrix under -race.
 func TestEncodeDeterministicAcrossProcs(t *testing.T) {
 	savedThreshold := interval.ParallelScanThreshold
 	interval.ParallelScanThreshold = 1
@@ -105,13 +105,24 @@ func TestEncodeDeterministicAcrossProcs(t *testing.T) {
 	}
 }
 
+// paperCounts are the deterministic encode counters of one run: the
+// search effort, the scan cache and the screen's work.
+type paperCounts struct {
+	searchEvals, cacheHits, cacheMisses, tailShifts, screened, exact int
+}
+
 // TestPaperFrameDigests pins the wire frames of the paper's three datasets
 // (seed 1, their own MBase, 10% band, SSE, AutoIns) to SHA-256 digests
-// recorded before the block-FFT screen existed: screening shifts must never
-// change a transmitted byte. The batch counts keep the test short while
-// the screened path still covers most of the scanned shifts, which the
-// test checks and logs.
+// recorded before the block-FFT screen existed: neither screening shifts
+// nor mapping sibling intervals on a second goroutine may change a
+// transmitted byte. Each dataset is encoded at GOMAXPROCS 1, where no
+// helper runs, and at 2, where it must: the digests and every counter
+// must match. The batch counts keep the test short while the screened
+// path still covers most of the scanned shifts, which the test checks and
+// logs.
 func TestPaperFrameDigests(t *testing.T) {
+	savedProcs := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(savedProcs)
 	for _, tc := range []struct {
 		gen     func(int64) *datagen.Dataset
 		batches int
@@ -127,36 +138,59 @@ func TestPaperFrameDigests(t *testing.T) {
 		for i := range batches {
 			batches[i] = ds.File(i)
 		}
-		comp, err := core.NewCompressor(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := sha256.New()
-		var screened, scanned int
-		for i, batch := range batches {
-			tx, err := comp.Encode(batch)
+		var serial paperCounts
+		for _, procs := range []int{1, 2} {
+			runtime.GOMAXPROCS(procs)
+			comp, err := core.NewCompressor(cfg)
 			if err != nil {
-				t.Fatalf("%s batch %d: %v", ds.Name, i, err)
+				t.Fatal(err)
 			}
-			frame, err := wire.Encode(tx)
-			if err != nil {
-				t.Fatalf("%s batch %d: %v", ds.Name, i, err)
+			h := sha256.New()
+			var counts paperCounts
+			var pairs, helped, workers int
+			for i, batch := range batches {
+				tx, err := comp.Encode(batch)
+				if err != nil {
+					t.Fatalf("%s batch %d: %v", ds.Name, i, err)
+				}
+				frame, err := wire.Encode(tx)
+				if err != nil {
+					t.Fatalf("%s batch %d: %v", ds.Name, i, err)
+				}
+				h.Write(frame)
+				rep := comp.LastReport()
+				counts.searchEvals += rep.SearchEvals
+				counts.cacheHits += rep.CacheHits
+				counts.cacheMisses += rep.CacheMisses
+				counts.tailShifts += rep.TailShifts
+				counts.screened += rep.ScreenedShifts
+				counts.exact += rep.ExactShifts
+				pairs += rep.SiblingPairs
+				helped += rep.HelperPairs
+				workers = max(workers, rep.ScanWorkers)
 			}
-			h.Write(frame)
+			if got := hex.EncodeToString(h.Sum(nil)); got != tc.digest {
+				t.Errorf("%s GOMAXPROCS=%d: frames digest %s, want %s", ds.Name, procs, got, tc.digest)
+			}
+			if workers != procs || (pairs > 0) != (procs > 1) {
+				t.Errorf("%s GOMAXPROCS=%d: %d scan workers, %d sibling pairs offered", ds.Name, procs, workers, pairs)
+			}
+			if procs > 1 {
+				if counts != serial {
+					t.Errorf("%s: counters %+v at GOMAXPROCS=%d, %+v at 1", ds.Name, counts, procs, serial)
+				}
+				t.Logf("%s: the helper mapped %d of %d offered sibling pairs", ds.Name, helped, pairs)
+				continue
+			}
+			serial = counts
 			// With the search's scan cache installed, every scanned shift
 			// is a tail shift; the screened ones are a subset.
-			rep := comp.LastReport()
-			screened += rep.ScreenedShifts
-			scanned += rep.TailShifts
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != tc.digest {
-			t.Errorf("%s: frames digest %s, want %s", ds.Name, got, tc.digest)
-		}
-		share := float64(screened) / float64(scanned)
-		t.Logf("%s: %d of %d scanned shifts went through the screen (%.1f%%)",
-			ds.Name, screened, scanned, 100*share)
-		if share < 0.5 {
-			t.Errorf("%s: the screened path covered only %.1f%% of scanned shifts", ds.Name, 100*share)
+			share := float64(counts.screened) / float64(counts.tailShifts)
+			t.Logf("%s: %d of %d scanned shifts went through the screen (%.1f%%)",
+				ds.Name, counts.screened, counts.tailShifts, 100*share)
+			if share < 0.5 {
+				t.Errorf("%s: the screened path covered only %.1f%% of scanned shifts", ds.Name, 100*share)
+			}
 		}
 	}
 }

@@ -13,6 +13,8 @@ type encodeMetrics struct {
 	tailShifts  *obs.Counter
 	screened    *obs.Counter
 	exact       *obs.Counter
+	siblings    *obs.Counter
+	helped      *obs.Counter
 	scanWorkers *obs.Gauge
 }
 
@@ -28,7 +30,9 @@ func (c *Compressor) Instrument(reg *obs.Registry) {
 		tailShifts:  reg.Counter("sbr_encode_tail_shifts_total", "Candidate-tail shift positions scanned incrementally beyond cached coverage."),
 		screened:    reg.Counter("sbr_encode_screened_shifts_total", "Shift positions SSE scans covered through the block-FFT screen."),
 		exact:       reg.Counter("sbr_encode_exact_shifts_total", "Screened shift positions that still needed the exact per-shift evaluation."),
-		scanWorkers: reg.Gauge("sbr_encode_scan_workers", "Worker cap of the parallel shift-scan engine."),
+		siblings:    reg.Counter("sbr_encode_sibling_pairs_total", "Sibling interval pairs offered to the GetIntervals helper goroutine."),
+		helped:      reg.Counter("sbr_encode_helper_pairs_total", "Offered sibling pairs whose half the helper goroutine mapped."),
+		scanWorkers: reg.Gauge("sbr_encode_scan_workers", "Goroutines that mapped intervals in the last Encode: 1, or 2 when the sibling helper ran."),
 	}
 }
 
@@ -41,5 +45,7 @@ func (m *encodeMetrics) observe(rep *CompressionReport) {
 	m.tailShifts.Add(uint64(rep.TailShifts))
 	m.screened.Add(uint64(rep.ScreenedShifts))
 	m.exact.Add(uint64(rep.ExactShifts))
+	m.siblings.Add(uint64(rep.SiblingPairs))
+	m.helped.Add(uint64(rep.HelperPairs))
 	m.scanWorkers.Set(float64(rep.ScanWorkers))
 }

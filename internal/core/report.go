@@ -35,13 +35,20 @@ type CompressionReport struct {
 	// CacheHits/CacheMisses count BestMap calls served from / creating a
 	// cache entry; TailShifts counts the shift positions actually scanned
 	// incrementally on top of cached coverage (the redundant work a
-	// non-incremental search would have repeated); ScanWorkers records the
-	// scan engine's worker cap during the Encode. All zero when the Encode
-	// ran without a search (forced or zero-candidate insert counts).
+	// non-incremental search would have repeated). All zero when the
+	// Encode ran without a search (forced or zero-candidate insert counts).
 	CacheHits   int
 	CacheMisses int
 	TailShifts  int
-	ScanWorkers int
+
+	// ScanWorkers is the number of goroutines that mapped intervals in
+	// the Encode: 1, or 2 when GetIntervals ran its sibling helper.
+	// SiblingPairs counts the split halves (and seeding row pairs) offered
+	// to the helper, HelperPairs the offers it mapped; the caller mapped
+	// the rest itself. Sender-side only.
+	ScanWorkers  int
+	SiblingPairs int
+	HelperPairs  int
 
 	// ScreenedShifts counts the shifts SSE scans covered through the
 	// block-FFT screen, and ExactShifts how many of those still needed the

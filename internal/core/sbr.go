@@ -61,6 +61,7 @@ type Compressor struct {
 	seq  int
 
 	searchEvals int               // CalculateError evaluations of the last Encode
+	handoffs    interval.Handoffs // GetIntervals' helper use in the last Encode
 	lastReport  CompressionReport // telemetry record of the last Encode
 
 	// Encode fast-path scratch state, reused across batches: the
@@ -241,7 +242,9 @@ func (c *Compressor) Encode(rows []timeseries.Series) (*Transmission, error) {
 	screened, exact := c.spec.Stats()
 	c.lastReport.ScreenedShifts = int(screened)
 	c.lastReport.ExactShifts = int(exact)
-	c.lastReport.ScanWorkers = interval.ScanWorkers()
+	c.lastReport.SiblingPairs = c.handoffs.Pairs
+	c.lastReport.HelperPairs = c.handoffs.HelperPairs
+	c.lastReport.ScanWorkers = c.handoffs.Workers
 	c.met.observe(&c.lastReport)
 	return t, nil
 }
@@ -275,6 +278,7 @@ func (c *Compressor) encodeWithPool(rows []timeseries.Series, y timeseries.Serie
 	// The winning probe's interval list is memoised in the search state, so
 	// the final approximation is free when the search already evaluated it.
 	list := c.searchList(st, ins)
+	c.handoffs = st.mapper.TakeHandoffs()
 
 	counts := c.pool.UseCounts(ins)
 	for _, iv := range list {
@@ -439,10 +443,12 @@ func (c *Compressor) getIntervals(x, y timeseries.Series, n, m, budget int) []in
 	mapper := interval.NewMapper(x, c.w, c.fitter)
 	mapper.DisableRamp = c.cfg.DisableRampFallback && len(x) > 0
 	mapper.Quadratic = c.cfg.Quadratic
-	return interval.GetIntervals(mapper, y, n, m, budget, interval.Options{
+	list := interval.GetIntervals(mapper, y, n, m, budget, interval.Options{
 		ErrorTarget:     c.cfg.ErrorTarget,
 		ValuesPerRecord: c.recordCost(),
 	})
+	c.handoffs = mapper.TakeHandoffs()
+	return list
 }
 
 // shape validates that all rows have the same positive length and returns

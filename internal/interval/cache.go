@@ -20,8 +20,9 @@ import (
 // visible range" from the improvements list and only scans the shifts
 // beyond the furthest previously covered one — the candidate tail.
 //
-// All methods are safe for concurrent use (GetIntervals seeds row
-// intervals in parallel); entries are locked individually.
+// All methods are safe for concurrent use (GetIntervals' helper maps one
+// sibling interval while the caller maps the other); entries are locked
+// individually.
 type SearchCache struct {
 	mu      sync.Mutex
 	entries map[cacheKey]*scanEntry

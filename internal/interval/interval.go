@@ -104,9 +104,10 @@ type Mapper struct {
 	// never change). See SearchCache.
 	Cache *SearchCache
 
-	px   *timeseries.Prefix
-	spec *regression.Spectra // block spectra of px's signal; nil scans directly
-	qbuf []Interval          // recycled priority-queue backing array for GetIntervals
+	px       *timeseries.Prefix
+	spec     *regression.Spectra // block spectra of px's signal; nil scans directly
+	qbuf     []Interval          // recycled priority-queue backing array for GetIntervals
+	handoffs Handoffs            // GetIntervals' helper use since TakeHandoffs
 }
 
 // NewMapper builds a Mapper over base signal x.
@@ -128,18 +129,16 @@ func NewMapperWithPrefix(x timeseries.Series, w int, fitter regression.Fitter,
 }
 
 // scanner returns the rangeScanner for y[start : start+length) over
-// shifts [lo, hi) — the screened or the fused SSE kernel, the quadratic
-// evaluator, or the generic metric fitter — together with the approximate
-// cost of one shift evaluation (used to decide whether a scan is worth
-// fanning out). Scanners are pure functions of the shift range, which is
-// what makes both the parallel scan and the cross-probe cache bit-exact.
-func (m *Mapper) scanner(y timeseries.Series, start, length, lo, hi int) (rangeScanner, int) {
+// shifts [lo, hi): the screened or the fused SSE kernel, the quadratic
+// evaluator, or the generic metric fitter. Scanners are pure functions of
+// the shift range, which is what makes the cross-probe cache bit-exact.
+func (m *Mapper) scanner(y timeseries.Series, start, length, lo, hi int) rangeScanner {
 	if m.Quadratic {
 		x := m.X
 		return evalScanner(func(s int) shiftFit {
 			fit := regression.Quad(x, y, s, start, length)
 			return shiftFit{Shift: s, A: fit.A, B: fit.B, C: fit.C, Err: fit.Err}
-		}), length
+		})
 	}
 	if m.Fitter.Kind == metrics.SSE {
 		// SSE fast path: the Y-segment moments are accumulated once here,
@@ -152,12 +151,11 @@ func (m *Mapper) scanner(y timeseries.Series, start, length, lo, hi int) (rangeS
 			sumY2 += v * v
 		}
 		x, px, sp := m.X, m.px, m.spec
-		scan, cost := regression.ScanSSEMins, length
+		scan := regression.ScanSSEMins
 		// The screened scan emits the same minima; take it when its
-		// transforms cost less than the direct dot products, and report
-		// its per-shift cost so scanMins keeps such cheap scans serial.
+		// transforms cost less than the direct dot products.
 		if screenCost, ok := sp.ScreenCost(length, lo, hi); ok && screenCost < (hi-lo)*length {
-			scan, cost = sp.ScanSSEMins, (screenCost+hi-lo-1)/(hi-lo)
+			scan = sp.ScanSSEMins
 		}
 		return func(lo, hi int, best float64, out []shiftFit) []shiftFit {
 			scan(x, px, y, sumY, sumY2, start, length, lo, hi, best,
@@ -165,13 +163,13 @@ func (m *Mapper) scanner(y timeseries.Series, start, length, lo, hi int) (rangeS
 					out = append(out, shiftFit{Shift: s, A: f.A, B: f.B, Err: f.Err})
 				})
 			return out
-		}, cost
+		}
 	}
 	x, fitter := m.X, m.Fitter
 	return evalScanner(func(s int) shiftFit {
 		fit := fitter.Fit(x, y, s, start, length)
 		return shiftFit{Shift: s, A: fit.A, B: fit.B, Err: fit.Err}
-	}), length
+	})
 }
 
 // rampFit computes the plain-regression fall-back fit for
@@ -191,20 +189,12 @@ func (m *Mapper) rampFit(y timeseries.Series, start, length int) shiftFit {
 // intervals no longer than 2W, every shift of the interval over the base
 // signal (Algorithm 2). All three encodings (generic metric, quadratic,
 // SSE) run through the shared scan engine in scan.go, so they inherit the
-// same parallel fan-out, deterministic reduction and cross-probe caching.
+// same deterministic reduction and cross-probe caching. BestMap may run
+// concurrently for distinct intervals.
 func (m *Mapper) BestMap(y timeseries.Series, iv *Interval) {
-	useRamp := true
-	scan := iv.Length <= 2*m.W
-	if m.DisableRamp {
-		// Comparison mode: use the base signal whenever it is long enough,
-		// pretending the fall-back is unavailable (Section 5.2).
-		scan = true
-		useRamp = false
-	}
-	shifts := len(m.X) - iv.Length + 1
-	if !scan || shifts < 0 {
-		shifts = 0
-	}
+	// Comparison mode pretends the fall-back is unavailable (Section 5.2).
+	useRamp := !m.DisableRamp
+	shifts := m.shifts(iv.Length)
 
 	var e *scanEntry
 	if m.Cache != nil {
@@ -220,7 +210,7 @@ func (m *Mapper) BestMap(y timeseries.Series, iv *Interval) {
 		if e != nil {
 			lo = min(e.scanned, shifts)
 		}
-		scan, cost := m.scanner(y, iv.Start, iv.Length, lo, shifts)
+		scan := m.scanner(y, iv.Start, iv.Length, lo, shifts)
 		if e != nil {
 			if shifts > e.scanned {
 				// Only the tail beyond the cached coverage needs scanning;
@@ -235,12 +225,12 @@ func (m *Mapper) BestMap(y timeseries.Series, iv *Interval) {
 					// entry; pre-sizing avoids the append-doubling garbage.
 					e.mins = make([]shiftFit, 0, 24)
 				}
-				e.mins = scanMins(scan, e.scanned, shifts, cost, cur, e.mins)
+				e.mins = scan(e.scanned, shifts, cur, e.mins)
 				e.scanned = shifts
 			}
 			scanFit, haveScan = bestAmong(e.mins, shifts)
 		} else {
-			scanFit, haveScan = scanBest(scan, 0, shifts, cost)
+			scanFit, haveScan = scanBest(scan, 0, shifts)
 		}
 	}
 
@@ -254,6 +244,17 @@ func (m *Mapper) BestMap(y timeseries.Series, iv *Interval) {
 		return
 	}
 	iv.Shift, iv.A, iv.B, iv.C, iv.Err = ramp.Shift, ramp.A, ramp.B, ramp.C, ramp.Err
+}
+
+// shifts returns how many shifts BestMap scans for an interval of the
+// given length: every placement inside X for intervals no longer than 2W
+// (or any length in comparison mode, where the base signal is used
+// whenever it is long enough), none otherwise.
+func (m *Mapper) shifts(length int) int {
+	if length > 2*m.W && !m.DisableRamp {
+		return 0
+	}
+	return max(len(m.X)-length+1, 0)
 }
 
 // cachedRamp returns the ramp fall-back fit, memoised on the cache entry
@@ -287,6 +288,9 @@ type Options struct {
 // each) with at most budget/ValuesPerInterval intervals, following
 // Algorithm 3: one interval per row initially, then repeated splitting of
 // the worst-error interval. The returned intervals are sorted by Start.
+// On large inputs a helper goroutine maps one half of every split
+// (helper.go); it has exited by the time GetIntervals returns, and the
+// result is the same as without it.
 func GetIntervals(m *Mapper, y timeseries.Series, n, rowLen, budget int, opts Options) []Interval {
 	if n <= 0 || rowLen <= 0 {
 		return nil
@@ -302,8 +306,10 @@ func GetIntervals(m *Mapper, y timeseries.Series, n, rowLen, budget int, opts Op
 		maxIntervals = n
 	}
 
+	h := m.startHelper(y, maxIntervals)
+	defer h.stop()
 	q := newQueue(m.Fitter.Kind, maxIntervals, m.qbuf)
-	m.seedRows(q, y, n, rowLen)
+	m.seedRows(h, q, y, n, rowLen)
 
 	var done []Interval // unsplittable single-sample intervals
 	for q.countAll(len(done)) < maxIntervals {
@@ -319,8 +325,7 @@ func GetIntervals(m *Mapper, y timeseries.Series, n, rowLen, budget int, opts Op
 			Start:  iv.Start + iv.Length/2,
 			Length: iv.Length - iv.Length/2,
 		}
-		m.BestMap(y, &left)
-		m.BestMap(y, &right)
+		m.mapPair(h, y, &left, &right)
 		q.push(left)
 		q.push(right)
 	}
@@ -333,37 +338,21 @@ func GetIntervals(m *Mapper, y timeseries.Series, n, rowLen, budget int, opts Op
 	return out
 }
 
-// seedRows pushes the N initial one-per-row intervals. When the per-row
-// shift scans add up to enough work, the rows are fitted concurrently under
-// the scan engine's worker cap; the results are pushed in row order either
-// way, so the heap layout — and everything downstream — is identical to the
-// serial seeding.
-func (m *Mapper) seedRows(q *queue, y timeseries.Series, n, rowLen int) {
-	shifts := len(m.X) - rowLen + 1
-	scanning := rowLen <= 2*m.W || m.DisableRamp
-	workers := ScanWorkers()
-	if workers > n {
-		workers = n
-	}
-	if n < 2 || workers <= 1 || !scanning || shifts <= 0 ||
-		n*shifts*rowLen < ParallelScanThreshold {
-		for i := 0; i < n; i++ {
-			iv := Interval{Start: i * rowLen, Length: rowLen}
-			m.BestMap(y, &iv)
-			q.push(iv)
+// seedRows pushes the N initial one-per-row intervals in row order,
+// mapping them in pairs so the helper, when one runs, can take a row of
+// each pair.
+func (m *Mapper) seedRows(h *helper, q *queue, y timeseries.Series, n, rowLen int) {
+	for i := 0; i < n; i += 2 {
+		a := Interval{Start: i * rowLen, Length: rowLen}
+		if i+1 == n {
+			m.BestMap(y, &a)
+			q.push(a)
+			break
 		}
-		return
-	}
-	seeds := make([]Interval, n)
-	fanOut(workers, 0, n, func(w, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			iv := Interval{Start: i * rowLen, Length: rowLen}
-			m.BestMap(y, &iv)
-			seeds[i] = iv
-		}
-	})
-	for _, iv := range seeds {
-		q.push(iv)
+		b := Interval{Start: (i + 1) * rowLen, Length: rowLen}
+		m.mapPair(h, y, &a, &b)
+		q.push(a)
+		q.push(b)
 	}
 }
 

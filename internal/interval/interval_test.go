@@ -429,13 +429,11 @@ func TestQuadraticNeverWorseThanLinearMapping(t *testing.T) {
 	}
 }
 
-// TestParallelShiftScanMatchesSequential forces the parallel path (large
-// scan work) and checks it picks exactly the same mapping as a sequential
-// reference, including lowest-shift tie-breaking.
-func TestParallelShiftScanMatchesSequential(t *testing.T) {
+// TestLongShiftScanMatchesSequential checks that a long scan (3841 shifts
+// of a 256-sample interval) picks exactly the mapping of an explicit
+// per-shift reference.
+func TestLongShiftScanMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
-	// 4096-value base signal with a 256-sample interval: 3841×256 ≈ 983k
-	// work units, far above parallelScanThreshold.
 	x := randSeries(rng, 4096)
 	y := make(timeseries.Series, 256)
 	for i := range y {
@@ -445,7 +443,7 @@ func TestParallelShiftScanMatchesSequential(t *testing.T) {
 	iv := Interval{Start: 0, Length: 256}
 	m.BestMap(y, &iv)
 	if iv.Shift != 777 || iv.Err > 1e-6 {
-		t.Fatalf("parallel scan missed the planted match: %v", iv)
+		t.Fatalf("long scan missed the planted match: %v", iv)
 	}
 
 	// Random data: compare against an explicit sequential scan.
@@ -462,14 +460,14 @@ func TestParallelShiftScanMatchesSequential(t *testing.T) {
 		}
 	}
 	if iv2.Shift != bestShift || math.Abs(iv2.Err-best.Err) > 1e-6*(1+best.Err) {
-		t.Errorf("parallel scan: shift %d err %v; sequential: shift %d err %v",
+		t.Errorf("long scan: shift %d err %v; reference: shift %d err %v",
 			iv2.Shift, iv2.Err, bestShift, best.Err)
 	}
 }
 
-// TestParallelScanTieBreak plants two identical exact matches; the lower
-// shift must win, as in the sequential scan.
-func TestParallelScanTieBreak(t *testing.T) {
+// TestLongScanTieBreak plants two identical exact matches far apart in a
+// long scan; the winner must be the one the plain ascending kernel picks.
+func TestLongScanTieBreak(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	pattern := randSeries(rng, 300)
 	x := make(timeseries.Series, 4096)
@@ -484,8 +482,8 @@ func TestParallelScanTieBreak(t *testing.T) {
 		t.Fatalf("planted match err %v", iv.Err)
 	}
 	// Floating-point noise separates the two copies by ~1e-30, so the
-	// winner is whichever the *sequential* strict-< scan picks; the
-	// parallel reduction must agree exactly.
+	// winner is whichever the plain strict-< kernel picks; BestMap must
+	// agree exactly.
 	wantShift := -1
 	var sumY, sumY2 float64
 	for _, v := range y {
@@ -496,7 +494,7 @@ func TestParallelScanTieBreak(t *testing.T) {
 	regression.ScanSSEMins(x, px, y, sumY, sumY2, 0, 300, 0, len(x)-300+1,
 		math.Inf(1), func(s int, f regression.Fit) { wantShift = s })
 	if iv.Shift != wantShift {
-		t.Errorf("parallel reduction picked shift %d, sequential picks %d", iv.Shift, wantShift)
+		t.Errorf("BestMap picked shift %d, the kernel picks %d", iv.Shift, wantShift)
 	}
 	if wantShift != 500 && wantShift != 2000 {
 		t.Errorf("sequential winner %d is neither planted copy", wantShift)

@@ -1,18 +1,14 @@
 package interval
 
-import (
-	"math"
-	"runtime"
-	"sync"
-)
+import "math"
 
-// This file is the unified shift-scan engine behind BestMap: one fan-out
-// and one deterministic reduction shared by all three scan paths (the
-// generic per-metric fitter, the quadratic encoding, and the fused SSE
-// kernel). The reduction rule is "smallest error, ties to the smallest
-// shift" — exactly the order of a sequential ascending scan with a strict
-// < comparison — so the parallel result is bit-identical to the sequential
-// one for any worker count.
+// This file is the shift-scan engine behind BestMap: one running-minima
+// reduction shared by all three scan paths (the generic per-metric fitter,
+// the quadratic encoding, and the screened or fused SSE kernel). The rule
+// is "smallest error, ties to the smallest shift" — the order of an
+// ascending scan with a strict < comparison. Parallelism lives one level
+// up, in GetIntervals' sibling helper (helper.go); each scan runs on one
+// goroutine.
 
 // shiftFit is one scanned candidate mapping: the shift (or RampShift) and
 // its fitted coefficients. C stays zero under the linear encoding.
@@ -22,13 +18,12 @@ type shiftFit struct {
 	Err     float64
 }
 
-// A rangeScanner is one scan path's sequential unit of work: evaluate
-// shifts [lo, hi) in ascending order and append every fit whose error
-// strictly beats best (which then becomes the new bar) to out. The engine
-// composes rangeScanners into full scans — sequentially, or chunked across
-// workers with a deterministic merge. Implementations must be pure
+// A rangeScanner is one scan path's unit of work: evaluate shifts [lo, hi)
+// in ascending order and append every fit whose error strictly beats best
+// (which then becomes the new bar) to out. Implementations must be pure
 // functions of (lo, hi, best): the same range must always produce the same
-// fits, which is what makes chunking invisible.
+// fits, which is what makes the cross-probe cache exact and BestMap safe
+// to run for distinct intervals on two goroutines at once.
 type rangeScanner func(lo, hi int, best float64, out []shiftFit) []shiftFit
 
 // evalScanner lifts a per-shift evaluator into a rangeScanner — the
@@ -46,72 +41,10 @@ func evalScanner(eval func(int) shiftFit) rangeScanner {
 	}
 }
 
-// ParallelScanThreshold is the amount of scan work (shift positions ×
-// interval length) above which a shift scan fans out across cores; below
-// it, goroutine overhead outweighs the win. It is a variable so tests can
-// force the parallel path on small inputs — by construction the scan
-// result is identical at any threshold or worker count.
-var ParallelScanThreshold = 1 << 17
-
-// ScanWorkers returns the scan engine's current worker cap: GOMAXPROCS,
-// the knob the cross-proc determinism test varies. Seeding in
-// GetIntervals reuses the same cap.
-func ScanWorkers() int { return runtime.GOMAXPROCS(0) }
-
-// fanOut splits [lo, hi) into `workers` contiguous chunks and runs f for
-// each on its own goroutine. Chunk boundaries depend only on (lo, hi,
-// workers), keeping the chunk-order merge deterministic.
-func fanOut(workers, lo, hi int, f func(w, clo, chi int)) {
-	var wg sync.WaitGroup
-	span := hi - lo
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			f(w, lo+w*span/workers, lo+(w+1)*span/workers)
-		}(w)
-	}
-	wg.Wait()
-}
-
-// scanMins is the engine's entry point: it appends the running minima of
-// the scan over [lo, hi) to out. Entry k is the lowest shift whose error
-// strictly beats everything before it, so the final element is the range's
-// winner under the deterministic reduction rule, and any prefix of the
-// scanned range can later be answered by bestAmong. Large scans fan out
-// over contiguous chunks; merging the per-chunk local minima in chunk
-// order with the same strict < rebuilds exactly the sequential
-// improvements list.
-func scanMins(scan rangeScanner, lo, hi, costPerShift int, best float64, out []shiftFit) []shiftFit {
-	if hi <= lo {
-		return out
-	}
-	workers := ScanWorkers()
-	if work := (hi - lo) * costPerShift; work < ParallelScanThreshold || workers <= 1 {
-		return scan(lo, hi, best, out)
-	}
-	if workers > hi-lo {
-		workers = hi - lo
-	}
-	chunks := make([][]shiftFit, workers)
-	fanOut(workers, lo, hi, func(w, clo, chi int) {
-		chunks[w] = scan(clo, chi, math.Inf(1), nil)
-	})
-	for _, chunk := range chunks {
-		for _, f := range chunk {
-			if f.Err < best {
-				best = f.Err
-				out = append(out, f)
-			}
-		}
-	}
-	return out
-}
-
-// scanBest reduces a scan to its winner only — the path for scans whose
-// improvements are not being cached.
-func scanBest(scan rangeScanner, lo, hi, costPerShift int) (shiftFit, bool) {
-	mins := scanMins(scan, lo, hi, costPerShift, math.Inf(1), nil)
+// scanBest reduces a scan of [lo, hi) to its winner only — the path for
+// scans whose improvements are not being cached.
+func scanBest(scan rangeScanner, lo, hi int) (shiftFit, bool) {
+	mins := scan(lo, hi, math.Inf(1), nil)
 	if len(mins) == 0 {
 		return shiftFit{}, false
 	}

@@ -15,8 +15,8 @@ import (
 //
 // The kernel is a pure function of its arguments and evaluates shifts in
 // ascending order with a strict < improvement test, so it is the
-// deterministic sequential reference that the parallel scan engine's
-// chunk-ordered reduction reproduces exactly.
+// deterministic reference the screened scan reproduces exactly, and two
+// goroutines may run it at once for different intervals.
 
 // Dot returns the dot product of two equal-length series, computed with
 // the same four-accumulator order as the scan kernel below.

@@ -168,10 +168,9 @@ func TestScreenedScanMatchesKernel(t *testing.T) {
 	}
 }
 
-// TestScreenedScanConcurrent: GetIntervals seeds rows in parallel and the
-// scan engine may chunk one scan across workers, so one Spectra serves
-// concurrent scans, including the first ones that build a block size.
-// Every scan must still match the kernel.
+// TestScreenedScanConcurrent: GetIntervals maps sibling intervals on two
+// goroutines, so one Spectra serves concurrent scans, including the first
+// ones that build a block size. Every scan must still match the kernel.
 func TestScreenedScanConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	c := screenCases(rng)[1]
