@@ -3,8 +3,10 @@ package sbr
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -191,6 +193,99 @@ func TestPaperFrameDigests(t *testing.T) {
 			if share < 0.5 {
 				t.Errorf("%s: the screened path covered only %.1f%% of scanned shifts", ds.Name, 100*share)
 			}
+		}
+	}
+}
+
+// TestDecodeDigests pins what the base station reconstructs: SHA-256
+// digests of the IEEE-754 bits of every decoded row, for the paper's three
+// datasets (seed 1, their own MBase, 10% band, SSE, AutoIns, so the
+// replica takes base-signal inserts, which the test checks) and for the
+// 6×64 weather fleet shape of cmd/stationd's defaults (band 38, MBase 64,
+// where the encoder ships no inserts). Each frame goes through
+// the wire parser and a core.Decoder replica. The digests were recorded
+// before the row-windowed decoder existed: a change to parsing,
+// validation or reconstruction that moves one bit of one sample fails
+// here, which a comparison against a replay through the same decoder
+// cannot see. One more replica per row decodes only its row (DecodeRow),
+// which must match Decode bit for bit.
+func TestDecodeDigests(t *testing.T) {
+	fleet := datagen.WeatherSized(1, 64, 24)
+	fleet.Name = "fleet-6x64"
+	fleet.MBase = 64
+	for _, tc := range []struct {
+		ds      *datagen.Dataset
+		batches int
+		band    int // 0: 10% of a batch
+		digest  string
+	}{
+		{datagen.Weather(1), 3, 0, "6252622af3c977527a2bce47074ee7ec6d08adfa2366a18e7442ffcc3dec7701"},
+		{datagen.Stocks(1), 3, 0, "d2de47525c12695489553a807b664dfb8076a5b4baab3fae9aee93d0be7ac191"},
+		{datagen.PhoneCalls(1), 2, 0, "1d5a2667b44674696c6acd9e946471c9bcb9e7daccf299d3b320a16251e5eeb9"},
+		{fleet, 24, 38, "1a8da35933e2ae9aa53d9bdc3c77b28b202999b31e1816b643dc842fc6641958"},
+	} {
+		ds := tc.ds
+		band := tc.band
+		if band == 0 {
+			band = ds.N() * ds.FileLen / 10
+		}
+		cfg := core.Config{TotalBand: band, MBase: ds.MBase, Metric: metrics.SSE}
+		comp, err := core.NewCompressor(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec, err := core.NewDecoder(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowDecs := make([]*core.Decoder, ds.N())
+		for r := range rowDecs {
+			if rowDecs[r], err = core.NewDecoder(cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		h := sha256.New()
+		var word [8]byte
+		inserts := 0
+		for i := 0; i < tc.batches; i++ {
+			tx, err := comp.Encode(ds.File(i))
+			if err != nil {
+				t.Fatalf("%s batch %d: %v", ds.Name, i, err)
+			}
+			frame, err := wire.Encode(tx)
+			if err != nil {
+				t.Fatalf("%s batch %d: %v", ds.Name, i, err)
+			}
+			back, err := wire.DecodeBytes(frame)
+			if err != nil {
+				t.Fatalf("%s batch %d: %v", ds.Name, i, err)
+			}
+			inserts += back.Ins()
+			rows, err := dec.Decode(back)
+			if err != nil {
+				t.Fatalf("%s batch %d: %v", ds.Name, i, err)
+			}
+			for r, row := range rows {
+				for _, v := range row {
+					binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
+					h.Write(word[:])
+				}
+				one, err := rowDecs[r].DecodeRow(back, r)
+				if err != nil {
+					t.Fatalf("%s batch %d row %d: %v", ds.Name, i, r, err)
+				}
+				for j, v := range one {
+					if math.Float64bits(v) != math.Float64bits(row[j]) {
+						t.Fatalf("%s batch %d row %d sample %d: DecodeRow %v, Decode %v", ds.Name, i, r, j, v, row[j])
+					}
+				}
+			}
+		}
+		if inserts == 0 && tc.band == 0 {
+			t.Errorf("%s: no base-signal inserts in %d batches", ds.Name, tc.batches)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.digest {
+			t.Errorf("%s: decoded rows digest %s, want %s (%d inserts)", ds.Name, got, tc.digest, inserts)
 		}
 	}
 }

@@ -191,28 +191,31 @@ func (p *Pool) leastFrequent(limit, count int) []int {
 // pool: interval i is appended when its placement equals the current size,
 // or overwrites an existing slot otherwise. The replica needs no frequency
 // information — eviction decisions were made by the sender and are implied
-// by the placements.
+// by the placements. The whole update is checked before any of it is
+// stored: a refused update leaves the pool as it was.
 func (p *Pool) Apply(intervals []timeseries.Series, placements []Placement) error {
 	if len(intervals) != len(placements) {
 		return fmt.Errorf("base: %d intervals but %d placements", len(intervals), len(placements))
 	}
-	// Appends first, mirroring the sender's append-then-move order. An
-	// interval whose placement is beyond the current size must be one of
-	// the moved ones; buffer them until all appends are done.
+	size := len(p.slots)
 	for i, iv := range intervals {
 		if len(iv) != p.w {
 			return fmt.Errorf("base: interval width %d, pool width %d", len(iv), p.w)
 		}
-		slot := placements[i].Slot
-		switch {
-		case slot == len(p.slots) && slot < p.maxIntervals:
+		switch slot := placements[i].Slot; {
+		case slot == size && slot < p.maxIntervals:
+			size++
+		case slot < 0 || slot >= size:
+			return fmt.Errorf("base: placement slot %d out of range (have %d, cap %d)",
+				slot, size, p.maxIntervals)
+		}
+	}
+	for i, iv := range intervals {
+		if slot := placements[i].Slot; slot < len(p.slots) {
+			p.slots[slot] = iv.Clone()
+		} else {
 			p.slots = append(p.slots, iv.Clone())
 			p.freq = append(p.freq, 0)
-		case slot < len(p.slots):
-			p.slots[slot] = iv.Clone()
-		default:
-			return fmt.Errorf("base: placement slot %d out of range (have %d, cap %d)",
-				slot, len(p.slots), p.maxIntervals)
 		}
 	}
 	return nil

@@ -169,6 +169,27 @@ func TestPoolApplyValidation(t *testing.T) {
 	}
 }
 
+// TestPoolApplyRefusalLeavesPool checks that an update refused at its
+// last interval stores none of the earlier ones.
+func TestPoolApplyRefusalLeavesPool(t *testing.T) {
+	p := NewPool(6, 2)
+	if err := p.Apply([]timeseries.Series{iv(1, 2)}, []Placement{{Slot: 0}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]Placement{
+		{{Slot: 1}, {Slot: 0}, {Slot: 9}}, // append, overwrite, then out of range
+		{{Slot: 1}, {Slot: 2}, {Slot: 3}}, // the third append exceeds the capacity
+		{{Slot: 0}, {Slot: 1}, {Slot: -1}},
+	} {
+		if err := p.Apply([]timeseries.Series{iv(3, 4), iv(5, 6), iv(7, 8)}, bad); err == nil {
+			t.Fatalf("placements %v accepted", bad)
+		}
+		if got := p.Signal(); !timeseries.Equal(got, iv(1, 2), 0) {
+			t.Fatalf("placements %v refused, but the pool now holds %v", bad, got)
+		}
+	}
+}
+
 func TestPoolClone(t *testing.T) {
 	p := NewPool(4, 2)
 	if _, err := p.Commit([]timeseries.Series{iv(1, 2)}, nil); err != nil {

@@ -47,53 +47,97 @@ func (d *Decoder) BaseSignal() timeseries.Series {
 }
 
 // Decode reconstructs the N rows approximated by t and applies t's
-// base-signal update to the replica.
+// base-signal update to the replica. A transmission it refuses leaves the
+// replica untouched.
 func (d *Decoder) Decode(t *Transmission) ([]timeseries.Series, error) {
+	x, list, err := d.step(t)
+	if err != nil {
+		return nil, err
+	}
+	approx := interval.ReconstructRange(x, list, 0, t.N*t.M)
+	rows := make([]timeseries.Series, t.N)
+	for i := range rows {
+		rows[i] = approx[i*t.M : (i+1)*t.M]
+	}
+	return rows, nil
+}
+
+// DecodeRow reconstructs only quantity row of t and applies t's
+// base-signal update: the row is bit-identical to Decode(t)[row], and t
+// is validated exactly as Decode validates it.
+func (d *Decoder) DecodeRow(t *Transmission, row int) (timeseries.Series, error) {
+	if row < 0 || row >= t.N {
+		return nil, fmt.Errorf("core: row %d outside a transmission of %d rows", row, t.N)
+	}
+	x, list, err := d.step(t)
+	if err != nil {
+		return nil, err
+	}
+	return interval.ReconstructRange(x, list, row*t.M, (row+1)*t.M), nil
+}
+
+// Advance validates t exactly as Decode does and applies its base-signal
+// update without reconstructing anything: it moves the replica past a
+// transmission whose samples the caller does not need. A later
+// transmission decodes against the replica only, so skipping earlier
+// reconstructions changes none of its samples.
+func (d *Decoder) Advance(t *Transmission) error {
+	_, _, err := d.step(t)
+	return err
+}
+
+// step is the path Decode, DecodeRow and Advance share. It checks t's
+// sequence number, width, intervals and base-signal placements against
+// the replica, then applies t's base-signal update and returns the signal
+// t's intervals were fitted against with the interval list, lengths
+// recovered. Nothing changes until every check has passed.
+func (d *Decoder) step(t *Transmission) (timeseries.Series, []interval.Interval, error) {
 	if t.Seq != d.next {
-		return nil, fmt.Errorf("core: transmission %d decoded out of order (want %d)", t.Seq, d.next)
+		return nil, nil, fmt.Errorf("core: transmission %d decoded out of order (want %d)", t.Seq, d.next)
 	}
-	if d.w == 0 {
-		d.w = t.W
-		if d.cfg.Builder != BuilderDCT && d.cfg.Builder != BuilderNone {
-			d.pool = base.NewPool(d.cfg.MBase, d.w)
+	w, pool, dctX := d.w, d.pool, d.dctX
+	if w == 0 {
+		if t.W <= 0 {
+			return nil, nil, fmt.Errorf("core: transmission width %d", t.W)
 		}
-		if d.cfg.Builder == BuilderDCT {
-			d.dctX = timeseries.Concat(base.GetBaseDCT(d.w, d.cfg.MBase/d.w)...)
+		w = t.W
+		switch d.cfg.Builder {
+		case BuilderDCT:
+			dctX = timeseries.Concat(base.GetBaseDCT(w, d.cfg.MBase/w)...)
+		case BuilderNone:
+			// no base signal
+		default:
+			pool = base.NewPool(d.cfg.MBase, w)
 		}
-	} else if t.W != d.w {
-		return nil, fmt.Errorf("core: transmission width %d differs from stream width %d", t.W, d.w)
+	} else if t.W != w {
+		return nil, nil, fmt.Errorf("core: transmission width %d differs from stream width %d", t.W, w)
 	}
-	d.next++
 
 	var x timeseries.Series
 	switch d.cfg.Builder {
 	case BuilderDCT:
-		x = d.dctX
+		x = dctX
 	case BuilderNone:
 		// no base signal
 	default:
 		// The intervals were fitted against the pre-eviction X_new.
-		x = d.pool.SignalWith(t.BaseIntervals)
+		x = pool.SignalWith(t.BaseIntervals)
 	}
 
 	n := t.N * t.M
 	list := withLengths(t.Intervals, n)
 	if err := validateIntervals(list, len(x), n); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	approx := interval.Reconstruct(x, list, n)
-
-	if d.pool != nil {
-		if err := d.pool.Apply(t.BaseIntervals, t.Placements); err != nil {
-			return nil, err
+	if pool != nil {
+		// Apply checks every placement before it stores any insert.
+		if err := pool.Apply(t.BaseIntervals, t.Placements); err != nil {
+			return nil, nil, err
 		}
 	}
-
-	rows := make([]timeseries.Series, t.N)
-	for i := 0; i < t.N; i++ {
-		rows[i] = approx[i*t.M : (i+1)*t.M]
-	}
-	return rows, nil
+	d.w, d.pool, d.dctX = w, pool, dctX
+	d.next++
+	return x, list, nil
 }
 
 // DecoderState is a serialisable snapshot of a decoder's replica state:
@@ -180,9 +224,15 @@ func validateIntervals(list []interval.Interval, xLen, total int) error {
 // withLengths recovers the interval lengths from the sorted start offsets,
 // the way the base station does after receiving only (start, shift, a, b)
 // records: each interval extends to the start of the next one (Section 4.2).
+// The encoder emits strictly increasing starts, which need no sort.
 func withLengths(in []interval.Interval, total int) []interval.Interval {
 	list := append([]interval.Interval(nil), in...)
-	sort.Slice(list, func(i, j int) bool { return list[i].Start < list[j].Start })
+	for i := 1; i < len(list); i++ {
+		if list[i].Start <= list[i-1].Start {
+			sort.Slice(list, func(i, j int) bool { return list[i].Start < list[j].Start })
+			break
+		}
+	}
 	for i := range list {
 		end := total
 		if i+1 < len(list) {

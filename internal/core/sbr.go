@@ -475,6 +475,6 @@ func shape(rows []timeseries.Series) (int, int, error) {
 func ReconstructionError(kind metrics.Kind, x timeseries.Series, t *Transmission,
 	rows []timeseries.Series) float64 {
 	y := timeseries.Concat(rows...)
-	approx := interval.Reconstruct(x, t.Intervals, len(y))
+	approx := interval.ReconstructRange(x, t.Intervals, 0, len(y))
 	return metrics.Eval(kind, y, approx)
 }

@@ -65,15 +65,20 @@ func (iv Interval) Approximate(x timeseries.Series, out timeseries.Series) {
 	if len(out) != iv.Length {
 		panic("interval: output buffer size mismatch")
 	}
+	iv.fill(x, out, 0)
+}
+
+// fill is the one reconstruction kernel: it writes the interval's model at
+// local offsets [off, off+len(out)) into out.
+func (iv Interval) fill(x timeseries.Series, out timeseries.Series, off int) {
 	if iv.Shift == RampShift {
 		for i := range out {
-			t := float64(i)
+			t := float64(off + i)
 			out[i] = iv.C*t*t + iv.A*t + iv.B
 		}
 		return
 	}
-	for i := range out {
-		xv := x[iv.Shift+i]
+	for i, xv := range x[iv.Shift+off : iv.Shift+off+len(out)] {
 		out[i] = iv.C*xv*xv + iv.A*xv + iv.B
 	}
 }
@@ -365,12 +370,18 @@ func TotalError(kind metrics.Kind, list []Interval) float64 {
 	return total
 }
 
-// Reconstruct decodes a sorted interval list into the approximate signal of
-// the given total length, using base signal x for shifted intervals.
-func Reconstruct(x timeseries.Series, list []Interval, total int) timeseries.Series {
-	out := make(timeseries.Series, total)
+// ReconstructRange decodes samples [lo, hi) of the approximate signal a
+// sorted interval list describes, using base signal x for shifted
+// intervals: only the intervals overlapping the range are evaluated, and
+// each sample is bit-identical to the same sample of the whole signal.
+// Samples no interval covers are zero.
+func ReconstructRange(x timeseries.Series, list []Interval, lo, hi int) timeseries.Series {
+	out := make(timeseries.Series, hi-lo)
 	for _, iv := range list {
-		iv.Approximate(x, out[iv.Start:iv.Start+iv.Length])
+		s, e := max(iv.Start, lo), min(iv.Start+iv.Length, hi)
+		if s < e {
+			iv.fill(x, out[s-lo:e-lo], s-iv.Start)
+		}
 	}
 	return out
 }

@@ -253,13 +253,43 @@ func TestGetIntervalsEmptyInput(t *testing.T) {
 	}
 }
 
+// TestReconstructRangeMatchesWhole checks the windowed reconstruction
+// against the whole signal bit for bit, for every window of a list that
+// mixes shifted, ramp and quadratic intervals and leaves a gap before its
+// first start.
+func TestReconstructRangeMatchesWhole(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	x := randSeries(rng, 32)
+	list := []Interval{
+		{Start: 3, Length: 9, Shift: 4, A: 1.25, B: -0.5},
+		{Start: 12, Length: 7, Shift: RampShift, A: 0.3, B: 2},
+		{Start: 19, Length: 0, Shift: 1, A: 9, B: 9},
+		{Start: 19, Length: 13, Shift: 17, A: -0.75, B: 0.1, C: 0.02},
+	}
+	const total = 32
+	whole := make(timeseries.Series, total)
+	for _, iv := range list {
+		iv.Approximate(x, whole[iv.Start:iv.Start+iv.Length])
+	}
+	for lo := 0; lo <= total; lo++ {
+		for hi := lo; hi <= total; hi++ {
+			got := ReconstructRange(x, list, lo, hi)
+			for i, v := range got {
+				if math.Float64bits(v) != math.Float64bits(whole[lo+i]) {
+					t.Fatalf("[%d,%d): sample %d is %v, whole signal has %v", lo, hi, lo+i, v, whole[lo+i])
+				}
+			}
+		}
+	}
+}
+
 func TestReconstructRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	x := randSeries(rng, 64)
 	y := randSeries(rng, 128)
 	m := NewMapper(x, 8, sseFitter())
 	list := GetIntervals(m, y, 2, 64, 64, Options{})
-	approx := Reconstruct(x, list, len(y))
+	approx := ReconstructRange(x, list, 0, len(y))
 	// The reconstruction error must equal the sum of interval errors.
 	total := TotalError(metrics.SSE, list)
 	got := metrics.SumSquared(y, approx)
@@ -516,7 +546,7 @@ func TestGetIntervalsErrorTargetMaxAbs(t *testing.T) {
 		t.Errorf("MaxAbs error target did not shorten the list: %d vs %d",
 			len(bounded), len(unbounded))
 	}
-	approx := Reconstruct(nil, bounded, len(y))
+	approx := ReconstructRange(nil, bounded, 0, len(y))
 	if got := metrics.MaxAbsolute(y, approx); got > target+1e-9 {
 		t.Errorf("achieved max error %v exceeds target %v", got, target)
 	}

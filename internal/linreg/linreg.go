@@ -28,7 +28,7 @@ func Adaptive(rows []timeseries.Series, budget int, kind metrics.Kind) []timeser
 	list := interval.GetIntervals(mapper, y, n, m, budget, interval.Options{
 		ValuesPerRecord: interval.ValuesPerRampInterval,
 	})
-	approx := interval.Reconstruct(nil, list, len(y))
+	approx := interval.ReconstructRange(nil, list, 0, len(y))
 	return splitLike(approx, rows)
 }
 

@@ -219,7 +219,7 @@ func TestChaosSegstoreCrashMidCompaction(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, filepath.FromSlash(leftover))); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("compaction leftover %s not swept at reopen (stat: %v)", leftover, err)
 	}
-	if _, _, err := re.ChunkRows("node", 0); !errors.Is(err, ErrPurged) {
+	if _, _, err := re.ChunkRow("node", 0, 0, nil); !errors.Is(err, ErrPurged) {
 		t.Errorf("purged chunk read = %v, want ErrPurged", err)
 	}
 	checkAll(t, re, "node", rows, bounds, 2)

@@ -57,9 +57,13 @@ func FuzzScanSegment(f *testing.F) {
 		if len(scan.Recs) != len(scan.Frames) {
 			t.Fatalf("%d record metas vs %d frames", len(scan.Recs), len(scan.Frames))
 		}
-		// Decoding survivors must also be panic-free; errors are fine (the
-		// frames may be garbage that happened to checksum).
+		// Decoding survivors must also be panic-free, whole or one row of a
+		// window; errors are fine (the frames may be garbage that happened
+		// to checksum).
 		_, _ = decodeSegmentChunks(cfg, scan)
+		if n := len(scan.Frames); n > 0 {
+			_, _, _ = decodeRow(cfg, scan.Header, scan.Frames, 0, n/2, n)
+		}
 	})
 }
 

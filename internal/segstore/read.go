@@ -9,23 +9,30 @@ import (
 	"sort"
 	"sync"
 
-	"sbr/internal/core"
+	"sbr/internal/obs/trace"
 	"sbr/internal/timeseries"
 )
 
 // Cold-read path. The store lock (s.mu) is a leaf lock held only for
 // index resolution and cache bookkeeping — never across a disk read or a
-// segment decode. A cold fetch resolves the segment reference under the
-// lock, then decodes outside it, with concurrent misses on the same
-// segment deduplicated by a singleflight table: the first reader decodes,
-// everyone else joins its result. Range reads spanning several segments
-// fan the misses out over a bounded worker pool and are merged back in
-// chunk order.
+// decode. A cold fetch resolves the segment reference under the lock,
+// then scans the segment outside it, with concurrent misses on the same
+// segment deduplicated by a singleflight table: the first reader scans,
+// everyone else joins its result. A read then decodes, outside every
+// lock, only the one quantity and the chunks it returns: a decoder seeded
+// from the segment header advances through the chunks before the window,
+// applying their base-signal updates, and reconstructs one row of each
+// chunk inside it (decodeRow). Range reads spanning several segments fan
+// the per-segment work out over a bounded worker pool and are merged back
+// in chunk order.
 
-// segCache is a small LRU of decoded segments. Cold queries cluster — a
-// range query touches consecutive chunks of one segment, a dashboard
-// refreshes the same window — so caching whole decoded segments turns a
-// burst of cold reads into one segment decode. Keys carry the record
+// segCache is a small LRU of scanned segments: each entry holds what the
+// segment file holds — the header that seeds a cold decoder and the raw
+// frames of its records, about 14 KB for a 64-chunk fleet segment — and
+// every read decodes from it only the window it returns. Cold queries
+// cluster — a range query touches consecutive chunks of one segment, a
+// dashboard refreshes the same window — so caching scanned segments turns
+// a burst of cold reads into one disk read each. Keys carry the record
 // count, so a growing active segment never serves stale entries. The
 // recency list is a doubly-linked list: get, put and eviction are all
 // O(1) regardless of capacity.
@@ -40,9 +47,11 @@ type cacheItem struct {
 	e   *segCacheEntry
 }
 
+// segCacheEntry is one scanned segment: its header and the raw frames of
+// its records, in order. Both are immutable once published.
 type segCacheEntry struct {
-	firstChunk int
-	chunks     []decodedChunk // per record
+	header segHeader
+	frames [][]byte
 }
 
 func newSegCache(capacity int) *segCache {
@@ -107,7 +116,7 @@ type segRef struct {
 	scan       segScan // active only: captured in-memory scan
 }
 
-// flight is one in-progress segment decode; joiners block on done.
+// flight is one in-progress segment scan; joiners block on done.
 type flight struct {
 	done chan struct{}
 	e    *segCacheEntry
@@ -141,23 +150,15 @@ func resolveRef(sensor string, ss *sensorSegs, chunk int) (segRef, error) {
 	}, nil
 }
 
-// fetchSegment returns the decoded segment ref points at: from the cache
-// when warm, by joining an in-flight decode of the same segment when one
-// exists, otherwise by decoding it here — outside the store lock — and
-// publishing the result to cache and joiners.
-func (s *Store) fetchSegment(ref segRef) (*segCacheEntry, error) {
+// fetchSegment returns the scanned segment ref points at: from the cache
+// when warm, by joining an in-flight scan of the same segment when one
+// exists, otherwise by scanning it here — outside the store lock — and
+// publishing the result to cache and joiners. hit reports a cache hit.
+func (s *Store) fetchSegment(ref segRef) (e *segCacheEntry, hit bool, err error) {
 	s.mu.Lock()
-	return s.fetchLocked(ref)
-}
-
-// fetchLocked is fetchSegment entered with s.mu already held — callers
-// that just resolved ref under the lock reach the warm cache without a
-// second acquisition. The lock is released on every path before any
-// waiting, disk read or decode.
-func (s *Store) fetchLocked(ref segRef) (*segCacheEntry, error) {
 	if e := s.cache.get(ref.key); e != nil {
 		s.mu.Unlock()
-		return e, nil
+		return e, true, nil
 	}
 	if f, ok := s.flights[ref.key]; ok {
 		s.mu.Unlock()
@@ -168,14 +169,14 @@ func (s *Store) fetchLocked(ref segRef) (*segCacheEntry, error) {
 			s.met.sfWaits.Inc()
 			<-f.done
 		}
-		return f.e, f.err
+		return f.e, false, f.err
 	}
 	f := &flight{done: make(chan struct{})}
 	s.flights[ref.key] = f
 	s.mu.Unlock()
 
 	s.met.fetchParallel.Add(1)
-	e, err := s.decodeRef(ref)
+	e, err = s.loadRef(ref)
 	s.met.fetchParallel.Add(-1)
 
 	s.mu.Lock()
@@ -187,12 +188,13 @@ func (s *Store) fetchLocked(ref segRef) (*segCacheEntry, error) {
 	s.mu.Unlock()
 	f.e, f.err = e, err
 	close(f.done)
-	return e, err
+	return e, false, err
 }
 
-// decodeRef runs the actual segment load + decode. No store lock held:
-// this is the disk I/O and CPU work the read path keeps off every lock.
-func (s *Store) decodeRef(ref segRef) (*segCacheEntry, error) {
+// loadRef loads one segment: the file scan of a sealed segment, or the
+// frames the active segment mirrors in memory. No store lock held: this
+// is the disk I/O the read path keeps off every lock.
+func (s *Store) loadRef(ref segRef) (*segCacheEntry, error) {
 	scan := ref.scan
 	if ref.sealed {
 		var err error
@@ -201,7 +203,7 @@ func (s *Store) decodeRef(ref segRef) (*segCacheEntry, error) {
 			return nil, err
 		}
 	}
-	return decodeScan(s.opts.Config, scan)
+	return &segCacheEntry{header: scan.Header, frames: scan.Frames}, nil
 }
 
 // reclassify re-checks a failed cold fetch against the retention
@@ -218,67 +220,43 @@ func (s *Store) reclassify(sensor string, chunk int, err error) error {
 	return err
 }
 
-// resolveChunk bounds-checks chunk and resolves its segment under s.mu.
-func (s *Store) resolveChunk(sensor string, chunk int) (segRef, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.resolveLocked(sensor, chunk)
+// ChunkRow serves a cold point read: quantity row of one archived chunk
+// and the chunk's error bound, bit-identical to what the live station
+// computed when the transmission arrived. It is ChunkRangeRow over the
+// one chunk.
+func (s *Store) ChunkRow(sensor string, chunk, row int, sp *trace.Span) (timeseries.Series, float64, error) {
+	var values timeseries.Series
+	var bound float64
+	err := s.ChunkRangeRow(sensor, chunk, chunk+1, row, sp, func(_ int, v timeseries.Series, b float64) error {
+		values, bound = v, b
+		return nil
+	})
+	return values, bound, err
 }
 
-// resolveLocked is resolveChunk with s.mu already held.
-func (s *Store) resolveLocked(sensor string, chunk int) (segRef, error) {
-	ss := s.sensors[sensor]
-	if ss == nil {
-		return segRef{}, fmt.Errorf("%w: %q", ErrUnknownSensor, sensor)
-	}
-	if chunk < ss.purged {
-		return segRef{}, fmt.Errorf("%w: sensor %q chunk %d (archive starts at %d)",
-			ErrPurged, sensor, chunk, ss.purged)
-	}
-	if chunk >= ss.nextChunk() {
-		return segRef{}, fmt.Errorf("segstore: sensor %q chunk %d not yet archived", sensor, chunk)
-	}
-	return resolveRef(sensor, ss, chunk)
-}
-
-// ChunkRows serves a cold read: the reconstructed rows and error bound of
-// one archived chunk, byte-identical to what the live station computed
-// when the transmission arrived. Only the segment holding the chunk is
-// loaded and decoded (and cached for the next neighbouring read);
-// concurrent misses on the same segment share one decode.
-func (s *Store) ChunkRows(sensor string, chunk int) ([]timeseries.Series, float64, error) {
-	s.mu.Lock()
-	ref, err := s.resolveLocked(sensor, chunk)
-	if err != nil {
-		s.mu.Unlock()
-		return nil, 0, err
-	}
-	e, err := s.fetchLocked(ref) // releases s.mu
-	if err != nil {
-		return nil, 0, s.reclassify(sensor, chunk, err)
-	}
-	i := chunk - e.firstChunk
-	if i < 0 || i >= len(e.chunks) {
-		return nil, 0, fmt.Errorf("segstore: sensor %q chunk %d missing from its segment", sensor, chunk)
-	}
-	return e.chunks[i].rows, e.chunks[i].bound, nil
-}
-
-// DefaultFetchWorkers bounds the parallel segment decodes of one range
-// read when Options leaves FetchWorkers zero.
+// DefaultFetchWorkers bounds the parallel segment reads of one range read
+// when Options leaves FetchWorkers zero.
 const DefaultFetchWorkers = 4
 
-// ChunkRangeRows streams the reconstructed rows and error bounds of the
-// archived chunks [from, to) of one sensor, in chunk order, to fn. The
-// segments the range spans are resolved under one lock acquisition and
-// their misses decoded in parallel across a bounded worker pool (cache
-// hits and singleflight joins cost no worker); fn then runs sequentially
-// in order, so callers need no locking of their own. A non-nil error from
-// fn stops the stream and is returned.
-func (s *Store) ChunkRangeRows(sensor string, from, to int, fn func(chunk int, rows []timeseries.Series, bound float64) error) error {
+// ChunkRangeRow streams quantity row of the archived chunks [from, to) of
+// one sensor, with each chunk's error bound, in chunk order, to fn. Only
+// the segments the range overlaps are loaded, and from each only the
+// chunks up to the range's end are parsed: the chunks before the range
+// advance a decoder seeded from the segment header, and one row of each
+// chunk inside it is reconstructed. The segments are resolved under one
+// lock acquisition and, when there are several, fetched and decoded in
+// parallel across a bounded worker pool; fn then runs sequentially in
+// order, so callers need no locking of their own. A non-nil error from fn
+// stops the stream and is returned. The work is recorded as one
+// segstore.cold_fetch child of sp (nil: untraced).
+func (s *Store) ChunkRangeRow(sensor string, from, to, row int, sp *trace.Span, fn func(chunk int, values timeseries.Series, bound float64) error) error {
 	if from >= to {
 		return nil
 	}
+	csp := sp.Child("segstore.cold_fetch")
+	defer csp.End()
+	csp.AnnotateInt("from", int64(from))
+	csp.AnnotateInt("chunks", int64(to-from))
 	s.mu.Lock()
 	ss := s.sensors[sensor]
 	if ss == nil {
@@ -295,42 +273,48 @@ func (s *Store) ChunkRangeRows(sensor string, from, to int, fn func(chunk int, r
 		return fmt.Errorf("segstore: sensor %q chunk %d not yet archived", sensor, to-1)
 	}
 	var refs []segRef
-	var entries []*segCacheEntry
+	var cached []*segCacheEntry
 	for c := from; c < to; {
 		ref, err := resolveRef(sensor, ss, c)
 		if err != nil {
 			s.mu.Unlock()
 			return err
 		}
-		refs = append(refs, ref)
 		// Warm segments are grabbed under the same acquisition that
 		// resolved them: a fully cached range costs one lock round trip.
-		entries = append(entries, s.cache.get(ref.key))
+		refs, cached = append(refs, ref), append(cached, s.cache.get(ref.key))
 		c = ref.lastChunk + 1
 	}
 	s.mu.Unlock()
 
-	errs := make([]error, len(refs))
-	var miss []int
-	for i, e := range entries {
+	// Each segment's part of the window, decoded by one task.
+	parts := make([]windowPart, len(refs))
+	read := func(i int) {
+		ref, p := refs[i], &parts[i]
+		e := cached[i]
+		p.hit = e != nil
 		if e == nil {
-			miss = append(miss, i)
+			var err error
+			if e, p.hit, err = s.fetchSegment(ref); err != nil {
+				p.err = s.reclassify(sensor, ref.firstChunk, err)
+				return
+			}
 		}
+		p.lo = max(from, ref.firstChunk) - ref.firstChunk
+		hi := min(to, ref.lastChunk+1) - ref.firstChunk
+		p.values, p.bounds, p.err = decodeRow(s.opts.Config, e.header, e.frames, row, p.lo, hi)
 	}
 	workers := s.opts.FetchWorkers
 	if workers <= 0 {
 		workers = DefaultFetchWorkers
 	}
-	if workers > len(miss) {
-		workers = len(miss)
-	}
-	if workers <= 1 {
-		for _, i := range miss {
-			entries[i], errs[i] = s.fetchSegment(refs[i])
+	if workers = min(workers, len(refs)); workers <= 1 {
+		for i := range refs {
+			read(i)
 		}
 	} else {
-		idx := make(chan int, len(miss))
-		for _, i := range miss {
+		idx := make(chan int, len(refs))
+		for i := range refs {
 			idx <- i
 		}
 		close(idx)
@@ -340,33 +324,51 @@ func (s *Store) ChunkRangeRows(sensor string, from, to int, fn func(chunk int, r
 			go func() {
 				defer wg.Done()
 				for i := range idx {
-					entries[i], errs[i] = s.fetchSegment(refs[i])
+					read(i)
 				}
 			}()
 		}
 		wg.Wait()
 	}
-	for i, err := range errs {
-		if err != nil {
-			return s.reclassify(sensor, refs[i].firstChunk, err)
+
+	var advanced, decoded, hits int
+	for _, p := range parts {
+		if p.err != nil {
+			return p.err
+		}
+		advanced += p.lo
+		decoded += len(p.values)
+		if p.hit {
+			hits++
 		}
 	}
+	s.met.coldAdvanced.Add(uint64(advanced))
+	s.met.coldDecoded.Add(uint64(decoded))
+	s.met.scanHits.Add(uint64(hits))
+	csp.AnnotateInt("advanced", int64(advanced))
+	csp.AnnotateInt("decoded", int64(decoded))
+	csp.AnnotateInt("scan_cache_hits", int64(hits))
 
-	ri := 0
-	for c := from; c < to; c++ {
-		for c > refs[ri].lastChunk {
-			ri++
-		}
-		e := entries[ri]
-		i := c - e.firstChunk
-		if i < 0 || i >= len(e.chunks) {
-			return fmt.Errorf("segstore: sensor %q chunk %d missing from its segment", sensor, c)
-		}
-		if err := fn(c, e.chunks[i].rows, e.chunks[i].bound); err != nil {
-			return err
+	c := from
+	for _, p := range parts {
+		for i, v := range p.values {
+			if err := fn(c, v, p.bounds[i]); err != nil {
+				return err
+			}
+			c++
 		}
 	}
 	return nil
+}
+
+// windowPart is one segment's share of a range read: the row of each of
+// its chunks in the window, their bounds, and what reading them cost.
+type windowPart struct {
+	lo     int  // chunks advanced before the window
+	hit    bool // the scan cache served the segment
+	values []timeseries.Series
+	bounds []float64
+	err    error
 }
 
 // scanSealed loads the header and records of one sealed segment from
@@ -393,16 +395,6 @@ func (s *Store) scanSealed(sm segMeta) (segScan, error) {
 			sm.File, got, sm.LastChunk-sm.FirstChunk+1)
 	}
 	return scan, nil
-}
-
-// decodeScan runs the cold decode of one scanned segment and packages it
-// as a cache entry.
-func decodeScan(cfg core.Config, scan segScan) (*segCacheEntry, error) {
-	chunks, err := decodeSegmentChunks(cfg, scan)
-	if err != nil {
-		return nil, err
-	}
-	return &segCacheEntry{firstChunk: scan.Header.FirstChunk, chunks: chunks}, nil
 }
 
 // ReplayFrom streams the archived raw frames of one sensor with chunk

@@ -420,7 +420,7 @@ type segScan struct {
 // and the records and stops cleanly at their end.
 func scanSegment(r io.Reader, size int64) (segScan, error) {
 	scan := segScan{Size: size}
-	br := bufio.NewReaderSize(r, 1<<16)
+	br := bufio.NewReaderSize(r, int(min(size, 1<<16)))
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return scan, fmt.Errorf("segstore: segment too short for its magic")
@@ -510,6 +510,62 @@ func tornFirstWrite(f io.ReaderAt, size int64) bool {
 	return int64(len(head))+int64(le.Uint32(head[8:12])) > size
 }
 
+// replay parses a segment's frames in order and hands each transmission
+// to visit with the decoder it must go through: seeded from the header
+// state, and replaced, as the station does, by a fresh one at a zero
+// sequence after any prior history — the sensor restarted with an empty
+// base signal. visit consumes the transmission through that decoder.
+// Because the decode pipeline is deterministic and the header snapshot
+// reproduces the replica pool exactly as it stood at segment start, the
+// rows are bit-identical to what the live station computed when it first
+// received the frames.
+func replay(cfg core.Config, h segHeader, frames [][]byte, visit func(i int, dec *core.Decoder, t *core.Transmission) error) error {
+	dec, err := core.NewDecoderAt(cfg, h.Decoder)
+	if err != nil {
+		return err
+	}
+	for i, frame := range frames {
+		chunk := h.FirstChunk + i
+		t, err := wire.DecodeBytes(frame)
+		if err != nil {
+			return fmt.Errorf("segstore: chunk %d: %w", chunk, err)
+		}
+		if t.Seq == 0 && chunk > 0 {
+			if dec, err = core.NewDecoder(cfg); err != nil {
+				return err
+			}
+		}
+		if err := visit(i, dec, t); err != nil {
+			return fmt.Errorf("segstore: chunk %d: %w", chunk, err)
+		}
+	}
+	return nil
+}
+
+// decodeRow reconstructs quantity row of a segment's records [lo, hi)
+// (segment-relative) and returns it with each record's bound. The records
+// before lo are parsed and validated but only advance the decoder; the
+// records from hi on are not parsed at all.
+func decodeRow(cfg core.Config, h segHeader, frames [][]byte, row, lo, hi int) ([]timeseries.Series, []float64, error) {
+	if lo < 0 || hi > len(frames) || lo > hi {
+		return nil, nil, fmt.Errorf("segstore: records [%d,%d) outside a segment of %d", lo, hi, len(frames))
+	}
+	values := make([]timeseries.Series, 0, hi-lo)
+	bounds := make([]float64, 0, hi-lo)
+	err := replay(cfg, h, frames[:hi], func(i int, dec *core.Decoder, t *core.Transmission) error {
+		if i < lo {
+			return dec.Advance(t)
+		}
+		v, err := dec.DecodeRow(t, row)
+		values, bounds = append(values, v), append(bounds, t.ErrBound)
+		return err
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	return values, bounds, nil
+}
+
 // decodedChunk is one record replayed through a cold decoder.
 type decodedChunk struct {
 	rows    []timeseries.Series
@@ -517,36 +573,17 @@ type decodedChunk struct {
 	inserts int
 }
 
-// decodeSegmentChunks replays a scanned segment's records through a cold
-// decoder seeded from the header state, returning every record's
-// reconstructed rows, bound and insert count in order. The rows are
-// byte-identical to what the live station computed when it first received
-// the frames, because the decode pipeline is deterministic and the header
-// snapshot reproduces the replica pool exactly as it stood at segment
-// start.
+// decodeSegmentChunks replays every record of a scanned segment, returning
+// each one's reconstructed rows, bound and insert count in order.
 func decodeSegmentChunks(cfg core.Config, scan segScan) ([]decodedChunk, error) {
-	dec, err := core.NewDecoderAt(cfg, scan.Header.Decoder)
+	out := make([]decodedChunk, 0, len(scan.Frames))
+	err := replay(cfg, scan.Header, scan.Frames, func(_ int, dec *core.Decoder, t *core.Transmission) error {
+		rows, err := dec.Decode(t)
+		out = append(out, decodedChunk{rows: rows, bound: t.ErrBound, inserts: t.Ins()})
+		return err
+	})
 	if err != nil {
 		return nil, err
-	}
-	out := make([]decodedChunk, 0, len(scan.Frames))
-	for i, frame := range scan.Frames {
-		t, err := wire.DecodeBytes(frame)
-		if err != nil {
-			return nil, fmt.Errorf("segstore: chunk %d: %w", scan.Header.FirstChunk+i, err)
-		}
-		// Mirror the station's reboot rule: a zero sequence after any prior
-		// history means the sensor restarted with an empty base signal.
-		if t.Seq == 0 && scan.Header.FirstChunk+i > 0 {
-			if dec, err = core.NewDecoder(cfg); err != nil {
-				return nil, err
-			}
-		}
-		rows, err := dec.Decode(t)
-		if err != nil {
-			return nil, fmt.Errorf("segstore: chunk %d: %w", scan.Header.FirstChunk+i, err)
-		}
-		out = append(out, decodedChunk{rows: rows, bound: t.ErrBound, inserts: t.Ins()})
 	}
 	return out, nil
 }

@@ -12,14 +12,15 @@
 // atomically replaced. Each segment header carries the decoder replica
 // state at segment start, so a cold read decodes one segment in isolation
 // and never reads its footer: queries over history evicted from station
-// memory load and decode only the segments whose chunks overlap the
-// requested range. Periodic station checkpoints (decoder replicas and
-// receive bookkeeping, nothing per chunk) land next to the manifest; a
-// restart reads the newest checkpoint and one footer per sealed segment
-// and hands both to the station (TakeRecovery), which then replays only
-// the records appended since the checkpoint. Background retention drops
-// the oldest sealed segments by age or byte budget, never touching records
-// newer than the last checkpoint.
+// memory load only the segments whose chunks overlap the requested range
+// and reconstruct only the requested quantity of those chunks. Periodic
+// station checkpoints (decoder replicas and receive bookkeeping, nothing
+// per chunk) land next to the manifest; a restart reads the newest
+// checkpoint and one footer per sealed segment and hands both to the
+// station (TakeRecovery), which then replays only the records appended
+// since the checkpoint. Background retention drops the oldest sealed
+// segments by age or byte budget, never touching records newer than the
+// last checkpoint.
 //
 // Crash safety relies on two invariants: every block is independently
 // checksummed (a torn append is detected and truncated at reopen), and the
@@ -60,7 +61,7 @@ var ErrUnknownSensor = errors.New("segstore: unknown sensor")
 // writes, small enough that a cold read decodes a bounded batch.
 const DefaultSegmentChunks = 64
 
-// DefaultCacheSegments bounds the decoded-segment cache when Options
+// DefaultCacheSegments bounds the scanned-segment cache when Options
 // leaves it zero.
 const DefaultCacheSegments = 4
 
@@ -88,11 +89,11 @@ type Options struct {
 	// frames. The default (false) is the durable mode the recovery
 	// guarantees assume.
 	NoSync bool
-	// CacheSegments bounds the decoded-segment LRU (DefaultCacheSegments
+	// CacheSegments bounds the scanned-segment LRU (DefaultCacheSegments
 	// when zero).
 	CacheSegments int
-	// FetchWorkers bounds the parallel segment decodes of one range read
-	// (DefaultFetchWorkers when zero).
+	// FetchWorkers bounds the segments one range read scans and decodes
+	// in parallel (DefaultFetchWorkers when zero).
 	FetchWorkers int
 	// Retention bounds the archive by age and/or bytes.
 	Retention Retention
@@ -145,6 +146,9 @@ type storeMetrics struct {
 	bytes         *obs.Gauge
 	appends       *obs.Counter
 	coldReads     *obs.Counter
+	coldAdvanced  *obs.Counter
+	coldDecoded   *obs.Counter
+	scanHits      *obs.Counter
 	compactions   *obs.Counter
 	ckptAge       *obs.Gauge
 	sfHits        *obs.Counter
@@ -156,6 +160,7 @@ func newStoreMetrics() storeMetrics {
 	return storeMetrics{
 		segments: &obs.Gauge{}, bytes: &obs.Gauge{},
 		appends: &obs.Counter{}, coldReads: &obs.Counter{},
+		coldAdvanced: &obs.Counter{}, coldDecoded: &obs.Counter{}, scanHits: &obs.Counter{},
 		compactions: &obs.Counter{}, ckptAge: &obs.Gauge{},
 		sfHits: &obs.Counter{}, sfWaits: &obs.Counter{},
 		fetchParallel: &obs.Gauge{},
@@ -173,7 +178,7 @@ type Store struct {
 	ckptUnix  int64
 	ckptCover map[string]int // chunks covered by the latest checkpoint
 	cache     *segCache
-	flights   map[string]*flight // in-progress segment decodes, by cache key
+	flights   map[string]*flight // in-progress segment scans, by cache key
 	met       storeMetrics
 	tornTails int      // torn active-segment tails Open truncated
 	recovery  Recovery // what Open read back, until TakeRecovery
@@ -732,12 +737,21 @@ func (s *Store) updateGauges() {
 
 // Stats is a point-in-time summary of the store, served on /v1/stats.
 type Stats struct {
-	Sensors            int    `json:"sensors"`
-	Segments           int    `json:"segments"`
-	SealedSegments     int    `json:"sealed_segments"`
-	Bytes              int64  `json:"bytes"`
-	Appends            uint64 `json:"appends"`
-	ColdReads          uint64 `json:"cold_reads"`
+	Sensors        int    `json:"sensors"`
+	Segments       int    `json:"segments"`
+	SealedSegments int    `json:"sealed_segments"`
+	Bytes          int64  `json:"bytes"`
+	Appends        uint64 `json:"appends"`
+	// ColdReads counts the segments loaded to serve cold reads: file
+	// scans of sealed segments and captures of an active one.
+	ColdReads uint64 `json:"cold_reads"`
+	// ColdChunksAdvanced counts the chunks cold reads parsed only to move
+	// a decoder past them, and ColdChunksDecoded those whose requested
+	// row they reconstructed.
+	ColdChunksAdvanced uint64 `json:"cold_chunks_advanced"`
+	ColdChunksDecoded  uint64 `json:"cold_chunks_decoded"`
+	// ScanCacheHits counts the segments cold reads found already scanned.
+	ScanCacheHits      uint64 `json:"scan_cache_hits"`
 	Compactions        uint64 `json:"compactions"`
 	SingleflightHits   uint64 `json:"singleflight_hits"`
 	SingleflightWaits  uint64 `json:"singleflight_waits"`
@@ -755,6 +769,9 @@ func (s *Store) StoreStats() Stats {
 		Sensors:            len(s.sensors),
 		Appends:            s.met.appends.Value(),
 		ColdReads:          s.met.coldReads.Value(),
+		ColdChunksAdvanced: s.met.coldAdvanced.Value(),
+		ColdChunksDecoded:  s.met.coldDecoded.Value(),
+		ScanCacheHits:      s.met.scanHits.Value(),
 		Compactions:        s.met.compactions.Value(),
 		SingleflightHits:   s.met.sfHits.Value(),
 		SingleflightWaits:  s.met.sfWaits.Value(),
@@ -785,11 +802,14 @@ func (s *Store) Instrument(reg *obs.Registry) {
 		bytes:         reg.Gauge("sbr_segstore_bytes", "Archive size in bytes (sealed + active segments)."),
 		appends:       reg.Counter("sbr_segstore_appends_total", "Transmissions archived."),
 		coldReads:     reg.Counter("sbr_segstore_cold_reads_total", "Segment loads serving queries beyond the in-memory window."),
+		coldAdvanced:  reg.Counter("sbr_segstore_cold_chunks_advanced_total", "Archived chunks cold reads parsed only to advance a decoder past them."),
+		coldDecoded:   reg.Counter("sbr_segstore_cold_chunks_decoded_total", "Archived chunks whose requested row cold reads reconstructed."),
+		scanHits:      reg.Counter("sbr_segstore_scan_cache_hits_total", "Cold reads of a segment served from the scanned-segment cache."),
 		compactions:   reg.Counter("sbr_segstore_compactions_total", "Retention passes that removed at least one segment."),
 		ckptAge:       reg.Gauge("sbr_segstore_checkpoint_age_seconds", "Seconds since the last station checkpoint (-1: none yet)."),
-		sfHits:        reg.Counter("sbr_segstore_singleflight_hits_total", "Cold fetches served by joining an in-flight decode of the same segment."),
+		sfHits:        reg.Counter("sbr_segstore_singleflight_hits_total", "Cold fetches served by joining an in-flight scan of the same segment."),
 		sfWaits:       reg.Counter("sbr_segstore_singleflight_waits_total", "Singleflight joins that blocked waiting for the leading decode."),
-		fetchParallel: reg.Gauge("sbr_segstore_cold_fetch_parallel", "Segment decodes currently in flight serving cold reads."),
+		fetchParallel: reg.Gauge("sbr_segstore_cold_fetch_parallel", "Segment scans currently in flight serving cold reads."),
 	}
 	s.updateGauges()
 	s.updateCheckpointAgeLocked()

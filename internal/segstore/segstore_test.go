@@ -98,14 +98,28 @@ func sameRows(a, b []timeseries.Series) bool {
 	return true
 }
 
+// chunkRows reads every one of n quantities of one archived chunk through
+// ChunkRow, with the chunk's bound.
+func chunkRows(s *Store, sensor string, chunk, n int) ([]timeseries.Series, float64, error) {
+	rows := make([]timeseries.Series, n)
+	var bound float64
+	for r := range rows {
+		var err error
+		if rows[r], bound, err = s.ChunkRow(sensor, chunk, r, nil); err != nil {
+			return nil, 0, err
+		}
+	}
+	return rows, bound, nil
+}
+
 // checkAll verifies every archived chunk reads back byte-identical to the
 // live decode.
 func checkAll(t testing.TB, s *Store, sensor string, rows [][]timeseries.Series, bounds []float64, from int) {
 	t.Helper()
 	for c := from; c < len(rows); c++ {
-		got, bound, err := s.ChunkRows(sensor, c)
+		got, bound, err := chunkRows(s, sensor, c, len(rows[c]))
 		if err != nil {
-			t.Fatalf("ChunkRows(%d): %v", c, err)
+			t.Fatalf("ChunkRow(%d): %v", c, err)
 		}
 		if !sameRows(got, rows[c]) {
 			t.Fatalf("chunk %d read back differs from live decode", c)
@@ -195,7 +209,7 @@ func TestCloseSealsAndReopens(t *testing.T) {
 	if err != nil {
 		t.Fatalf("append after reopen: %v", err)
 	}
-	got, _, err := again.ChunkRows("node", 6)
+	got, _, err := chunkRows(again, "node", 6, len(lastRows))
 	if err != nil || !sameRows(got, lastRows) {
 		t.Fatalf("chunk 6 after reopen: %v", err)
 	}
@@ -332,7 +346,7 @@ func TestRetentionByBytes(t *testing.T) {
 	if err != nil || oldest != 6 || next != 8 {
 		t.Errorf("Bounds after retention = (%d,%d,%v), want (6,8,nil)", oldest, next, err)
 	}
-	if _, _, err := s.ChunkRows("node", 3); !errors.Is(err, ErrPurged) {
+	if _, _, err := s.ChunkRow("node", 3, 0, nil); !errors.Is(err, ErrPurged) {
 		t.Errorf("purged chunk read = %v, want ErrPurged", err)
 	}
 	checkAll(t, s, "node", rows, bounds, 6)
@@ -347,7 +361,7 @@ func TestRetentionByBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer again.Close()
-	if _, _, err := again.ChunkRows("node", 0); !errors.Is(err, ErrPurged) {
+	if _, _, err := again.ChunkRow("node", 0, 0, nil); !errors.Is(err, ErrPurged) {
 		t.Errorf("purged chunk after reopen = %v, want ErrPurged", err)
 	}
 	checkAll(t, again, "node", rows, bounds, 6)

@@ -5,7 +5,7 @@ package station
 // and the windowed Run — starts by capturing a snapshot of the sensor's
 // state under a brief acquisition of the sensor's lock, then runs
 // entirely lock-free: index walks, exact edge scans and cold archive
-// fetches (disk reads + segment decodes) never hold any station lock, so
+// fetches (disk reads + windowed decodes) never hold any station lock, so
 // a slow cold query blocks neither ingest nor other readers. See the
 // package comment for why the captured headers stay valid while the
 // writer keeps appending and evicting.
@@ -124,45 +124,40 @@ func (s *Station) queryTimer() func() {
 	return func() { met.querySeconds.Observe(time.Since(t0).Seconds()) }
 }
 
-// chunkRows returns the decoded rows of global chunk c: straight from the
-// snapshot window when c is inside it, otherwise cold from the archive
-// (the segment holding c is loaded, decoded and cached — deduplicated
-// with any concurrent fetch of the same segment by the store's
-// singleflight). Cold fetches are recorded as children of sp.
-func (sn *snap) chunkRows(c int, sp *trace.Span) ([]timeseries.Series, error) {
+// chunkRow returns quantity row of global chunk c: straight from the
+// snapshot window when c is inside it, otherwise cold from the archive,
+// which reconstructs only that row of that chunk (the segment holding c
+// is scanned and cached, deduplicated with any concurrent fetch of the
+// same segment by the store's singleflight). Cold fetches are recorded as
+// children of sp.
+func (sn *snap) chunkRow(c, row int, sp *trace.Span) (timeseries.Series, error) {
 	if c >= sn.first {
 		if i := c - sn.first; i < len(sn.window) {
-			return sn.window[i], nil
+			return sn.window[i][row], nil
 		}
 		return nil, fmt.Errorf("station: sensor %q chunk %d beyond recorded history", sn.id, c)
 	}
 	if sn.store == nil {
 		return nil, fmt.Errorf("station: sensor %q chunk %d evicted and no archive attached", sn.id, c)
 	}
-	csp := sp.Child("segstore.cold_fetch")
-	csp.AnnotateInt("chunk", int64(c))
-	rows, _, err := sn.store.ChunkRows(sn.id, c)
-	csp.End()
+	values, _, err := sn.store.ChunkRow(sn.id, c, row, sp)
 	if err == nil {
 		sn.met.queryCold.Inc()
 	}
-	return rows, err
+	return values, err
 }
 
-// coldRange streams the decoded rows of cold chunks [c0, c1) in order,
-// fanning segment decodes out through the store's parallel fetch path,
-// recorded as one segstore.cold_fetch span covering the whole fan.
-func (sn *snap) coldRange(c0, c1 int, sp *trace.Span, fn func(c int, rows []timeseries.Series)) error {
+// coldRange streams quantity row of cold chunks [c0, c1) in order through
+// the store's windowed range read, recorded as one segstore.cold_fetch
+// child of sp.
+func (sn *snap) coldRange(c0, c1, row int, sp *trace.Span, fn func(c int, values timeseries.Series)) error {
 	if sn.store == nil {
 		return fmt.Errorf("station: sensor %q chunk %d evicted and no archive attached", sn.id, c0)
 	}
-	csp := sp.Child("segstore.cold_fetch")
-	csp.AnnotateInt("chunks", int64(c1-c0))
-	err := sn.store.ChunkRangeRows(sn.id, c0, c1, func(c int, rows []timeseries.Series, _ float64) error {
-		fn(c, rows)
+	err := sn.store.ChunkRangeRow(sn.id, c0, c1, row, sp, func(c int, values timeseries.Series, _ float64) error {
+		fn(c, values)
 		return nil
 	})
-	csp.End()
 	if err == nil {
 		sn.met.queryCold.Add(uint64(c1 - c0))
 	}
@@ -185,9 +180,9 @@ type Window struct {
 // returns quantity row of the named sensor over [from, to), a zero `to`
 // meaning the end of the history as of the same snapshot that serves the
 // samples. Only the chunks the window overlaps are materialised: the cold
-// prefix through the archive's parallel segment fan-out, recorded as
-// children of sp (nil: untraced), the in-memory suffix straight off the
-// snapshot window. It fails with the archive's purge error when retention
+// prefix through the archive's windowed range read, which reconstructs
+// only this row of those chunks, recorded as children of sp (nil:
+// untraced), the in-memory suffix straight off the snapshot window. It fails with the archive's purge error when retention
 // has dropped part of the window.
 func (s *Station) ReadWindow(id string, row, from, to int, sp *trace.Span) (Window, error) {
 	done := s.queryTimer()
@@ -211,20 +206,20 @@ func (s *Station) ReadWindow(id string, row, from, to int, sp *trace.Span) (Wind
 	if err := sn.readable(from, to); err != nil {
 		return Window{}, err
 	}
-	clip := func(c int, rows []timeseries.Series) {
+	clip := func(c int, values timeseries.Series) {
 		lo, hi := max(from-c*sn.m, 0), min(to-c*sn.m, sn.m)
-		w.Values = append(w.Values, rows[row][lo:hi]...)
+		w.Values = append(w.Values, values[lo:hi]...)
 		w.Bound = max(w.Bound, sn.bound(c))
 	}
 	cLo := from / sn.m
 	cHi := (to + sn.m - 1) / sn.m
 	if coldHi := min(cHi, sn.first); cLo < coldHi {
-		if err := sn.coldRange(cLo, coldHi, sp, clip); err != nil {
+		if err := sn.coldRange(cLo, coldHi, row, sp, clip); err != nil {
 			return Window{}, err
 		}
 	}
 	for c := max(cLo, sn.first); c < cHi; c++ {
-		clip(c, sn.window[c-sn.first])
+		clip(c, sn.window[c-sn.first][row])
 	}
 	return w, nil
 }
@@ -272,11 +267,11 @@ func (s *Station) AtWithBound(id string, row, idx int) (value, bound float64, er
 	if err := sn.readable(idx, idx+1); err != nil {
 		return 0, 0, err
 	}
-	rows, err := sn.chunkRows(idx/sn.m, nil)
+	values, err := sn.chunkRow(idx/sn.m, row, nil)
 	if err != nil {
 		return 0, 0, err
 	}
-	return rows[row][idx%sn.m], sn.bound(idx / sn.m), nil
+	return values[idx%sn.m], sn.bound(idx / sn.m), nil
 }
 
 // AggregateKind selects a range-aggregate function.
@@ -406,7 +401,7 @@ func (sn *snap) scanRange(row, from, to int, sp *trace.Span) (query.Summary, err
 	var out query.Summary
 	for from < to {
 		c := from / sn.m
-		rows, err := sn.chunkRows(c, sp)
+		values, err := sn.chunkRow(c, row, sp)
 		if err != nil {
 			return query.Summary{}, err
 		}
@@ -415,7 +410,7 @@ func (sn *snap) scanRange(row, from, to int, sp *trace.Span) (query.Summary, err
 		if limit := to - c*sn.m; limit < hi {
 			hi = limit
 		}
-		out = query.Merge(out, query.Summarize(rows[row][lo:hi], sn.bound(c)))
+		out = query.Merge(out, query.Summarize(values[lo:hi], sn.bound(c)))
 		from = c*sn.m + hi
 	}
 	return out, nil

@@ -561,16 +561,22 @@ func (s *Station) receive(id string, t *core.Transmission, frame []byte, rawByte
 		}
 		return fmt.Errorf("station: sensor %q seq %d: %w", id, t.Seq, ErrDuplicate)
 	}
-	if s.AllowRestart && t.Seq == 0 && log.frames > 0 {
+	// A refused frame leaves the sensor as it was: the shape is checked
+	// before the replica sees the frame, the decoder validates the whole
+	// frame before it changes anything, and a reboot's fresh replica
+	// replaces the old one only once the frame decodes.
+	if log.n != 0 && (log.n != t.N || log.m != t.M) {
+		return fmt.Errorf("station: sensor %q: batch shape %dx%d, want %dx%d",
+			id, t.N, t.M, log.n, log.m)
+	}
+	dec := log.decoder
+	reboot := s.AllowRestart && t.Seq == 0 && log.frames > 0
+	if reboot {
 		// Sensor reboot: a fresh compressor numbers from zero and starts
 		// with an empty base signal, so the replica must reset too.
-		dec, err := core.NewDecoder(s.cfg)
-		if err != nil {
+		if dec, err = core.NewDecoder(s.cfg); err != nil {
 			return err
 		}
-		log.decoder = dec
-		log.restarts++
-		met.restarts.Inc()
 	}
 	// Archiving needs the raw frame and, when this append opens a fresh
 	// segment, the decoder replica as it stands *before* this decode — that
@@ -585,21 +591,21 @@ func (s *Station) receive(id string, t *core.Transmission, frame []byte, rawByte
 			}
 		}
 		if store.NeedsSegment(id) {
-			preState = log.decoder.State()
+			preState = dec.State()
 		}
 	}
 	rsp2 := rsp.Child("station.replica")
-	rows, err := log.decoder.Decode(t)
+	rows, err := dec.Decode(t)
 	rsp2.End()
 	if err != nil {
 		return fmt.Errorf("station: sensor %q: %w", id, err)
 	}
-	if log.n == 0 {
-		log.n, log.m = t.N, t.M
-	} else if log.n != t.N || log.m != t.M {
-		return fmt.Errorf("station: sensor %q: batch shape %dx%d, want %dx%d",
-			id, t.N, t.M, log.n, log.m)
+	if reboot {
+		log.decoder = dec
+		log.restarts++
+		met.restarts.Inc()
 	}
+	log.n, log.m = t.N, t.M
 	if log.index == nil {
 		ix, err := query.NewIndex(log.n, log.m)
 		if err != nil {

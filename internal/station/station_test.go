@@ -7,6 +7,7 @@ import (
 
 	"sbr/internal/core"
 	"sbr/internal/datagen"
+	"sbr/internal/interval"
 	"sbr/internal/metrics"
 	"sbr/internal/timeseries"
 	"sbr/internal/wire"
@@ -402,6 +403,57 @@ func TestStationBatchShapeChangeRejected(t *testing.T) {
 	bad.N = t0.N + 1
 	if err := st.Receive("s", &bad); err == nil {
 		t.Error("shape change accepted")
+	}
+}
+
+// TestStationRefusalLeavesReplica sends, between valid frames, frames the
+// station must refuse — a changed batch shape, an interval start past the
+// batch, and a reboot frame (seq 0) with the same fault — and checks that
+// each refusal leaves the sensor's replica as it was: the next valid frame
+// decodes, no restart is counted, and the replica still matches the
+// sensor's base signal.
+func TestStationRefusalLeavesReplica(t *testing.T) {
+	st, _ := New(testConfig())
+	ds := smallDataset()
+	comp, _ := core.NewCompressor(testConfig())
+	valid := make([]*core.Transmission, 4)
+	for f := range valid {
+		valid[f], _ = comp.Encode(ds.File(f))
+	}
+	if err := st.Receive("s", valid[0]); err != nil {
+		t.Fatal(err)
+	}
+	reboot, _ := core.NewCompressor(testConfig())
+	rebootTx, _ := reboot.Encode(ds.File(1))
+	for i, mut := range []func(*core.Transmission) *core.Transmission{
+		func(tx *core.Transmission) *core.Transmission { bad := *tx; bad.N++; return &bad },
+		func(tx *core.Transmission) *core.Transmission {
+			bad := *tx
+			bad.Intervals = append([]interval.Interval(nil), tx.Intervals...)
+			bad.Intervals[len(bad.Intervals)-1].Start = tx.N*tx.M + 1
+			return &bad
+		},
+		func(*core.Transmission) *core.Transmission {
+			bad := *rebootTx
+			bad.Intervals = append([]interval.Interval(nil), rebootTx.Intervals...)
+			bad.Intervals[0].Shift = 1 << 20
+			return &bad
+		},
+	} {
+		next := valid[i+1]
+		if err := st.Receive("s", mut(next)); err == nil {
+			t.Fatalf("refusal %d: accepted", i)
+		}
+		if err := st.Receive("s", next); err != nil {
+			t.Fatalf("refusal %d: the next valid frame was rejected: %v", i, err)
+		}
+	}
+	stats, _ := st.SensorStats("s")
+	if stats.Transmissions != 4 || stats.Restarts != 0 {
+		t.Errorf("stats = %+v, want 4 transmissions and no restart", stats)
+	}
+	if replica, _ := st.BaseSignal("s"); !timeseries.Equal(replica, comp.BaseSignal(), 0) {
+		t.Error("the replica no longer matches the sensor's base signal")
 	}
 }
 

@@ -3,7 +3,11 @@ package wire
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
+	"hash/crc32"
+	"io"
 	"math"
+	"reflect"
 	"testing"
 
 	"sbr/internal/base"
@@ -13,7 +17,9 @@ import (
 	"sbr/internal/timeseries"
 )
 
-// FuzzDecode checks that arbitrary byte streams never crash the decoder and
+// FuzzDecode checks that arbitrary byte streams never crash the decoder,
+// that the in-place parser accepts exactly the inputs the reader-based
+// parser it replaced accepts (oracleDecode), with identical fields, and
 // that every frame the decoder accepts re-encodes to a frame the decoder
 // accepts again with identical content. Run with `go test -fuzz=FuzzDecode
 // ./internal/wire` for an open-ended session; the seed corpus runs in every
@@ -47,10 +53,24 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte("SBRT"))
 	f.Add([]byte{'S', 'B', 'R', 'T', 1, 0xFF, 0xFF, 0xFF})
 
+	// Frames the old parser refused without reading the whole body.
+	f.Add(withBody([]byte{0, 0, 1, 4, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1})) // W = 2⁶⁴−1
+	f.Add(withBody([]byte{0, 0, 1, 4, 0, 0xff, 0xff, 0xff, 0x7f}))                                     // 2²⁸−1 empty inserts
+	f.Add(withBody([]byte{0, 0, 1, 4, 1, 0, 0x80, 0x80, 0x80, 0x80, 0x01}))                            // 2²⁸ intervals
+	f.Add(withBody([]byte{0, 0, 1, 4, 1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
+		0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0})) // placement slot 2⁶⁴−1, which int() makes −1
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := DecodeBytes(data)
+		old, oldErr := oracleDecode(bytes.NewReader(data))
+		if (err == nil) != (oldErr == nil) {
+			t.Fatalf("DecodeBytes error %v, reader-based parser error %v", err, oldErr)
+		}
 		if err != nil {
 			return // rejection is always fine; crashing is not
+		}
+		if !sameTransmission(tr, old) {
+			t.Fatalf("DecodeBytes parsed %+v, the reader-based parser %+v", tr, old)
 		}
 		// Accepted frames must round-trip losslessly.
 		frame2, err := Encode(tr)
@@ -143,6 +163,210 @@ func FuzzReadFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// withBody frames a body with a valid checksum.
+func withBody(body []byte) []byte {
+	var frame bytes.Buffer
+	frame.Write(magic[:])
+	frame.WriteByte(Version)
+	putUvarint(&frame, uint64(len(body)))
+	frame.Write(body)
+	var crc [4]byte
+	binary.LittleEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
+	frame.Write(crc[:])
+	return frame.Bytes()
+}
+
+// sameTransmission compares every parsed field, floats by their bits.
+func sameTransmission(a, b *core.Transmission) bool {
+	if a.Seq != b.Seq || a.N != b.N || a.M != b.M || a.W != b.W || a.Cost != b.Cost ||
+		math.Float64bits(a.ErrBound) != math.Float64bits(b.ErrBound) ||
+		len(a.Intervals) != len(b.Intervals) || len(a.BaseIntervals) != len(b.BaseIntervals) ||
+		!reflect.DeepEqual(a.Placements, b.Placements) {
+		return false
+	}
+	for i, x := range a.Intervals {
+		y := b.Intervals[i]
+		if x.Start != y.Start || x.Length != y.Length || x.Shift != y.Shift ||
+			math.Float64bits(x.A) != math.Float64bits(y.A) || math.Float64bits(x.B) != math.Float64bits(y.B) ||
+			math.Float64bits(x.C) != math.Float64bits(y.C) {
+			return false
+		}
+	}
+	for i, x := range a.BaseIntervals {
+		y := b.BaseIntervals[i]
+		if len(x) != len(y) {
+			return false
+		}
+		for j := range x {
+			if math.Float64bits(x[j]) != math.Float64bits(y[j]) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// oracleDecode is the reader-based frame parser that DecodeBytes
+// replaced, kept as FuzzDecode's oracle. Three guards differ from it, none
+// in what it accepts: the insert-count bound no longer divides by zero for
+// W = 2⁶⁴−1, and a body length, insert count or interval count the
+// remaining bytes cannot hold is refused before it is allocated rather
+// than when the read runs out.
+func oracleDecode(r *bytes.Reader) (*core.Transmission, error) {
+	var head [5]byte
+	if _, err := io.ReadFull(r, head[:]); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF
+		}
+		return nil, fmt.Errorf("wire: reading frame header: %w", err)
+	}
+	if !bytes.Equal(head[:4], magic[:]) {
+		return nil, ErrMagic
+	}
+	if head[4] != Version && head[4] != VersionTraced {
+		return nil, fmt.Errorf("wire: unsupported frame version %d", head[4])
+	}
+	if head[4] == VersionTraced {
+		var thdr [traceHeaderLen]byte
+		if _, err := io.ReadFull(r, thdr[:]); err != nil {
+			return nil, fmt.Errorf("wire: reading trace header: %w", err)
+		}
+	}
+	bodyLen, err := binary.ReadUvarint(&byteCounter{r: r})
+	if err != nil {
+		return nil, fmt.Errorf("wire: reading frame length: %w", err)
+	}
+	if bodyLen > maxReasonable {
+		return nil, fmt.Errorf("wire: frame length %d too large", bodyLen)
+	}
+	if bodyLen > uint64(r.Len()) {
+		return nil, fmt.Errorf("wire: reading frame body: %w", io.ErrUnexpectedEOF)
+	}
+	body := make([]byte, bodyLen)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, fmt.Errorf("wire: reading frame body: %w", err)
+	}
+	var crcBuf [4]byte
+	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
+		return nil, fmt.Errorf("wire: reading frame checksum: %w", err)
+	}
+	if binary.LittleEndian.Uint32(crcBuf[:]) != crc32.ChecksumIEEE(body) {
+		return nil, ErrChecksum
+	}
+	return oracleBody(bytes.NewReader(body))
+}
+
+func oracleBody(r *bytes.Reader) (*core.Transmission, error) {
+	flags, err := r.ReadByte()
+	if err != nil {
+		return nil, fmt.Errorf("wire: reading flags: %w", err)
+	}
+	if flags&^(flagQuadratic|flagBounded) != 0 {
+		return nil, fmt.Errorf("wire: unknown flags 0x%02x", flags)
+	}
+	var errBound float64
+	if flags&flagBounded != 0 {
+		errBound, err = oracleFloat(r)
+		if err != nil {
+			return nil, err
+		}
+	}
+	var head [4]uint64 // seq, N, M, W
+	for i := range head {
+		if head[i], err = binary.ReadUvarint(r); err != nil {
+			return nil, fmt.Errorf("wire: reading header field %d: %w", i, err)
+		}
+	}
+	seq, n, m, w := head[0], head[1], head[2], head[3]
+	t := &core.Transmission{Seq: int(seq), N: int(n), M: int(m), W: int(w), ErrBound: errBound}
+
+	ins, err := binary.ReadUvarint(r)
+	if err != nil {
+		return nil, fmt.Errorf("wire: reading insert count: %w", err)
+	}
+	if ins > 0 && (w >= maxReasonable || ins > maxReasonable/(w+1)) {
+		return nil, fmt.Errorf("wire: implausible insert count %d", ins)
+	}
+	if ins > 0 && ins > uint64(r.Len())/(8*w+1) {
+		return nil, fmt.Errorf("wire: reading placement slot: %w", io.ErrUnexpectedEOF)
+	}
+	t.BaseIntervals = make([]timeseries.Series, ins)
+	t.Placements = make([]base.Placement, ins)
+	for i := range t.BaseIntervals {
+		slot, err := binary.ReadUvarint(r)
+		if err != nil {
+			return nil, fmt.Errorf("wire: reading placement slot: %w", err)
+		}
+		t.Placements[i] = base.Placement{Slot: int(slot)}
+		iv := make(timeseries.Series, w)
+		for j := range iv {
+			v, err := oracleFloat(r)
+			if err != nil {
+				return nil, err
+			}
+			iv[j] = v
+		}
+		t.BaseIntervals[i] = iv
+	}
+
+	count, err := binary.ReadUvarint(r)
+	if err != nil {
+		return nil, fmt.Errorf("wire: reading interval count: %w", err)
+	}
+	if count > maxReasonable {
+		return nil, fmt.Errorf("wire: implausible interval count %d", count)
+	}
+	if count > uint64(r.Len())/minRecordBytes {
+		return nil, fmt.Errorf("wire: reading interval start: %w", io.ErrUnexpectedEOF)
+	}
+	t.Intervals = make([]interval.Interval, count)
+	for i := range t.Intervals {
+		start, err := binary.ReadUvarint(r)
+		if err != nil {
+			return nil, fmt.Errorf("wire: reading interval start: %w", err)
+		}
+		shift, err := binary.ReadVarint(r)
+		if err != nil {
+			return nil, fmt.Errorf("wire: reading interval shift: %w", err)
+		}
+		a, err := oracleFloat(r)
+		if err != nil {
+			return nil, err
+		}
+		b, err := oracleFloat(r)
+		if err != nil {
+			return nil, err
+		}
+		var cq float64
+		if flags&flagQuadratic != 0 {
+			cq, err = oracleFloat(r)
+			if err != nil {
+				return nil, err
+			}
+		}
+		t.Intervals[i] = interval.Interval{
+			Start: int(start), Shift: int(shift), A: a, B: b, C: cq,
+		}
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("wire: %d trailing bytes in frame body", r.Len())
+	}
+	perRecord := interval.ValuesPerInterval
+	if flags&flagQuadratic != 0 {
+		perRecord = interval.ValuesPerQuadInterval
+	}
+	t.Cost = int(ins)*(t.W+1) + len(t.Intervals)*perRecord
+	return t, nil
+}
+
+func oracleFloat(r *bytes.Reader) (float64, error) {
+	var buf [8]byte
+	if _, err := io.ReadFull(r, buf[:]); err != nil {
+		return 0, fmt.Errorf("wire: reading value: %w", err)
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
 }
 
 // sameFloat treats NaN as equal to NaN: fuzzed frames can carry NaN

@@ -163,9 +163,41 @@ func FrameTrace(frame []byte) TraceContext {
 	}
 }
 
-// DecodeBytes parses one framed transmission from a byte slice.
+// DecodeBytes parses one framed transmission from the start of a byte
+// slice, reading the body in place. Bytes after the frame's checksum are
+// ignored. Interval lengths are recovered from the sorted starts of the
+// decoded records by the decoder; Cost is recomputed from the frame
+// contents.
 func DecodeBytes(frame []byte) (*core.Transmission, error) {
-	return Decode(bytes.NewReader(frame))
+	if len(frame) == 0 {
+		return nil, io.EOF
+	}
+	if len(frame) < 5 {
+		return nil, fmt.Errorf("wire: reading frame header: %w", io.ErrUnexpectedEOF)
+	}
+	if !bytes.Equal(frame[:4], magic[:]) {
+		return nil, ErrMagic
+	}
+	if frame[4] != Version && frame[4] != VersionTraced {
+		return nil, fmt.Errorf("wire: unsupported frame version %d", frame[4])
+	}
+	r := cursor{b: frame[5:]}
+	if frame[4] == VersionTraced {
+		r.take(traceHeaderLen, "trace header")
+	}
+	bodyLen := r.uvarint("frame length")
+	if r.err == nil && bodyLen > maxReasonable {
+		return nil, fmt.Errorf("wire: frame length %d too large", bodyLen)
+	}
+	body := r.take(int(bodyLen), "frame body")
+	crc := r.take(4, "frame checksum")
+	if r.err != nil {
+		return nil, r.err
+	}
+	if binary.LittleEndian.Uint32(crc) != crc32.ChecksumIEEE(body) {
+		return nil, ErrChecksum
+	}
+	return parseBody(body)
 }
 
 // ReadFrame reads one complete framed transmission from r and returns its
@@ -250,50 +282,15 @@ func FrameSeq(frame []byte) (int, error) {
 	return int(seq), nil
 }
 
-// Decode parses one framed transmission from r. Interval lengths are
-// recovered from the sorted starts of the decoded records; Cost is
-// recomputed from the frame contents.
+// Decode reads one framed transmission from r and parses it: ReadFrame
+// then DecodeBytes. A clean end of stream at a frame boundary returns
+// io.EOF.
 func Decode(r io.Reader) (*core.Transmission, error) {
-	var head [5]byte
-	if _, err := io.ReadFull(r, head[:]); err != nil {
-		if err == io.EOF {
-			// Clean end of stream at a frame boundary.
-			return nil, io.EOF
-		}
-		return nil, fmt.Errorf("wire: reading frame header: %w", err)
-	}
-	if !bytes.Equal(head[:4], magic[:]) {
-		return nil, ErrMagic
-	}
-	if head[4] != Version && head[4] != VersionTraced {
-		return nil, fmt.Errorf("wire: unsupported frame version %d", head[4])
-	}
-	if head[4] == VersionTraced {
-		var thdr [traceHeaderLen]byte
-		if _, err := io.ReadFull(r, thdr[:]); err != nil {
-			return nil, fmt.Errorf("wire: reading trace header: %w", err)
-		}
-	}
-	br := &byteCounter{r: r}
-	bodyLen, err := binary.ReadUvarint(br)
+	frame, err := ReadFrame(r)
 	if err != nil {
-		return nil, fmt.Errorf("wire: reading frame length: %w", err)
+		return nil, err
 	}
-	if bodyLen > maxReasonable {
-		return nil, fmt.Errorf("wire: frame length %d too large", bodyLen)
-	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, fmt.Errorf("wire: reading frame body: %w", err)
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		return nil, fmt.Errorf("wire: reading frame checksum: %w", err)
-	}
-	if binary.LittleEndian.Uint32(crcBuf[:]) != crc32.ChecksumIEEE(body) {
-		return nil, ErrChecksum
-	}
-	return decodeBody(bytes.NewReader(body))
+	return DecodeBytes(frame)
 }
 
 // flagQuadratic marks frames whose interval records carry three
@@ -304,103 +301,72 @@ const flagQuadratic byte = 1 << 0
 // Section 4.5 alongside the approximate signal.
 const flagBounded byte = 1 << 1
 
-func decodeBody(r *bytes.Reader) (*core.Transmission, error) {
-	flags, err := r.ReadByte()
-	if err != nil {
-		return nil, fmt.Errorf("wire: reading flags: %w", err)
-	}
-	if flags&^(flagQuadratic|flagBounded) != 0 {
+// minRecordBytes is the smallest encoding of one interval record: a
+// one-byte start and shift and the two coefficients.
+const minRecordBytes = 2 + 16
+
+// parseBody parses a checksummed frame body. Every count is checked
+// against the bytes left in the body before anything is allocated for it.
+func parseBody(body []byte) (*core.Transmission, error) {
+	r := cursor{b: body}
+	flags := r.byte("flags")
+	if r.err == nil && flags&^(flagQuadratic|flagBounded) != 0 {
 		return nil, fmt.Errorf("wire: unknown flags 0x%02x", flags)
 	}
 	var errBound float64
 	if flags&flagBounded != 0 {
-		errBound, err = getFloat(r)
-		if err != nil {
-			return nil, err
-		}
+		errBound = r.float()
 	}
-	seq, err := getUvarint(r, "seq")
-	if err != nil {
-		return nil, err
+	seq, n, m, w := r.uvarint("seq"), r.uvarint("N"), r.uvarint("M"), r.uvarint("W")
+	ins := r.uvarint("insert count")
+	if r.err != nil {
+		return nil, r.err
 	}
-	n, err := getUvarint(r, "N")
-	if err != nil {
-		return nil, err
-	}
-	m, err := getUvarint(r, "M")
-	if err != nil {
-		return nil, err
-	}
-	w, err := getUvarint(r, "W")
-	if err != nil {
-		return nil, err
-	}
-	t := &core.Transmission{Seq: int(seq), N: int(n), M: int(m), W: int(w), ErrBound: errBound}
-
-	ins, err := getUvarint(r, "insert count")
-	if err != nil {
-		return nil, err
-	}
-	if ins > maxReasonable/(uint64(w)+1) {
+	if !insertsFit(ins, w) {
 		return nil, fmt.Errorf("wire: implausible insert count %d", ins)
 	}
+	// Each insert is a slot varint and W values.
+	if ins > uint64(len(r.b))/(8*w+1) {
+		return nil, fmt.Errorf("wire: reading placement slot: %w", io.ErrUnexpectedEOF)
+	}
+	t := &core.Transmission{Seq: int(seq), N: int(n), M: int(m), W: int(w), ErrBound: errBound}
 	t.BaseIntervals = make([]timeseries.Series, ins)
 	t.Placements = make([]base.Placement, ins)
+	values := make(timeseries.Series, ins*w)
 	for i := range t.BaseIntervals {
-		slot, err := getUvarint(r, "placement slot")
-		if err != nil {
-			return nil, err
-		}
-		t.Placements[i] = base.Placement{Slot: int(slot)}
-		iv := make(timeseries.Series, w)
+		t.Placements[i] = base.Placement{Slot: int(r.uvarint("placement slot"))}
+		iv := values[uint64(i)*w : uint64(i+1)*w : uint64(i+1)*w]
 		for j := range iv {
-			v, err := getFloat(r)
-			if err != nil {
-				return nil, err
-			}
-			iv[j] = v
+			iv[j] = r.float()
 		}
 		t.BaseIntervals[i] = iv
 	}
 
-	count, err := getUvarint(r, "interval count")
-	if err != nil {
-		return nil, err
+	count := r.uvarint("interval count")
+	if r.err != nil {
+		return nil, r.err
 	}
 	if count > maxReasonable {
 		return nil, fmt.Errorf("wire: implausible interval count %d", count)
 	}
+	if count > uint64(len(r.b))/minRecordBytes {
+		return nil, fmt.Errorf("wire: reading interval start: %w", io.ErrUnexpectedEOF)
+	}
 	t.Intervals = make([]interval.Interval, count)
 	for i := range t.Intervals {
-		start, err := getUvarint(r, "interval start")
-		if err != nil {
-			return nil, err
-		}
-		shift, err := binary.ReadVarint(r)
-		if err != nil {
-			return nil, fmt.Errorf("wire: reading interval shift: %w", err)
-		}
-		a, err := getFloat(r)
-		if err != nil {
-			return nil, err
-		}
-		b, err := getFloat(r)
-		if err != nil {
-			return nil, err
-		}
-		var cq float64
+		iv := &t.Intervals[i]
+		iv.Start = int(r.uvarint("interval start"))
+		iv.Shift = int(r.varint("interval shift"))
+		iv.A, iv.B = r.float(), r.float()
 		if flags&flagQuadratic != 0 {
-			cq, err = getFloat(r)
-			if err != nil {
-				return nil, err
-			}
-		}
-		t.Intervals[i] = interval.Interval{
-			Start: int(start), Shift: int(shift), A: a, B: b, C: cq,
+			iv.C = r.float()
 		}
 	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes in frame body", r.Len())
+	if r.err != nil {
+		return nil, r.err
+	}
+	if len(r.b) != 0 {
+		return nil, fmt.Errorf("wire: %d trailing bytes in frame body", len(r.b))
 	}
 	perRecord := interval.ValuesPerInterval
 	if flags&flagQuadratic != 0 {
@@ -408,6 +374,88 @@ func decodeBody(r *bytes.Reader) (*core.Transmission, error) {
 	}
 	t.Cost = int(ins)*(t.W+1) + len(t.Intervals)*perRecord
 	return t, nil
+}
+
+// insertsFit bounds the base values a frame may declare: ins intervals of
+// w values stay within maxReasonable counting one slot each.
+func insertsFit(ins, w uint64) bool {
+	return ins == 0 || (w < maxReasonable && ins <= maxReasonable/(w+1))
+}
+
+// cursor reads the fields of a frame in place. The first field that runs
+// past the end sets err, naming it; every read after that yields zero, so
+// a parser checks err once after a run of fields.
+type cursor struct {
+	b   []byte
+	err error
+}
+
+func (r *cursor) fail(what string, err error) {
+	if r.err == nil {
+		r.err = fmt.Errorf("wire: reading %s: %w", what, err)
+	}
+	r.b = nil
+}
+
+func (r *cursor) take(n int, what string) []byte {
+	if r.err != nil {
+		return nil
+	}
+	if n < 0 || n > len(r.b) {
+		r.fail(what, io.ErrUnexpectedEOF)
+		return nil
+	}
+	out := r.b[:n]
+	r.b = r.b[n:]
+	return out
+}
+
+func (r *cursor) byte(what string) byte {
+	if b := r.take(1, what); b != nil {
+		return b[0]
+	}
+	return 0
+}
+
+func (r *cursor) float() float64 {
+	if b := r.take(8, "value"); b != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
+	}
+	return 0
+}
+
+func (r *cursor) uvarint(what string) uint64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(r.b)
+	if n <= 0 {
+		r.fail(what, varintErr(n))
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+func (r *cursor) varint(what string) int64 {
+	if r.err != nil {
+		return 0
+	}
+	v, n := binary.Varint(r.b)
+	if n <= 0 {
+		r.fail(what, varintErr(n))
+		return 0
+	}
+	r.b = r.b[n:]
+	return v
+}
+
+// varintErr names why binary.Uvarint or Varint returned n <= 0.
+func varintErr(n int) error {
+	if n == 0 {
+		return io.ErrUnexpectedEOF
+	}
+	return errors.New("varint overflows a 64-bit integer")
 }
 
 // byteCounter adapts an io.Reader to io.ByteReader for varint decoding.
@@ -437,20 +485,4 @@ func putFloat(w *bytes.Buffer, v float64) {
 	var buf [8]byte
 	binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
 	w.Write(buf[:])
-}
-
-func getUvarint(r *bytes.Reader, what string) (uint64, error) {
-	v, err := binary.ReadUvarint(r)
-	if err != nil {
-		return 0, fmt.Errorf("wire: reading %s: %w", what, err)
-	}
-	return v, nil
-}
-
-func getFloat(r *bytes.Reader) (float64, error) {
-	var buf [8]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return 0, fmt.Errorf("wire: reading value: %w", err)
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(buf[:])), nil
 }

@@ -71,7 +71,7 @@ func feedBenchFrames(b *testing.B, st *station.Station, id string, frames [][]by
 
 // newQueryBenchStation builds an archive-backed station: memChunks bounds
 // the in-memory window, segChunks the records per sealed segment, cacheSegs
-// the decoded-segment cache. NoSync keeps ingest off the fsync path so the
+// the scanned-segment cache. NoSync keeps ingest off the fsync path so the
 // benchmarks measure locking and decoding, not disk flushes.
 func newQueryBenchStation(b *testing.B, cfg core.Config, memChunks, segChunks, cacheSegs int) (*station.Station, *segstore.Store) {
 	b.Helper()
@@ -180,7 +180,7 @@ func BenchmarkQueryColdParallel(b *testing.B) {
 // another at a fixed offered rate (one frame per frameInterval — open
 // loop, so both sides of a comparison absorb the same ingest work and
 // ns/op isolates what the locking discipline costs the readers). The
-// decoded-segment cache covers the reader's cold working set — the
+// scanned-segment cache covers the reader's cold working set — the
 // dashboard-refresh pattern — so the op cost is lock discipline and
 // summary merging, not segment codec throughput (BenchmarkQueryColdParallel
 // owns the decode-bound case). ns/op is the query cost under ingest
