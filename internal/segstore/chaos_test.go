@@ -1,11 +1,14 @@
 package segstore
 
 import (
-	"encoding/json"
 	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"sbr/internal/timeseries"
 )
@@ -13,10 +16,9 @@ import (
 // The chaos suite simulates kill -9 at the storage layer: a crash leaves
 // the data directory in whatever state the kernel had durably written, so
 // each scenario is staged by mutating a real store's files the way a torn
-// power-off would — truncated appends, a footer without a manifest entry,
-// a manifest that forgot a file that still exists — and recovery must
-// yield byte-identical chunk reads for everything that had been
-// acknowledged durable.
+// power-off would — truncated appends, a torn footer, a retention pass
+// cut short between unlinks — and recovery must yield byte-identical
+// chunk reads for everything that had been acknowledged durable.
 
 // activeSegPath returns the one segment file of the sensor that recovery
 // would treat as active (the store under test keeps everything in one
@@ -96,54 +98,40 @@ func TestChaosSegstoreTornAppendSweep(t *testing.T) {
 	}
 }
 
-// TestChaosSegstoreCrashMidSeal covers the two halves of a seal that can
-// be torn apart: (a) the footer landed but the manifest rename did not —
-// reopening must finish the seal; (b) the footer itself is torn — the
-// segment must come back as active with all records intact.
+// TestChaosSegstoreCrashMidSeal covers the seal's crash windows: (a) the
+// append that filled the segment wrote its footer and trailer and fsynced
+// them, then the process died — reopening must find the segment sealed;
+// (b) the footer itself is torn — the segment must come back as active
+// with all records intact.
 func TestChaosSegstoreCrashMidSeal(t *testing.T) {
 	cfg := testConfig()
 	stage := func(t *testing.T) (dir string, rows [][]timeseries.Series, bounds []float64) {
 		t.Helper()
 		dir = t.TempDir()
-		s, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 100})
+		s, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames := makeFrames(t, cfg, 5, 16)
-		rows, bounds = feedStore(t, s, cfg, "node", frames, 0)
-		if err := s.Close(); err != nil { // seals + writes manifest
-			t.Fatal(err)
-		}
+		// The fifth append seals the segment; s is then abandoned: the crash.
+		rows, bounds = feedStore(t, s, cfg, "node", makeFrames(t, cfg, 5, 16), 0)
 		return dir, rows, bounds
 	}
 
-	t.Run("footer-durable-manifest-lost", func(t *testing.T) {
+	t.Run("footer-durable", func(t *testing.T) {
 		dir, rows, bounds := stage(t)
-		// Roll the manifest back to the pre-seal state: sealed on disk,
-		// unknown to the index — exactly a crash between fsync and rename.
-		if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
-			t.Fatal(err)
-		}
-		re, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 100})
+		re, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer re.Close()
-		if st := re.StoreStats(); st.SealedSegments != 1 {
-			t.Errorf("seal not finished at reopen: %+v", st)
-		}
-		// The reconstructed manifest is durable again.
-		if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
-			t.Errorf("manifest not rewritten: %v", err)
+		if st := re.StoreStats(); st.SealedSegments != 1 || st.Segments != 1 {
+			t.Errorf("durable seal not sealed at reopen: %+v", st)
 		}
 		checkAll(t, re, "node", rows, bounds, 0)
 	})
 
 	t.Run("footer-torn", func(t *testing.T) {
 		dir, rows, bounds := stage(t)
-		if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
-			t.Fatal(err)
-		}
 		path := activeSegPath(t, dir, "node")
 		full, err := os.ReadFile(path)
 		if err != nil {
@@ -154,7 +142,7 @@ func TestChaosSegstoreCrashMidSeal(t *testing.T) {
 		if err := os.WriteFile(path, full[:len(full)-20], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		re, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 100})
+		re, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 5})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,56 +159,135 @@ func TestChaosSegstoreCrashMidSeal(t *testing.T) {
 	})
 }
 
-// TestChaosSegstoreCrashMidCompaction stages the compaction crash window:
-// the manifest already forgot a purged segment but the file deletion never
-// happened. Reopening must sweep the leftover and serve the surviving
-// range; the purged range must answer ErrPurged.
-func TestChaosSegstoreCrashMidCompaction(t *testing.T) {
+// stageRetention archives 8 chunks in 4 sealed segments of 2 and a
+// checkpoint covering the first 6, so a byte-budget retention pass has 3
+// victims, and closes the store. It returns the rows and bounds written
+// and the segment files, oldest first.
+func stageRetention(t *testing.T, dir string) ([][]timeseries.Series, []float64, []string) {
+	t.Helper()
+	cfg := testConfig()
+	s, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, bounds := feedStore(t, s, cfg, "node", makeFrames(t, cfg, 8, 16), 0)
+	err = s.WriteCheckpoint(&Checkpoint{Sensors: map[string]*SensorCheckpoint{
+		"node": {Chunks: 6, N: 1, M: 16},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "segments", "node", "*"+segExt))
+	if err != nil || len(files) != 4 {
+		t.Fatalf("staged segments %v (%v), want 4", files, err)
+	}
+	return rows, bounds, files
+}
+
+// TestChaosSegstoreCrashMidRetention crashes a 3-victim retention pass at
+// every point it can stop: after 0, 1, 2 and 3 unlinks. The pass unlinks
+// oldest first, each unlink durable before the next, so each point leaves
+// a tiling suffix of the files. Reopening must start the archive at the
+// oldest survivor, answer ErrPurged below it, read every survivor back
+// byte-identically, and let the next pass drop the victims left over.
+func TestChaosSegstoreCrashMidRetention(t *testing.T) {
+	cfg := testConfig()
+	for unlinked := 0; unlinked <= 3; unlinked++ {
+		dir := t.TempDir()
+		rows, bounds, files := stageRetention(t, dir)
+		for _, f := range files[:unlinked] {
+			if err := os.Remove(f); err != nil {
+				t.Fatal(err)
+			}
+		}
+		re, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 2,
+			Retention: Retention{MaxBytes: 1}})
+		if err != nil {
+			t.Fatalf("%d unlinked: reopen: %v", unlinked, err)
+		}
+		oldest, next, err := re.Bounds("node")
+		if err != nil || oldest != 2*unlinked || next != 8 {
+			t.Fatalf("%d unlinked: Bounds = (%d,%d,%v), want (%d,8,nil)", unlinked, oldest, next, err, 2*unlinked)
+		}
+		if unlinked > 0 {
+			if _, _, err := re.ChunkRow("node", 0, 0, nil); !errors.Is(err, ErrPurged) {
+				t.Errorf("%d unlinked: purged chunk read = %v, want ErrPurged", unlinked, err)
+			}
+		}
+		checkAll(t, re, "node", rows, bounds, 2*unlinked)
+
+		removed, err := re.EnforceRetention(time.Now())
+		if err != nil || removed != 3-unlinked {
+			t.Fatalf("%d unlinked: next pass removed %d (%v), want %d", unlinked, removed, err, 3-unlinked)
+		}
+		if oldest, _, _ := re.Bounds("node"); oldest != 6 {
+			t.Errorf("%d unlinked: watermark %d after the next pass, want 6", unlinked, oldest)
+		}
+		if _, _, err := re.ChunkRow("node", 5, 0, nil); !errors.Is(err, ErrPurged) {
+			t.Errorf("%d unlinked: purged chunk read = %v, want ErrPurged", unlinked, err)
+		}
+		checkAll(t, re, "node", rows, bounds, 6)
+		re.Close()
+	}
+}
+
+// TestChaosSegstoreGapRefused: a file missing from the middle of a
+// sensor's segments is damage, never a crash window, so Open fails with an
+// error naming the file after the gap — and changes nothing on disk, not
+// even the torn tail of the active segment it would otherwise cut.
+func TestChaosSegstoreGapRefused(t *testing.T) {
 	cfg := testConfig()
 	dir := t.TempDir()
 	s, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	frames := makeFrames(t, cfg, 6, 16)
-	rows, bounds := feedStore(t, s, cfg, "node", frames, 0)
-	if err := s.Close(); err != nil {
+	// Three sealed segments and an active one of one record; s is then
+	// abandoned, and the crash tore the next append.
+	feedStore(t, s, cfg, "node", makeFrames(t, cfg, 7, 16), 0)
+	files, err := filepath.Glob(filepath.Join(dir, "segments", "node", "*"+segExt))
+	if err != nil || len(files) != 4 {
+		t.Fatalf("staged segments %v (%v), want 4", files, err)
+	}
+	f, err := os.OpenFile(files[3], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := f.Write([]byte{9, 9, 9}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := os.Remove(files[1]); err != nil {
+		t.Fatal(err)
+	}
+	before := snapshotDir(t, dir)
 
-	// Hand-edit the manifest the way EnforceRetention's crash window leaves
-	// it: first sealed segment forgotten, watermark advanced, file still on
-	// disk.
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		t.Fatal(err)
+	_, err = Open(Options{Dir: dir, Config: cfg, SegmentChunks: 2})
+	if err == nil || !strings.Contains(err.Error(), filepath.Base(files[2])) {
+		t.Fatalf("Open with a gap = %v, want an error naming %s", err, filepath.Base(files[2]))
 	}
-	var m manifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
+	if after := snapshotDir(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("Open with a gap changed the directory")
 	}
-	sm := m.Sensors["node"]
-	leftover := sm.Segments[0].File
-	sm.PurgedThrough = sm.Segments[0].LastChunk + 1
-	sm.Segments = sm.Segments[1:]
-	raw, err = json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	re, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 2})
+// snapshotDir maps every regular file under dir to its contents.
+func snapshotDir(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		out[path] = string(data)
+		return err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer re.Close()
-	if _, err := os.Stat(filepath.Join(dir, filepath.FromSlash(leftover))); !errors.Is(err, os.ErrNotExist) {
-		t.Errorf("compaction leftover %s not swept at reopen (stat: %v)", leftover, err)
-	}
-	if _, _, err := re.ChunkRow("node", 0, 0, nil); !errors.Is(err, ErrPurged) {
-		t.Errorf("purged chunk read = %v, want ErrPurged", err)
-	}
-	checkAll(t, re, "node", rows, bounds, 2)
+	return out
 }

@@ -139,9 +139,9 @@ func parseCheckpoint(payload []byte) (*Checkpoint, error) {
 }
 
 // WriteCheckpoint durably installs ck as the newest checkpoint (atomic
-// rename, like the manifest) and prunes all but the newest checkpointKeep
-// files — the previous one survives as the fallback if the newest is
-// destroyed mid-write by a crash.
+// rename) and prunes all but the newest checkpointKeep files — the
+// previous one survives as the fallback if the newest is destroyed
+// mid-write by a crash.
 func (s *Store) WriteCheckpoint(ck *Checkpoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

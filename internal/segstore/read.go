@@ -106,12 +106,14 @@ func (c *segCache) dropSensor(sensor string) {
 // those slices (never mutate delivered elements), so a captured prefix
 // stays immutable; the record count is baked into the key, so the decode
 // covers exactly the captured prefix. For sealed segments it carries the
-// manifest entry; the file is immutable until retention unlinks it.
+// file and its metadata; the file is immutable until retention unlinks it.
 type segRef struct {
 	key        string
 	firstChunk int
 	lastChunk  int
 	sealed     bool
+	sensor     string  // sealed only
+	dir        string  // sealed only: the sensor's directory
 	meta       segMeta // sealed only
 	scan       segScan // active only: captured in-memory scan
 }
@@ -146,6 +148,8 @@ func resolveRef(sensor string, ss *sensorSegs, chunk int) (segRef, error) {
 		firstChunk: sm.FirstChunk,
 		lastChunk:  sm.LastChunk,
 		sealed:     true,
+		sensor:     sensor,
+		dir:        ss.dir,
 		meta:       sm,
 	}, nil
 }
@@ -198,7 +202,7 @@ func (s *Store) loadRef(ref segRef) (*segCacheEntry, error) {
 	scan := ref.scan
 	if ref.sealed {
 		var err error
-		scan, err = s.scanSealed(ref.meta)
+		scan, err = scanSealed(ref.sensor, ref.dir, ref.meta)
 		if err != nil {
 			return nil, err
 		}
@@ -371,12 +375,14 @@ type windowPart struct {
 	err    error
 }
 
-// scanSealed loads the header and records of one sealed segment from
-// disk, verifying every checksum. The trailer names where the records
-// end, and the read stops there: the footer is neither read nor parsed.
-// Only a damaged trailer sends the scan on to the footer, where it stops.
-func (s *Store) scanSealed(sm segMeta) (segScan, error) {
-	path := filepath.Join(s.dir, filepath.FromSlash(sm.File))
+// scanSealed loads the header and records of one sealed segment of the
+// sensor from its directory, verifying every checksum and that the header
+// names the sensor and first chunk the file's place does. The trailer
+// names where the records end, and the read stops there: the footer is
+// neither read nor parsed. Only a damaged trailer sends the scan on to the
+// footer, where it stops.
+func scanSealed(sensor, dir string, sm segMeta) (segScan, error) {
+	path := filepath.Join(dir, segName(sm.FirstChunk))
 	f, err := os.Open(path)
 	if err != nil {
 		return segScan{}, fmt.Errorf("segstore: opening sealed segment: %w", err)
@@ -387,12 +393,15 @@ func (s *Store) scanSealed(sm segMeta) (segScan, error) {
 		end = sm.Bytes
 	}
 	scan, err := scanSegment(io.NewSectionReader(f, 0, end), end)
+	if err == nil {
+		err = checkPlace(scan.Header, sensor, sm.FirstChunk)
+	}
 	if err != nil {
-		return segScan{}, fmt.Errorf("segstore: sealed segment %s: %w", sm.File, err)
+		return segScan{}, fmt.Errorf("segstore: sealed segment %s: %w", path, err)
 	}
 	if got := len(scan.Recs); got != sm.LastChunk-sm.FirstChunk+1 {
-		return segScan{}, fmt.Errorf("segstore: sealed segment %s holds %d whole records, manifest says %d",
-			sm.File, got, sm.LastChunk-sm.FirstChunk+1)
+		return segScan{}, fmt.Errorf("segstore: sealed segment %s holds %d whole records, want %d",
+			path, got, sm.LastChunk-sm.FirstChunk+1)
 	}
 	return scan, nil
 }
@@ -414,6 +423,7 @@ func (s *Store) ReplayFrom(sensor string, from int, fn func(chunk int, frame []b
 		return fmt.Errorf("%w: sensor %q replay from %d (archive starts at %d)",
 			ErrPurged, sensor, from, ss.purged)
 	}
+	dir := ss.dir
 	sealed := make([]segMeta, 0, len(ss.sealed))
 	for _, sm := range ss.sealed {
 		if sm.LastChunk >= from {
@@ -429,7 +439,7 @@ func (s *Store) ReplayFrom(sensor string, from int, fn func(chunk int, frame []b
 	s.mu.Unlock()
 
 	for _, sm := range sealed {
-		scan, err := s.scanSealed(sm)
+		scan, err := scanSealed(sensor, dir, sm)
 		if err != nil {
 			return err
 		}

@@ -1,7 +1,9 @@
 package segstore
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"time"
@@ -15,8 +17,10 @@ import (
 //     single watermark);
 //   - segments holding chunks at or beyond the latest checkpoint's
 //     coverage are never removed — recovery's tail replay needs them;
-//   - the manifest forgetting a segment is made durable before the file
-//     is deleted, so a crash in between leaves only a sweepable leftover.
+//   - each sensor's victims are unlinked oldest first, each unlink made
+//     durable before the next, so a crash mid-pass leaves files that
+//     still tile: the victims not yet unlinked come back as history, and
+//     the next pass drops them.
 //
 // It returns the number of segments removed.
 func (s *Store) EnforceRetention(now time.Time) (int, error) {
@@ -88,34 +92,31 @@ func (s *Store) EnforceRetention(now time.Time) (int, error) {
 		}
 	}
 
-	var victims []segMeta
+	var removed int
+	var err error
 	for id, n := range drop {
-		if n == 0 {
-			continue
-		}
 		ss := s.sensors[id]
-		victims = append(victims, ss.sealed[:n]...)
-		ss.purged = ss.sealed[n-1].LastChunk + 1
-		ss.sealed = append([]segMeta(nil), ss.sealed[n:]...)
-		s.cache.dropSensor(id)
-	}
-	if len(victims) == 0 {
-		return 0, nil
-	}
-	s.publishWatermarksLocked()
-	// Durable forget first, then delete; leftovers from a crash in between
-	// are swept at the next Open.
-	if err := s.writeManifest(); err != nil {
-		return 0, err
-	}
-	for _, sm := range victims {
-		if err := os.Remove(filepath.Join(s.dir, filepath.FromSlash(sm.File))); err != nil && !os.IsNotExist(err) {
-			return 0, fmt.Errorf("segstore: removing expired segment: %w", err)
+		if n > 0 {
+			s.cache.dropSensor(id)
+		}
+		for ; n > 0 && err == nil; n-- {
+			sm := ss.sealed[0]
+			err = os.Remove(filepath.Join(ss.dir, segName(sm.FirstChunk)))
+			if err != nil && !errors.Is(err, fs.ErrNotExist) {
+				err = fmt.Errorf("segstore: removing expired segment: %w", err)
+				continue
+			}
+			ss.purged, ss.sealed = sm.LastChunk+1, ss.sealed[1:]
+			removed++
+			err = s.syncDir(ss.dir)
 		}
 	}
-	s.met.compactions.Inc()
-	s.updateGauges()
-	return len(victims), nil
+	if removed > 0 {
+		s.publishWatermarksLocked()
+		s.met.compactions.Inc()
+		s.updateGauges()
+	}
+	return removed, err
 }
 
 // removableLocked reports whether retention may drop sm: it must hold

@@ -403,23 +403,20 @@ type segScan struct {
 	Header segHeader
 	Recs   []recMeta // one per whole record, in order
 	Frames [][]byte  // raw wire frames, in record order
-	// Sealed reports a whole footer, matching the records, and trailer:
-	// the seal is durable. Open reads the footer's facts separately.
-	Sealed bool
-	// Good is the offset just past the last whole block (including a
-	// footer and its trailer); a file longer than Good carries a torn tail.
+	// Good is the offset just past the last whole record (or the header);
+	// in an active segment, a file longer than Good carries a torn tail.
 	Good int64
-	Size int64
 }
 
 // scanSegment reads a segment file sequentially, validating every block
-// checksum, and reports everything recoverable plus the torn-tail cut
-// point. It never fails on torn or corrupt tails — only on files whose
-// preamble or header block is unusable (err != nil and Header unset).
-// Given only the bytes before a sealed file's footer, it reads the header
-// and the records and stops cleanly at their end.
+// checksum, and reports the header and every whole record plus the
+// torn-tail cut point. It stops at the first block that is not the next
+// record — a footer, a torn or corrupt block, the end of the file — and
+// never fails on one; it fails only on files whose preamble or header
+// block is unusable (err != nil and Header unset). A sealed file's footer
+// and trailer are read through footerFacts, never by a scan.
 func scanSegment(r io.Reader, size int64) (segScan, error) {
-	scan := segScan{Size: size}
+	var scan segScan
 	br := bufio.NewReaderSize(r, int(min(size, 1<<16)))
 	var magic [8]byte
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
@@ -443,48 +440,21 @@ func scanSegment(r io.Reader, size int64) (segScan, error) {
 	scan.Good = off
 	for {
 		payload, err := blocklog.Read(br, size-off)
-		if err != nil || len(payload) == 0 {
-			// io.EOF is a clean end (unsealed segment, or the end of a
-			// sealed one's records); anything else is a torn tail cut back
-			// to Good.
+		// io.EOF is a clean end (unsealed segment, or the end of a sealed
+		// one's records); a torn block is cut back to Good; a footer ends
+		// the records.
+		if err != nil || len(payload) < recordHeadLen || payload[0] != blockRecord {
 			return scan, nil
 		}
-		blockLen := int64(8 + len(payload))
-		switch payload[0] {
-		case blockRecord:
-			want := scan.Header.FirstChunk + len(scan.Recs)
-			// A record out of sequence is indistinguishable from
-			// corruption that happened to keep a valid CRC.
-			if len(payload) < recordHeadLen || le.Uint64(payload[1:9]) != uint64(want) {
-				return scan, nil
-			}
-			scan.Recs = append(scan.Recs, recMeta{Offset: off, Unix: int64(le.Uint64(payload[9:17]))})
-			scan.Frames = append(scan.Frames, payload[recordHeadLen:])
-			off += blockLen
-			scan.Good = off
-		case blockFooter:
-			first, count, n, _, err := footerHead(payload)
-			if err != nil || first != scan.Header.FirstChunk || count == 0 ||
-				count != len(scan.Recs) || n != scan.Header.N {
-				return scan, nil
-			}
-			// The footer only counts with its trailer intact: a tail torn
-			// inside the trailer means the seal never became durable, so the
-			// footer bytes fall with the tear and the segment stays active.
-			var tr [trailerLen]byte
-			if _, err := io.ReadFull(br, tr[:]); err != nil {
-				return scan, nil
-			}
-			if at, ok := parseTrailer(tr[:]); !ok || at != off {
-				return scan, nil
-			}
-			scan.Sealed = true
-			off += blockLen + trailerLen
-			scan.Good = off
-			return scan, nil
-		default:
+		// A record out of sequence is indistinguishable from corruption
+		// that happened to keep a valid CRC.
+		if le.Uint64(payload[1:9]) != uint64(scan.Header.FirstChunk+len(scan.Recs)) {
 			return scan, nil
 		}
+		scan.Recs = append(scan.Recs, recMeta{Offset: off, Unix: int64(le.Uint64(payload[9:17]))})
+		scan.Frames = append(scan.Frames, payload[recordHeadLen:])
+		off += int64(8 + len(payload))
+		scan.Good = off
 	}
 }
 

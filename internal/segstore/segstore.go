@@ -8,36 +8,41 @@
 // segment absorbs appends (fsynced by default, so an acknowledged frame is
 // durable); once it holds SegmentChunks records it is sealed — a binary
 // footer holding each record's per-chunk facts (bound, inserted base
-// intervals, per-row sum/min/max, time) is written and the manifest is
-// atomically replaced. Each segment header carries the decoder replica
+// intervals, per-row sum/min/max, time) and a trailer locating it are
+// written and fsynced. Each segment header carries the decoder replica
 // state at segment start, so a cold read decodes one segment in isolation
 // and never reads its footer: queries over history evicted from station
 // memory load only the segments whose chunks overlap the requested range
 // and reconstruct only the requested quantity of those chunks. Periodic
 // station checkpoints (decoder replicas and receive bookkeeping, nothing
-// per chunk) land next to the manifest; a restart reads the newest
+// per chunk) land in the data directory; a restart reads the newest
 // checkpoint and one footer per sealed segment and hands both to the
 // station (TakeRecovery), which then replays only the records appended
 // since the checkpoint. Background retention drops the oldest sealed
 // segments by age or byte budget, never touching records newer than the
 // last checkpoint.
 //
-// Crash safety relies on two invariants: every block is independently
-// checksummed (a torn append is detected and truncated at reopen), and the
-// manifest and checkpoints are only ever replaced by atomic rename after
-// an fsync, so readers see either the old or the new index, never a
-// partial one. Compaction deletes files only after the manifest that
-// forgets them is durable; leftovers from a crash in between are swept at
-// the next open.
+// The segment files are the only index. A sensor's directory name encodes
+// its ID, each file's name its first chunk, and a sensor's files tile its
+// chunks from the purge watermark on: Open rebuilds the store from one
+// walk of the tree. Crash safety relies on three invariants: every block
+// is independently checksummed (a torn append is detected and truncated
+// at reopen); a new segment's directory entry is durable before its first
+// record is acknowledged; and retention unlinks a sensor's segments oldest
+// first, each unlink durable before the next, so a crash mid-pass leaves
+// a tiling suffix. Checkpoints are replaced by atomic rename after an
+// fsync, so a restart sees either the old or the new one.
 package segstore
 
 import (
 	"errors"
 	"fmt"
-	"io"
+	"io/fs"
+	"net/url"
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -57,8 +62,8 @@ var ErrPurged = errors.New("segstore: chunk purged by retention")
 var ErrUnknownSensor = errors.New("segstore: unknown sensor")
 
 // DefaultSegmentChunks is the records-per-segment seal threshold when
-// Options leaves it zero: big enough to amortise footer and manifest
-// writes, small enough that a cold read decodes a bounded batch.
+// Options leaves it zero: big enough to amortise footer writes, small
+// enough that a cold read decodes a bounded batch.
 const DefaultSegmentChunks = 64
 
 // DefaultCacheSegments bounds the scanned-segment cache when Options
@@ -84,10 +89,10 @@ type Options struct {
 	// SegmentChunks is the seal threshold in records (DefaultSegmentChunks
 	// when zero).
 	SegmentChunks int
-	// NoSync skips every fsync — per-append, segment seal, manifest and
-	// checkpoint installs. Throughput rises; a crash may lose acknowledged
-	// frames. The default (false) is the durable mode the recovery
-	// guarantees assume.
+	// NoSync skips every fsync — per-append, segment seal, directory
+	// entries and checkpoint installs. Throughput rises; a crash may lose
+	// acknowledged frames. The default (false) is the durable mode the
+	// recovery guarantees assume.
 	NoSync bool
 	// CacheSegments bounds the scanned-segment LRU (DefaultCacheSegments
 	// when zero).
@@ -101,14 +106,57 @@ type Options struct {
 
 const segExt = ".seg"
 
+// segMeta is one sealed segment: its chunks [FirstChunk, LastChunk], its
+// file size and the time of its newest record. Its file is
+// segName(FirstChunk) in its sensor's directory.
+type segMeta struct {
+	FirstChunk int
+	LastChunk  int
+	Bytes      int64
+	MaxUnix    int64
+}
+
+// segName names the segment file whose first chunk is first.
+func segName(first int) string { return fmt.Sprintf("%012d%s", first, segExt) }
+
+// segFirst inverts segName; ok is false for a name segName never yields.
+func segFirst(name string) (first int, ok bool) {
+	first, err := strconv.Atoi(strings.TrimSuffix(name, segExt))
+	return first, err == nil && first >= 0 && segName(first) == name
+}
+
+// dirName maps a sensor ID to its directory under segments/: every byte
+// outside [A-Za-z0-9_.-], and a leading '.', is percent-encoded. Plain IDs
+// such as "node" or "fleet-07" name their directory unchanged, no two IDs
+// share one, and no ID names "." or "..".
+func dirName(id string) string {
+	var b strings.Builder
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		plain := 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9' ||
+			c == '_' || c == '-' || c == '.' && i > 0
+		if plain {
+			b.WriteByte(c)
+		} else {
+			fmt.Fprintf(&b, "%%%02X", c)
+		}
+	}
+	return b.String()
+}
+
+// sensorID inverts dirName; ok is false for a name dirName never yields.
+func sensorID(name string) (id string, ok bool) {
+	id, err := url.PathUnescape(name)
+	return id, err == nil && id != "" && dirName(id) == name
+}
+
 // activeSeg is the per-sensor segment currently absorbing appends. Its
 // raw frames are mirrored in memory (bounded by SegmentChunks) so tail
 // replay and cold reads of the newest chunks need no extra file reads,
 // and its per-chunk facts wait there for the footer the seal writes.
 type activeSeg struct {
 	f      *os.File
-	path   string // absolute
-	rel    string // store-relative (manifest form)
+	path   string
 	header segHeader
 	facts  []ChunkFacts // one per record
 	frames [][]byte     // one per record
@@ -119,7 +167,8 @@ func (a *activeSeg) lastChunk() int { return a.header.FirstChunk + len(a.frames)
 
 // sensorSegs is the in-memory index of one sensor's archive.
 type sensorSegs struct {
-	purged int // chunks [0, purged) dropped by retention
+	dir    string // the sensor's directory
+	purged int    // chunks [0, purged) dropped by retention
 	sealed []segMeta
 	active *activeSeg
 }
@@ -208,13 +257,14 @@ type SensorFacts struct {
 	Chunks []ChunkFacts
 }
 
+// legacyManifest is the index file earlier versions kept beside the
+// segments. Open deletes it: the segment files are the index now.
+const legacyManifest = "MANIFEST.json"
+
 // Open opens (creating if needed) a segment store rooted at opts.Dir and
 // recovers whatever a previous process — cleanly shut down or crashed —
-// left behind: sealed segments are taken from the manifest and their
-// footers read, the active segment is rescanned with its torn tail
-// truncated, a segment sealed but not yet recorded in the manifest
-// finishes sealing, and compaction leftovers are swept. The newest
-// checkpoint and the per-chunk facts wait for TakeRecovery.
+// left behind, from one walk of the segments tree (recoverSegments). The
+// newest checkpoint and the per-chunk facts wait for TakeRecovery.
 func Open(opts Options) (*Store, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("segstore: empty data directory")
@@ -225,7 +275,7 @@ func Open(opts Options) (*Store, error) {
 	if opts.CacheSegments <= 0 {
 		opts.CacheSegments = DefaultCacheSegments
 	}
-	if err := os.MkdirAll(filepath.Join(opts.Dir, "segments"), 0o755); err != nil {
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("segstore: creating data dir: %w", err)
 	}
 	if err := refuseOldCheckpoints(opts.Dir); err != nil {
@@ -240,8 +290,8 @@ func Open(opts Options) (*Store, error) {
 		flights:   make(map[string]*flight),
 		met:       newStoreMetrics(),
 	}
-	if err := s.loadManifest(); err != nil {
-		return nil, err
+	if err := s.mkdirDurable(filepath.Join(opts.Dir, "segments")); err != nil {
+		return nil, fmt.Errorf("segstore: creating data dir: %w", err)
 	}
 	if ck, seq := s.loadLatestCheckpoint(); ck != nil {
 		s.noteCheckpointLocked(ck, seq)
@@ -250,8 +300,8 @@ func Open(opts Options) (*Store, error) {
 	if err := s.recoverSegments(); err != nil {
 		return nil, err
 	}
-	if err := s.readFooters(); err != nil {
-		return nil, err
+	for _, name := range []string{legacyManifest, legacyManifest + ".tmp"} {
+		os.Remove(filepath.Join(opts.Dir, name)) //nolint:errcheck // nothing reads it
 	}
 	s.publishWatermarksLocked()
 	s.updateGauges()
@@ -291,215 +341,229 @@ func (s *Store) publishWatermarksLocked() {
 	s.watermarks.Store(&m)
 }
 
-// recoverSegments scans the segments tree for files the manifest does not
-// know: per sensor, the one past the sealed range is the active segment
-// (rescanned, torn tail truncated, its records decoded for their facts, or
-// its seal finished if it has a footer); anything else is a compaction
-// leftover and is deleted.
+// recoverSegments rebuilds the index from one walk of segments/, each
+// directory holding the files of the sensor its name encodes, and gathers
+// every sensor's per-chunk facts for TakeRecovery. It changes nothing on
+// disk until every sensor's files have tiled: only then does it delete
+// torn first writes and cut torn tails off the active segments.
 func (s *Store) recoverSegments() error {
 	root := filepath.Join(s.dir, "segments")
 	dirs, err := os.ReadDir(root)
 	if err != nil {
 		return fmt.Errorf("segstore: reading segments dir: %w", err)
 	}
-	known := make(map[string]bool)
-	for _, ss := range s.sensors {
-		for _, sm := range ss.sealed {
-			known[filepath.ToSlash(sm.File)] = true
-		}
-	}
-	var sealedDirty bool
+	s.recovery.Facts = make(map[string]SensorFacts, len(dirs))
+	var torn []string
 	for _, d := range dirs {
 		if !d.IsDir() {
 			continue
 		}
-		files, err := os.ReadDir(filepath.Join(root, d.Name()))
-		if err != nil {
-			return fmt.Errorf("segstore: reading sensor dir: %w", err)
+		id, ok := sensorID(d.Name())
+		if !ok {
+			return fmt.Errorf("segstore: segments/%s: not a sensor directory name", d.Name())
 		}
-		type cand struct {
-			path string
-			rel  string
-			scan segScan
-		}
-		var cands []cand
-		for _, f := range files {
-			if f.IsDir() || !strings.HasSuffix(f.Name(), segExt) {
-				continue
-			}
-			rel := filepath.ToSlash(filepath.Join("segments", d.Name(), f.Name()))
-			if known[rel] {
-				continue
-			}
-			path := filepath.Join(root, d.Name(), f.Name())
-			fi, err := os.Stat(path)
-			if err != nil {
-				return err
-			}
-			fh, err := os.Open(path)
-			if err != nil {
-				return err
-			}
-			scan, serr := scanSegment(fh, fi.Size())
-			torn := serr != nil && tornFirstWrite(fh, fi.Size())
-			fh.Close()
-			if torn {
-				// The crash landed inside the very first write of a fresh
-				// segment: nothing recoverable, nothing acknowledged.
-				if err := os.Remove(path); err != nil {
-					return fmt.Errorf("segstore: removing torn segment: %w", err)
-				}
-				continue
-			}
-			if serr != nil {
-				return fmt.Errorf("segstore: segment %s: %w", rel, serr)
-			}
-			cands = append(cands, cand{path: path, rel: rel, scan: scan})
-		}
-		if len(cands) == 0 {
-			continue
-		}
-		// The true active segment starts past everything the manifest holds
-		// for its sensor; everything else is a stale leftover.
-		sort.Slice(cands, func(i, j int) bool {
-			return cands[i].scan.Header.FirstChunk < cands[j].scan.Header.FirstChunk
-		})
-		for i, c := range cands {
-			id := c.scan.Header.Sensor
-			ss := s.sensors[id]
-			if ss == nil {
-				ss = &sensorSegs{}
-				s.sensors[id] = ss
-			}
-			if i < len(cands)-1 || c.scan.Header.FirstChunk != ss.nextChunk() {
-				if err := os.Remove(c.path); err != nil {
-					return fmt.Errorf("segstore: sweeping stale segment: %w", err)
-				}
-				continue
-			}
-			if c.scan.Sealed {
-				// Sealed on disk but the crash beat the manifest update:
-				// finish the job.
-				ss.sealed = append(ss.sealed, metaFromScan(c.rel, c.scan))
-				sealedDirty = true
-				continue
-			}
-			// The records carry frames only: their facts, which the seal
-			// will write into the footer, come from one cold decode.
-			facts, err := factsFromScan(s.opts.Config, c.scan)
-			if err != nil {
-				return fmt.Errorf("segstore: active segment %s: %w", c.rel, err)
-			}
-			if c.scan.Good < c.scan.Size {
-				if err := blocklog.TruncateSync(c.path, c.scan.Good); err != nil {
-					return fmt.Errorf("segstore: %w", err)
-				}
-				s.tornTails++
-			}
-			fh, err := os.OpenFile(c.path, os.O_RDWR, 0)
-			if err != nil {
-				return fmt.Errorf("segstore: reopening active segment: %w", err)
-			}
-			if _, err := fh.Seek(c.scan.Good, 0); err != nil {
-				fh.Close()
-				return err
-			}
-			ss.active = &activeSeg{
-				f: fh, path: c.path, rel: c.rel,
-				header: c.scan.Header, facts: facts,
-				frames: c.scan.Frames, size: c.scan.Good,
-			}
+		if err := s.recoverSensor(id, filepath.Join(root, d.Name()), &torn); err != nil {
+			return err
 		}
 	}
-	if sealedDirty {
-		return s.writeManifest()
+	for _, path := range torn {
+		// The crash landed inside the very first write of a fresh segment:
+		// nothing recoverable, nothing acknowledged.
+		if err := os.Remove(path); err != nil {
+			return fmt.Errorf("segstore: removing torn segment: %w", err)
+		}
+	}
+	for _, ss := range s.sensors {
+		if a := ss.active; a != nil {
+			if err := s.reopenActive(a); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
 
-func metaFromScan(rel string, scan segScan) segMeta {
-	sm := segMeta{
-		File:       rel,
-		FirstChunk: scan.Header.FirstChunk,
-		LastChunk:  scan.Header.FirstChunk + len(scan.Recs) - 1,
-		Bytes:      scan.Good,
+// recoverSensor rebuilds one sensor's index and facts from its directory,
+// whose files (readSegment) must tile the sensor's chunks: the oldest
+// one's first chunk is the purge watermark, and each later file starts
+// where the one before ends. A gap fails, naming the file after it. The
+// active segment is left unopened, and a torn first write is added to
+// torn, for the caller to heal. A sensor with no file left had all of it
+// dropped by retention, which stops at the checkpoint's coverage: that is
+// its watermark and its next chunk. Without coverage it is not recovered.
+func (s *Store) recoverSensor(id, dir string, torn *[]string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("segstore: reading sensor dir: %w", err)
 	}
-	for i, r := range scan.Recs {
-		if i == 0 || r.Unix < sm.MinUnix {
-			sm.MinUnix = r.Unix
+	var firsts []int
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), segExt) {
+			continue
 		}
-		if r.Unix > sm.MaxUnix {
-			sm.MaxUnix = r.Unix
+		first, ok := segFirst(e.Name())
+		if !ok {
+			return fmt.Errorf("segstore: segment %s: not a segment file name", filepath.Join(dir, e.Name()))
 		}
+		firsts = append(firsts, first)
+	}
+	sort.Ints(firsts)
+	ss := &sensorSegs{dir: dir}
+	if len(firsts) > 0 {
+		ss.purged = firsts[0]
+	}
+	var facts []ChunkFacts
+	for i, first := range firsts {
+		path := filepath.Join(dir, segName(first))
+		if want := ss.nextChunk(); first != want {
+			return fmt.Errorf("segstore: segment %s starts at chunk %d, but sensor %q ends at chunk %d: a segment is missing",
+				path, first, id, want)
+		}
+		next := -1 // the newest file
+		if i+1 < len(firsts) {
+			next = firsts[i+1]
+		}
+		sm, ff, active, err := readSegment(s.opts.Config, path, id, first, next)
+		switch {
+		case errors.Is(err, errTornFirstWrite):
+			*torn = append(*torn, path)
+		case err != nil:
+			return fmt.Errorf("segstore: segment %s: %w", path, err)
+		case active != nil:
+			ss.active = &activeSeg{path: path, header: active.Header, facts: ff,
+				frames: active.Frames, size: active.Good}
+		default:
+			ss.sealed = append(ss.sealed, sm)
+		}
+		facts = append(facts, ff...)
+	}
+	if len(ss.sealed) == 0 && ss.active == nil {
+		if ss.purged = s.ckptCover[id]; ss.purged == 0 {
+			return nil
+		}
+	}
+	s.sensors[id] = ss
+	s.recovery.Facts[id] = SensorFacts{First: ss.purged, Chunks: facts}
+	return nil
+}
+
+// errTornFirstWrite reports a newest segment too short to hold its header.
+var errTornFirstWrite = errors.New("segstore: torn first write")
+
+// readSegment reads the segment file at path, where the sensor's segment
+// starting at chunk first belongs; next is the first chunk of the file
+// after it, or -1 for the newest. A sealed segment comes back as its
+// metadata and footer facts, read through the trailer without touching
+// the rest of the file. A file without a readable footer is scanned, its
+// header checked against its place, and its facts decoded from its
+// records: an older file comes back as sealed, its records reaching next,
+// and the newest as the active segment's scan. A newest file that does not
+// scan and is too short to hold a header yields errTornFirstWrite.
+func readSegment(cfg core.Config, path, sensor string, first, next int) (sm segMeta, facts []ChunkFacts, active *segScan, err error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return sm, nil, nil, err
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return sm, nil, nil, err
+	}
+	size := fi.Size()
+	if ffirst, facts, err := footerFacts(f, size); err == nil && len(facts) > 0 {
+		if ffirst != first {
+			return sm, nil, nil, fmt.Errorf("footer starts at chunk %d, the file name at %d", ffirst, first)
+		}
+		return sealedMeta(first, size, facts), facts, nil, nil
+	}
+	scan, err := scanSegment(f, size)
+	if err != nil {
+		if next < 0 && tornFirstWrite(f, size) {
+			return sm, nil, nil, errTornFirstWrite
+		}
+		return sm, nil, nil, err
+	}
+	if err := checkPlace(scan.Header, sensor, first); err != nil {
+		return sm, nil, nil, err
+	}
+	if facts, err = factsFromScan(cfg, scan); err != nil {
+		return sm, nil, nil, err
+	}
+	if next < 0 {
+		return sm, facts, &scan, nil
+	}
+	if len(facts) != next-first {
+		return sm, nil, nil, fmt.Errorf("footer unreadable and %d whole records, but the next segment starts at chunk %d",
+			len(facts), next)
+	}
+	return sealedMeta(first, size, facts), facts, nil, nil
+}
+
+// sealedMeta describes a sealed segment of size bytes holding facts from
+// chunk first on.
+func sealedMeta(first int, size int64, facts []ChunkFacts) segMeta {
+	sm := segMeta{FirstChunk: first, LastChunk: first + len(facts) - 1, Bytes: size}
+	for _, f := range facts {
+		sm.MaxUnix = max(sm.MaxUnix, f.Unix)
 	}
 	return sm
 }
 
-// readFooters gathers every sensor's per-chunk facts for TakeRecovery: one
-// footer read per sealed segment, then the active segment's decoded facts.
-// The footer reads also prove that the files the manifest names exist and
-// tile each sensor's chunks from its purge watermark without a gap.
-func (s *Store) readFooters() error {
-	s.recovery.Facts = make(map[string]SensorFacts, len(s.sensors))
-	for id, ss := range s.sensors {
-		var facts []ChunkFacts
-		for _, sm := range ss.sealed {
-			if want := ss.purged + len(facts); sm.FirstChunk != want {
-				return fmt.Errorf("segstore: sensor %q: segment %s starts at chunk %d, want %d",
-					id, sm.File, sm.FirstChunk, want)
-			}
-			f, err := s.readFooter(sm)
-			if err != nil {
-				return err
-			}
-			facts = append(facts, f...)
-		}
-		if a := ss.active; a != nil {
-			facts = append(facts, a.facts...)
-		}
-		s.recovery.Facts[id] = SensorFacts{First: ss.purged, Chunks: facts}
+// checkPlace verifies that a scanned segment's header names the sensor and
+// first chunk its place in the tree does.
+func checkPlace(h segHeader, sensor string, first int) error {
+	if h.Sensor != sensor || h.FirstChunk != first {
+		return fmt.Errorf("header names sensor %q chunk %d, but the file sits at sensor %q chunk %d",
+			h.Sensor, h.FirstChunk, sensor, first)
 	}
 	return nil
 }
 
-// readFooter returns one sealed segment's per-chunk facts from its footer,
-// found through the trailer. A footer that does not decode is rebuilt
-// from the segment's records, so bit rot in it costs one cold decode
-// rather than the restart.
-func (s *Store) readFooter(sm segMeta) ([]ChunkFacts, error) {
-	f, err := os.Open(filepath.Join(s.dir, filepath.FromSlash(sm.File)))
+// reopenActive opens a recovered active segment for appends, first cutting
+// the torn tail a crash left after its last whole record.
+func (s *Store) reopenActive(a *activeSeg) error {
+	fi, err := os.Stat(a.path)
+	if err == nil && fi.Size() > a.size {
+		s.tornTails++
+		err = blocklog.TruncateSync(a.path, a.size)
+	}
+	if err == nil {
+		a.f, err = os.OpenFile(a.path, os.O_WRONLY|os.O_APPEND, 0)
+	}
 	if err != nil {
-		return nil, fmt.Errorf("segstore: manifest names missing segment %s: %w", sm.File, err)
+		return fmt.Errorf("segstore: reopening active segment: %w", err)
 	}
-	defer f.Close()
-	want := sm.LastChunk - sm.FirstChunk + 1
-	if first, facts, err := footerFacts(f, sm.Bytes); err == nil && first == sm.FirstChunk && len(facts) == want {
-		return facts, nil
-	}
-	scan, err := scanSegment(io.NewSectionReader(f, 0, sm.Bytes), sm.Bytes)
-	if err != nil {
-		return nil, fmt.Errorf("segstore: sealed segment %s: %w", sm.File, err)
-	}
-	if len(scan.Recs) != want {
-		return nil, fmt.Errorf("segstore: sealed segment %s: footer and records unreadable", sm.File)
-	}
-	facts, err := factsFromScan(s.opts.Config, scan)
-	if err != nil {
-		return nil, fmt.Errorf("segstore: sealed segment %s: %w", sm.File, err)
-	}
-	return facts, nil
+	return nil
 }
 
-// safeName maps a sensor ID to its directory name, sanitising path
-// separators.
-func safeName(id string) string {
-	return strings.Map(func(r rune) rune {
-		switch r {
-		case '/', '\\', ':':
-			return '_'
-		}
-		return r
-	}, id)
+// mkdirDurable creates dir when it is missing and makes its entry in the
+// parent directory durable.
+func (s *Store) mkdirDurable(dir string) error {
+	err := os.Mkdir(dir, 0o755)
+	if errors.Is(err, fs.ErrExist) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	return s.syncDir(filepath.Dir(dir))
+}
+
+// syncDir fsyncs a directory, making the entries created or removed in it
+// durable. NoSync skips it.
+func (s *Store) syncDir(dir string) error {
+	if s.opts.NoSync {
+		return nil
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("segstore: syncing dir: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("segstore: syncing dir: %w", err)
+	}
+	return nil
 }
 
 // NeedsSegment reports whether the next Append for sensor will open a
@@ -537,7 +601,10 @@ func (s *Store) AppendTraced(sensor string, chunk int, rows []timeseries.Series,
 	}
 	ss := s.sensors[sensor]
 	if ss == nil {
-		ss = &sensorSegs{}
+		if sensor == "" {
+			return fmt.Errorf("segstore: empty sensor id")
+		}
+		ss = &sensorSegs{dir: filepath.Join(s.dir, "segments", dirName(sensor))}
 		s.sensors[sensor] = ss
 	}
 	if want := ss.nextChunk(); chunk != want {
@@ -572,9 +639,6 @@ func (s *Store) AppendTraced(sensor string, chunk int, rows []timeseries.Series,
 	if len(a.frames) >= s.opts.SegmentChunks {
 		ssp := sp.Child("segstore.seal")
 		err := s.sealActive(ss)
-		if err == nil {
-			err = s.writeManifest()
-		}
 		ssp.End()
 		if err != nil {
 			return err
@@ -585,7 +649,8 @@ func (s *Store) AppendTraced(sensor string, chunk int, rows []timeseries.Series,
 }
 
 // openSegment creates the sensor's next active segment, its header holding
-// the decoder state as of firstChunk.
+// the decoder state as of firstChunk, and makes its directory entry durable
+// before the append that follows acknowledges the first record in it.
 func (s *Store) openSegment(sensor string, ss *sensorSegs, firstChunk int, rows []timeseries.Series, state core.DecoderState) error {
 	m := 0
 	if len(rows) > 0 {
@@ -599,13 +664,10 @@ func (s *Store) openSegment(sensor string, ss *sensorSegs, firstChunk int, rows 
 		Decoder:     state,
 		CreatedUnix: time.Now().Unix(),
 	}
-	dir := filepath.Join(s.dir, "segments", safeName(sensor))
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := s.mkdirDurable(ss.dir); err != nil {
 		return fmt.Errorf("segstore: creating sensor dir: %w", err)
 	}
-	name := fmt.Sprintf("%012d%s", firstChunk, segExt)
-	path := filepath.Join(dir, name)
-	rel := filepath.ToSlash(filepath.Join("segments", safeName(sensor), name))
+	path := filepath.Join(ss.dir, segName(firstChunk))
 	block, err := encodeHeaderBlock(h)
 	if err != nil {
 		return err
@@ -619,13 +681,16 @@ func (s *Store) openSegment(sensor string, ss *sensorSegs, firstChunk int, rows 
 		f.Close()
 		return fmt.Errorf("segstore: writing segment header: %w", err)
 	}
-	ss.active = &activeSeg{f: f, path: path, rel: rel, header: h, size: int64(len(buf))}
+	if err := s.syncDir(ss.dir); err != nil {
+		f.Close()
+		return err
+	}
+	ss.active = &activeSeg{f: f, path: path, header: h, size: int64(len(buf))}
 	return nil
 }
 
 // sealActive writes the footer and trailer, fsyncs and closes the active
-// segment, and moves it to the sealed list. The caller must hold s.mu and
-// follow up with writeManifest.
+// segment, and moves it to the sealed list. The caller must hold s.mu.
 func (s *Store) sealActive(ss *sensorSegs) error {
 	a := ss.active
 	if a == nil {
@@ -636,15 +701,6 @@ func (s *Store) sealActive(ss *sensorSegs) error {
 		a.f.Close()
 		ss.active = nil
 		return os.Remove(a.path)
-	}
-	sm := segMeta{File: a.rel, FirstChunk: a.header.FirstChunk, LastChunk: a.lastChunk()}
-	for i, f := range a.facts {
-		if i == 0 || f.Unix < sm.MinUnix {
-			sm.MinUnix = f.Unix
-		}
-		if f.Unix > sm.MaxUnix {
-			sm.MaxUnix = f.Unix
-		}
 	}
 	block := encodeFooterBlock(a.header.FirstChunk, a.header.N, a.facts, a.size)
 	if _, err := a.f.Write(block); err != nil {
@@ -658,14 +714,13 @@ func (s *Store) sealActive(ss *sensorSegs) error {
 	if err := a.f.Close(); err != nil {
 		return fmt.Errorf("segstore: closing sealed segment: %w", err)
 	}
-	sm.Bytes = a.size + int64(len(block))
-	ss.sealed = append(ss.sealed, sm)
+	ss.sealed = append(ss.sealed, sealedMeta(a.header.FirstChunk, a.size+int64(len(block)), a.facts))
 	ss.active = nil
 	return nil
 }
 
-// Close seals every active segment (graceful shutdown: the footers and
-// manifest make the next boot cheap) and closes the store.
+// Close seals every active segment (graceful shutdown: the footers make
+// the next boot cheap) and closes the store.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -673,18 +728,8 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	var sealed bool
 	for _, ss := range s.sensors {
-		if ss.active == nil {
-			continue
-		}
 		if err := s.sealActive(ss); err != nil {
-			return err
-		}
-		sealed = true
-	}
-	if sealed {
-		if err := s.writeManifest(); err != nil {
 			return err
 		}
 	}
@@ -717,12 +762,11 @@ func (s *Store) Bounds(sensor string) (oldest, next int, err error) {
 	return ss.oldestChunk(), ss.nextChunk(), nil
 }
 
-// updateGauges refreshes the segment/byte gauges. Caller holds s.mu.
-func (s *Store) updateGauges() {
-	var segs int
-	var bytes int64
+// sizeLocked counts the sealed segments, all segments and their bytes.
+// Caller holds s.mu.
+func (s *Store) sizeLocked() (sealed, segs int, bytes int64) {
 	for _, ss := range s.sensors {
-		segs += len(ss.sealed)
+		sealed += len(ss.sealed)
 		for _, sm := range ss.sealed {
 			bytes += sm.Bytes
 		}
@@ -731,6 +775,12 @@ func (s *Store) updateGauges() {
 			bytes += ss.active.size
 		}
 	}
+	return sealed, segs + sealed, bytes
+}
+
+// updateGauges refreshes the segment/byte gauges. Caller holds s.mu.
+func (s *Store) updateGauges() {
+	_, segs, bytes := s.sizeLocked()
 	s.met.segments.Set(float64(segs))
 	s.met.bytes.Set(float64(bytes))
 }
@@ -778,17 +828,7 @@ func (s *Store) StoreStats() Stats {
 		LastCheckpointUnix: s.ckptUnix,
 		TornTails:          s.tornTails,
 	}
-	for _, ss := range s.sensors {
-		st.SealedSegments += len(ss.sealed)
-		for _, sm := range ss.sealed {
-			st.Bytes += sm.Bytes
-		}
-		if ss.active != nil {
-			st.Segments++
-			st.Bytes += ss.active.size
-		}
-	}
-	st.Segments += st.SealedSegments
+	st.SealedSegments, st.Segments, st.Bytes = s.sizeLocked()
 	return st
 }
 

@@ -24,6 +24,13 @@ func testConfig() core.Config {
 // makeFrames returns n deterministic wire frames for one sensor stream.
 func makeFrames(t testing.TB, cfg core.Config, n, batchLen int) [][]byte {
 	t.Helper()
+	return makeFramesAt(t, cfg, n, batchLen, 0)
+}
+
+// makeFramesAt is makeFrames for a stream offset by level, so streams of
+// different levels carry different values.
+func makeFramesAt(t testing.TB, cfg core.Config, n, batchLen int, level float64) [][]byte {
+	t.Helper()
 	comp, err := core.NewCompressor(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -32,7 +39,7 @@ func makeFrames(t testing.TB, cfg core.Config, n, batchLen int) [][]byte {
 	for b := 0; b < n; b++ {
 		row := make(timeseries.Series, batchLen)
 		for i := range row {
-			row[i] = 2 * math.Sin(float64(b*batchLen+i)/5)
+			row[i] = level + 2*math.Sin(float64(b*batchLen+i)/5)
 		}
 		tr, err := comp.Encode([]timeseries.Series{row})
 		if err != nil {
@@ -398,6 +405,142 @@ func TestRetentionByAge(t *testing.T) {
 	if removed != 2 {
 		t.Errorf("retention removed %d segments, want 2", removed)
 	}
+}
+
+// TestRetentionKeepsWatermarkOfEmptySensor stages TestRetentionByAge —
+// retention drops every segment of a quiet sensor — then reopens. With no
+// file left to start from, the sensor resumes at the checkpoint's
+// coverage, where retention stopped: chunks below it are purged, and the
+// next chunk is accepted.
+func TestRetentionKeepsWatermarkOfEmptySensor(t *testing.T) {
+	cfg := testConfig()
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 2,
+		Retention: Retention{MaxAge: time.Hour}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := makeFrames(t, cfg, 5, 16)
+	feedStore(t, s, cfg, "node", frames[:4], 0)
+	err = s.WriteCheckpoint(&Checkpoint{Sensors: map[string]*SensorCheckpoint{
+		"node": {Chunks: 4, N: 1, M: 16},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed, err := s.EnforceRetention(time.Now().Add(2 * time.Hour)); err != nil || removed != 2 {
+		t.Fatalf("retention removed %d segments (%v), want 2", removed, err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	again, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if oldest, next, err := again.Bounds("node"); err != nil || oldest != 4 || next != 4 {
+		t.Fatalf("Bounds after reopen = (%d,%d,%v), want (4,4,nil)", oldest, next, err)
+	}
+	if _, _, err := again.ChunkRow("node", 0, 0, nil); !errors.Is(err, ErrPurged) {
+		t.Errorf("purged chunk after reopen = %v, want ErrPurged", err)
+	}
+	feedStore(t, again, cfg, "node", frames, 4)
+}
+
+// TestSensorDirectoriesAreInjective archives sensors whose IDs collide
+// under separator sanitising ("a/b" and "a_b") or name special
+// directories ("." and ".."), then restarts after a crash and after
+// Close: every chunk of every sensor reads back its own values.
+func TestSensorDirectoriesAreInjective(t *testing.T) {
+	cfg := testConfig()
+	ids := []string{"a/b", "a_b", ".", "..", "node"}
+	for _, graceful := range []bool{false, true} {
+		dir := t.TempDir()
+		s, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows := make(map[string][][]timeseries.Series)
+		bounds := make(map[string][]float64)
+		for i, id := range ids {
+			rows[id], bounds[id] = feedStore(t, s, cfg, id, makeFramesAt(t, cfg, 10, 16, float64(10*i)), 0)
+		}
+		if graceful {
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		re, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 4})
+		if err != nil {
+			t.Fatalf("graceful=%v: reopen: %v", graceful, err)
+		}
+		if got := re.Sensors(); len(got) != len(ids) {
+			t.Errorf("graceful=%v: sensors %q, want %q", graceful, got, ids)
+		}
+		for _, id := range ids {
+			if _, next, err := re.Bounds(id); err != nil || next != 10 {
+				t.Fatalf("graceful=%v: sensor %q next chunk %d (%v), want 10", graceful, id, next, err)
+			}
+			checkAll(t, re, id, rows[id], bounds[id], 0)
+		}
+		re.Close()
+	}
+}
+
+// TestDirNameRoundTrip: dirName leaves plain IDs alone, escapes the rest
+// into a name that is neither "." nor ".." and holds no separator, and
+// sensorID inverts it, refusing every name dirName never yields.
+func TestDirNameRoundTrip(t *testing.T) {
+	for id, want := range map[string]string{
+		"node": "node", "fleet-07": "fleet-07", "x.y_z": "x.y_z",
+		"a/b": "a%2Fb", "a_b": "a_b", "a%b": "a%25b", ".": "%2E", "..": "%2E.",
+		`c:\d`: "c%3A%5Cd", "ü": "%C3%BC",
+	} {
+		if got := dirName(id); got != want {
+			t.Errorf("dirName(%q) = %q, want %q", id, got, want)
+		}
+		if back, ok := sensorID(want); !ok || back != id {
+			t.Errorf("sensorID(%q) = %q, %v, want %q", want, back, ok, id)
+		}
+	}
+	for _, name := range []string{"", ".hidden", "%2e", "%41", "a%2", "a%zz", "a b"} {
+		if id, ok := sensorID(name); ok {
+			t.Errorf("sensorID(%q) = %q, accepted a name dirName never yields", name, id)
+		}
+	}
+}
+
+// TestOpenRemovesLegacyManifest: the index file earlier versions kept is
+// deleted at Open, and the segments beside it open as if it never existed.
+func TestOpenRemovesLegacyManifest(t *testing.T) {
+	cfg := testConfig()
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, bounds := feedStore(t, s, cfg, "node", makeFrames(t, cfg, 6, 16), 0)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{legacyManifest, legacyManifest + ".tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(`{"version":1}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	again, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	for _, name := range []string{legacyManifest, legacyManifest + ".tmp"} {
+		if _, err := os.Stat(filepath.Join(dir, name)); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s still present after Open (%v)", name, err)
+		}
+	}
+	checkAll(t, again, "node", rows, bounds, 0)
 }
 
 // TestDamagedFooter corrupts a sealed segment's footer, then its trailer,

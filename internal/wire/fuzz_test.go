@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"math/bits"
 	"reflect"
 	"testing"
 
@@ -59,6 +60,11 @@ func FuzzDecode(f *testing.F) {
 	f.Add(withBody([]byte{0, 0, 1, 4, 1, 0, 0x80, 0x80, 0x80, 0x80, 0x01}))                            // 2²⁸ intervals
 	f.Add(withBody([]byte{0, 0, 1, 4, 1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01,
 		0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 0})) // placement slot 2⁶⁴−1, which int() makes −1
+
+	// Shapes outside the frame shape limit, each a few bytes long.
+	for _, nm := range [][2]uint64{{1, 1 << 22}, {1, 1 << 63}, {1 << 32, 1 << 32}, {0, 4}, {1, 0}} {
+		f.Add(shapeFrame(nm[0], nm[1]))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := DecodeBytes(data)
@@ -208,12 +214,25 @@ func sameTransmission(a, b *core.Transmission) bool {
 	return true
 }
 
+// shapeFrame is a checksummed frame of n quantities of m samples, W 1 and
+// no records.
+func shapeFrame(n, m uint64) []byte {
+	var body bytes.Buffer
+	body.WriteByte(0) // flags
+	// seq, N, M, W, insert count, interval count
+	for _, v := range []uint64{0, n, m, 1, 0, 0} {
+		putUvarint(&body, v)
+	}
+	return withBody(body.Bytes())
+}
+
 // oracleDecode is the reader-based frame parser that DecodeBytes
-// replaced, kept as FuzzDecode's oracle. Three guards differ from it, none
-// in what it accepts: the insert-count bound no longer divides by zero for
-// W = 2⁶⁴−1, and a body length, insert count or interval count the
-// remaining bytes cannot hold is refused before it is allocated rather
-// than when the read runs out.
+// replaced, kept as FuzzDecode's oracle. It refuses the shapes the format
+// has refused since the shape limit was added: N or M zero, or N·M above
+// maxValues. Three guards differ from it, none in what it accepts: the
+// insert-count bound no longer divides by zero for W = 2⁶⁴−1, and a body
+// length, insert count or interval count the remaining bytes cannot hold
+// is refused before it is allocated rather than when the read runs out.
 func oracleDecode(r *bytes.Reader) (*core.Transmission, error) {
 	var head [5]byte
 	if _, err := io.ReadFull(r, head[:]); err != nil {
@@ -280,6 +299,9 @@ func oracleBody(r *bytes.Reader) (*core.Transmission, error) {
 		}
 	}
 	seq, n, m, w := head[0], head[1], head[2], head[3]
+	if hi, lo := bits.Mul64(n, m); n == 0 || m == 0 || hi != 0 || lo > maxValues {
+		return nil, fmt.Errorf("wire: %d×%d frame outside the shape limit", n, m)
+	}
 	t := &core.Transmission{Seq: int(seq), N: int(n), M: int(m), W: int(w), ErrBound: errBound}
 
 	ins, err := binary.ReadUvarint(r)

@@ -65,8 +65,24 @@ var ErrMagic = errors.New("wire: bad frame magic")
 // frame from driving huge allocations.
 const maxReasonable = 1 << 28
 
+// maxValues bounds the samples one frame describes, N·M. A receiver
+// reconstructs all of them, so a few bytes declaring a huge shape would
+// otherwise cost it that much memory. 2²⁰ is 2.7× the largest batch this
+// repository ships: 15 quantities of 25,600 samples.
+const maxValues = 1 << 20
+
+// shapeFits reports whether n quantities of m samples form a frame shape
+// the format allows: n ≥ 1, m ≥ 1 and n·m ≤ maxValues, checked without
+// overflow.
+func shapeFits(n, m uint64) bool {
+	return n >= 1 && m >= 1 && n <= maxValues/m
+}
+
 // Encode serialises t into a framed byte slice.
 func Encode(t *core.Transmission) ([]byte, error) {
+	if !shapeFits(uint64(t.N), uint64(t.M)) {
+		return nil, fmt.Errorf("wire: %d×%d transmission outside the frame shape limit", t.N, t.M)
+	}
 	var body bytes.Buffer
 	// Flags: bit 0 set when interval records carry the quadratic
 	// coefficient of the non-linear encoding extension.
@@ -321,6 +337,9 @@ func parseBody(body []byte) (*core.Transmission, error) {
 	ins := r.uvarint("insert count")
 	if r.err != nil {
 		return nil, r.err
+	}
+	if !shapeFits(n, m) {
+		return nil, fmt.Errorf("wire: %d×%d frame outside the shape limit (N, M ≥ 1, N·M ≤ %d)", n, m, maxValues)
 	}
 	if !insertsFit(ins, w) {
 		return nil, fmt.Errorf("wire: implausible insert count %d", ins)

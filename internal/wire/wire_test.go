@@ -173,6 +173,34 @@ func TestEncodeValidation(t *testing.T) {
 	}
 }
 
+// TestShapeLimit: a frame must describe at least one quantity of at
+// least one sample and at most maxValues samples in all. The refused
+// shapes are frames of about 20 bytes that would otherwise make a
+// receiver reconstruct 2²² values (N=1, M=2²²), wrap M negative (M=2⁶³)
+// or wrap N·M to zero (N=M=2³²); Encode refuses what the parser does.
+func TestShapeLimit(t *testing.T) {
+	refused := [][2]uint64{{1, 1 << 22}, {1, 1 << 63}, {1 << 32, 1 << 32}, {0, 4}, {4, 0}, {1<<10 + 1, 1 << 10}}
+	for _, nm := range refused {
+		if tr, err := DecodeBytes(shapeFrame(nm[0], nm[1])); err == nil {
+			t.Errorf("N=%d M=%d: decoded %d×%d, want a refusal", nm[0], nm[1], tr.N, tr.M)
+		}
+		if nm[0] <= math.MaxInt64 && nm[1] <= math.MaxInt64 {
+			if _, err := Encode(&core.Transmission{N: int(nm[0]), M: int(nm[1]), W: 1}); err == nil {
+				t.Errorf("N=%d M=%d: Encode accepted the shape", nm[0], nm[1])
+			}
+		}
+	}
+	if len(shapeFrame(1, 1<<22)) != 20 {
+		t.Errorf("the N=1, M=2²² frame is %d bytes, want 20", len(shapeFrame(1, 1<<22)))
+	}
+	for _, nm := range [][2]uint64{{1, 1}, {1 << 10, 1 << 10}, {1, maxValues}, {15, 25600}} {
+		tr, err := DecodeBytes(shapeFrame(nm[0], nm[1]))
+		if err != nil || uint64(tr.N) != nm[0] || uint64(tr.M) != nm[1] {
+			t.Errorf("N=%d M=%d: DecodeBytes = %v, want the shape accepted", nm[0], nm[1], err)
+		}
+	}
+}
+
 func TestEmptyTransmission(t *testing.T) {
 	tr := &core.Transmission{Seq: 0, N: 1, M: 4, W: 2}
 	frame, err := Encode(tr)
