@@ -270,8 +270,8 @@ func TestDecodeDigests(t *testing.T) {
 					binary.LittleEndian.PutUint64(word[:], math.Float64bits(v))
 					h.Write(word[:])
 				}
-				one, err := rowDecs[r].DecodeRow(back, r)
-				if err != nil {
+				one := make(timeseries.Series, back.M)
+				if err := rowDecs[r].DecodeRow(back, r, one); err != nil {
 					t.Fatalf("%s batch %d row %d: %v", ds.Name, i, r, err)
 				}
 				for j, v := range one {

@@ -33,7 +33,8 @@ func NewPool(mbase, w int) *Pool {
 	if w <= 0 {
 		panic("base: non-positive interval width")
 	}
-	return &Pool{w: w, maxIntervals: mbase / w}
+	n := mbase / w
+	return &Pool{w: w, maxIntervals: n, slots: make([]timeseries.Series, 0, n), freq: make([]uint64, 0, n)}
 }
 
 // W returns the interval width.
@@ -53,21 +54,12 @@ func (p *Pool) Signal() timeseries.Series {
 	return timeseries.Concat(p.slots...)
 }
 
-// SignalWith returns the concatenation of the stored signal and the given
-// pending intervals: the pre-eviction X_new that Algorithm 5 hands to
-// GetIntervals before the replacement step runs.
-func (p *Pool) SignalWith(pending []timeseries.Series) timeseries.Series {
-	all := make([]timeseries.Series, 0, len(p.slots)+len(pending))
-	all = append(all, p.slots...)
-	all = append(all, pending...)
-	return timeseries.Concat(all...)
-}
-
 // AppendSignal appends the concatenation of the stored signal and the
-// given pending intervals to dst and returns the extended slice — the
-// allocation-free variant of SignalWith for callers that hold a reusable
-// scratch buffer (the insert-count search rebuilds this signal on every
-// Encode).
+// given pending intervals to dst and returns the extended slice: the
+// pre-eviction X_new that Algorithm 5 hands to GetIntervals before the
+// replacement step runs. Callers hold a reusable scratch buffer (the
+// insert-count search rebuilds this signal on every Encode, the decoder
+// on every transmission it reconstructs).
 func (p *Pool) AppendSignal(dst timeseries.Series, pending []timeseries.Series) timeseries.Series {
 	for _, s := range p.slots {
 		dst = append(dst, s...)
@@ -79,7 +71,7 @@ func (p *Pool) AppendSignal(dst timeseries.Series, pending []timeseries.Series) 
 }
 
 // UseCounts returns a zeroed per-slot counter sized for the layout of
-// SignalWith(pending): callers accumulate, via CountUse, one increment per
+// AppendSignal(nil, pending): callers accumulate, via CountUse, one increment per
 // interval record mapped onto each slot, then pass the counters to Commit.
 func (p *Pool) UseCounts(pendingCount int) []int {
 	return make([]int, len(p.slots)+pendingCount)
@@ -192,7 +184,9 @@ func (p *Pool) leastFrequent(limit, count int) []int {
 // or overwrites an existing slot otherwise. The replica needs no frequency
 // information — eviction decisions were made by the sender and are implied
 // by the placements. The whole update is checked before any of it is
-// stored: a refused update leaves the pool as it was.
+// stored: a refused update leaves the pool as it was. A replaced slot's
+// values are overwritten in place, so a replica that has filled its pool
+// applies updates without allocating.
 func (p *Pool) Apply(intervals []timeseries.Series, placements []Placement) error {
 	if len(intervals) != len(placements) {
 		return fmt.Errorf("base: %d intervals but %d placements", len(intervals), len(placements))
@@ -210,13 +204,20 @@ func (p *Pool) Apply(intervals []timeseries.Series, placements []Placement) erro
 				slot, size, p.maxIntervals)
 		}
 	}
+	var fresh timeseries.Series // one array for the slots this update appends
 	for i, iv := range intervals {
 		if slot := placements[i].Slot; slot < len(p.slots) {
-			p.slots[slot] = iv.Clone()
-		} else {
-			p.slots = append(p.slots, iv.Clone())
-			p.freq = append(p.freq, 0)
+			copy(p.slots[slot], iv)
+			continue
 		}
+		if len(fresh) == 0 {
+			fresh = make(timeseries.Series, (len(intervals)-i)*p.w)
+		}
+		slot := fresh[:p.w:p.w]
+		fresh = fresh[p.w:]
+		copy(slot, iv)
+		p.slots = append(p.slots, slot)
+		p.freq = append(p.freq, 0)
 	}
 	return nil
 }

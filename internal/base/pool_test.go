@@ -233,32 +233,32 @@ func TestNewPoolPanicsOnBadWidth(t *testing.T) {
 	NewPool(8, 0)
 }
 
-func TestPoolSignalWith(t *testing.T) {
+// TestPoolAppendSignal: the signal with pending intervals is the stored
+// slots, then the pending ones, and building it leaves the pool as it was.
+func TestPoolAppendSignal(t *testing.T) {
 	p := NewPool(8, 2)
 	if _, err := p.Commit([]timeseries.Series{iv(1, 2)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	x := p.SignalWith([]timeseries.Series{iv(3, 4)})
+	x := p.AppendSignal(nil, []timeseries.Series{iv(3, 4)})
 	if !timeseries.Equal(x, iv(1, 2, 3, 4), 0) {
-		t.Errorf("SignalWith = %v", x)
+		t.Errorf("AppendSignal = %v", x)
 	}
-	// The pool itself is unchanged.
 	if p.NumIntervals() != 1 {
-		t.Error("SignalWith mutated the pool")
+		t.Error("AppendSignal mutated the pool")
 	}
 }
 
-func TestPoolAppendSignalMatchesSignalWith(t *testing.T) {
+func TestPoolAppendSignalReusesScratch(t *testing.T) {
 	p := NewPool(8, 2)
 	if _, err := p.Commit([]timeseries.Series{{1, 2}, {3, 4}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	pending := []timeseries.Series{{5, 6}, {7, 8}}
-	want := p.SignalWith(pending)
 
 	scratch := make(timeseries.Series, 0, 1)
 	got := p.AppendSignal(scratch[:0], pending)
-	if !timeseries.Equal(got, want, 0) {
+	if want := iv(1, 2, 3, 4, 5, 6, 7, 8); !timeseries.Equal(got, want, 0) {
 		t.Fatalf("AppendSignal = %v, want %v", got, want)
 	}
 	// Reuse: a second call into the same (now larger) scratch allocates
@@ -269,5 +269,28 @@ func TestPoolAppendSignalMatchesSignalWith(t *testing.T) {
 	}
 	if &again[0] != &got[0] {
 		t.Error("second AppendSignal should reuse the scratch backing array")
+	}
+}
+
+// TestPoolApplyOverwritesInPlace: a replica whose pool is full applies a
+// replacement without allocating, and the slot holds a copy, not the
+// caller's slice.
+func TestPoolApplyOverwritesInPlace(t *testing.T) {
+	p := NewPool(4, 2)
+	if err := p.Apply([]timeseries.Series{{1, 2}, {3, 4}}, []Placement{{Slot: 0}, {Slot: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	in := []timeseries.Series{{5, 6}}
+	at := []Placement{{Slot: 0}}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := p.Apply(in, at); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("Apply into a full pool allocated %v times", n)
+	}
+	in[0][0] = 99
+	if got := p.Signal(); !timeseries.Equal(got, iv(5, 6, 3, 4), 0) {
+		t.Errorf("signal %v, want [5 6 3 4]", got)
 	}
 }

@@ -73,6 +73,28 @@ func Read(r io.Reader, avail int64) ([]byte, error) {
 	return payload, nil
 }
 
+// Cut is Read over a file held in memory: it parses the block at the head
+// of b and returns its payload, in place, and the bytes after the block.
+// It fails as Read does: ErrTorn for any incomplete or corrupt block,
+// io.EOF only when b is empty.
+func Cut(b []byte) (payload, rest []byte, err error) {
+	if len(b) == 0 {
+		return nil, nil, io.EOF
+	}
+	if len(b) < 8 {
+		return nil, nil, ErrTorn
+	}
+	n := binary.LittleEndian.Uint32(b[0:4])
+	if n > MaxBlock || int64(n) > int64(len(b)-8) {
+		return nil, nil, ErrTorn
+	}
+	payload = b[8 : 8+n : 8+n]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(b[4:8]) {
+		return nil, nil, ErrTorn
+	}
+	return payload, b[8+n:], nil
+}
+
 // TruncateSync cuts the file at path back to size — the end of its last
 // whole block — and fsyncs it, so the healed file is durable before any
 // new append lands after it.

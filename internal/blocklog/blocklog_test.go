@@ -63,6 +63,38 @@ func TestReadTornShapes(t *testing.T) {
 	}
 }
 
+// TestCutMatchesRead: Cut, the in-memory reader, gives the payload and the
+// verdict Read gives on the same bytes, for whole, torn and corrupt
+// blocks alike, and hands back the bytes after a whole block.
+func TestCutMatchesRead(t *testing.T) {
+	block := Append(nil, []byte("payload bytes"))
+	two := Append(append([]byte(nil), block...), []byte("next"))
+	flip := func(i int) []byte {
+		b := append([]byte(nil), block...)
+		b[i] ^= 0x01
+		return b
+	}
+	for name, data := range map[string][]byte{
+		"empty":         nil,
+		"whole":         block,
+		"two blocks":    two,
+		"short header":  block[:5],
+		"short payload": block[:len(block)-1],
+		"length bit":    flip(0),
+		"crc bit":       flip(5),
+		"payload bit":   flip(len(block) - 1),
+	} {
+		want, werr := Read(bytes.NewReader(data), int64(len(data)))
+		got, rest, err := Cut(data)
+		if err != werr || !bytes.Equal(got, want) {
+			t.Errorf("%s: Cut = %q, %v; Read = %q, %v", name, got, err, want, werr)
+		}
+		if err == nil && len(rest) != len(data)-8-len(got) {
+			t.Errorf("%s: %d bytes after the block, want %d", name, len(rest), len(data)-8-len(got))
+		}
+	}
+}
+
 func TestTruncateSyncAndInstall(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "log")

@@ -21,6 +21,12 @@ type Decoder struct {
 	pool *base.Pool
 	dctX timeseries.Series
 	next int
+
+	// Scratch space every transmission reuses: its interval list with the
+	// lengths filled in, and the base signal its intervals were fitted
+	// against. Neither outlives the call that fills it.
+	list []interval.Interval
+	x    timeseries.Series
 }
 
 // NewDecoder creates a decoder for a stream produced by a Compressor with
@@ -50,7 +56,7 @@ func (d *Decoder) BaseSignal() timeseries.Series {
 // base-signal update to the replica. A transmission it refuses leaves the
 // replica untouched.
 func (d *Decoder) Decode(t *Transmission) ([]timeseries.Series, error) {
-	x, list, err := d.step(t)
+	x, list, err := d.step(t, true)
 	if err != nil {
 		return nil, err
 	}
@@ -62,36 +68,44 @@ func (d *Decoder) Decode(t *Transmission) ([]timeseries.Series, error) {
 	return rows, nil
 }
 
-// DecodeRow reconstructs only quantity row of t and applies t's
-// base-signal update: the row is bit-identical to Decode(t)[row], and t
-// is validated exactly as Decode validates it.
-func (d *Decoder) DecodeRow(t *Transmission, row int) (timeseries.Series, error) {
+// DecodeRow reconstructs only quantity row of t into dst, which must hold
+// t.M samples, and applies t's base-signal update: dst ends up
+// bit-identical to Decode(t)[row], and t is validated exactly as Decode
+// validates it.
+func (d *Decoder) DecodeRow(t *Transmission, row int, dst timeseries.Series) error {
 	if row < 0 || row >= t.N {
-		return nil, fmt.Errorf("core: row %d outside a transmission of %d rows", row, t.N)
+		return fmt.Errorf("core: row %d outside a transmission of %d rows", row, t.N)
 	}
-	x, list, err := d.step(t)
+	if len(dst) != t.M {
+		return fmt.Errorf("core: %d samples of room for a row of %d", len(dst), t.M)
+	}
+	x, list, err := d.step(t, true)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	return interval.ReconstructRange(x, list, row*t.M, (row+1)*t.M), nil
+	interval.ReconstructInto(dst, x, list, row*t.M)
+	return nil
 }
 
 // Advance validates t exactly as Decode does and applies its base-signal
-// update without reconstructing anything: it moves the replica past a
-// transmission whose samples the caller does not need. A later
-// transmission decodes against the replica only, so skipping earlier
-// reconstructions changes none of its samples.
+// update without reconstructing anything, nor building the signal t was
+// fitted against: it moves the replica past a transmission whose samples
+// the caller does not need. A later transmission decodes against the
+// replica only, so skipping earlier reconstructions changes none of its
+// samples.
 func (d *Decoder) Advance(t *Transmission) error {
-	_, _, err := d.step(t)
+	_, _, err := d.step(t, false)
 	return err
 }
 
 // step is the path Decode, DecodeRow and Advance share. It checks t's
 // sequence number, width, intervals and base-signal placements against
-// the replica, then applies t's base-signal update and returns the signal
-// t's intervals were fitted against with the interval list, lengths
-// recovered. Nothing changes until every check has passed.
-func (d *Decoder) step(t *Transmission) (timeseries.Series, []interval.Interval, error) {
+// the replica, then applies t's base-signal update and returns the
+// interval list, lengths recovered, and — when signal is set — the
+// signal t's intervals were fitted against. Both live in the decoder's
+// scratch space until the next step. Nothing changes until every check
+// has passed.
+func (d *Decoder) step(t *Transmission, signal bool) (timeseries.Series, []interval.Interval, error) {
 	if t.Seq != d.next {
 		return nil, nil, fmt.Errorf("core: transmission %d decoded out of order (want %d)", t.Seq, d.next)
 	}
@@ -114,19 +128,27 @@ func (d *Decoder) step(t *Transmission) (timeseries.Series, []interval.Interval,
 	}
 
 	var x timeseries.Series
+	var xLen int
 	switch d.cfg.Builder {
 	case BuilderDCT:
-		x = dctX
+		x, xLen = dctX, len(dctX)
 	case BuilderNone:
 		// no base signal
 	default:
 		// The intervals were fitted against the pre-eviction X_new.
-		x = pool.SignalWith(t.BaseIntervals)
+		xLen = pool.Size()
+		for _, iv := range t.BaseIntervals {
+			xLen += len(iv)
+		}
+		if signal {
+			d.x = pool.AppendSignal(d.x[:0], t.BaseIntervals)
+			x = d.x
+		}
 	}
 
 	n := t.N * t.M
-	list := withLengths(t.Intervals, n)
-	if err := validateIntervals(list, len(x), n); err != nil {
+	d.list = withLengths(d.list[:0], t.Intervals, n)
+	if err := validateIntervals(d.list, xLen, n); err != nil {
 		return nil, nil, err
 	}
 	if pool != nil {
@@ -137,7 +159,7 @@ func (d *Decoder) step(t *Transmission) (timeseries.Series, []interval.Interval,
 	}
 	d.w, d.pool, d.dctX = w, pool, dctX
 	d.next++
-	return x, list, nil
+	return x, d.list, nil
 }
 
 // DecoderState is a serialisable snapshot of a decoder's replica state:
@@ -221,12 +243,13 @@ func validateIntervals(list []interval.Interval, xLen, total int) error {
 	return nil
 }
 
-// withLengths recovers the interval lengths from the sorted start offsets,
-// the way the base station does after receiving only (start, shift, a, b)
-// records: each interval extends to the start of the next one (Section 4.2).
-// The encoder emits strictly increasing starts, which need no sort.
-func withLengths(in []interval.Interval, total int) []interval.Interval {
-	list := append([]interval.Interval(nil), in...)
+// withLengths appends in to list and recovers the interval lengths from
+// the sorted start offsets, the way the base station does after receiving
+// only (start, shift, a, b) records: each interval extends to the start of
+// the next one (Section 4.2). The encoder emits strictly increasing
+// starts, which need no sort.
+func withLengths(list, in []interval.Interval, total int) []interval.Interval {
+	list = append(list, in...)
 	for i := 1; i < len(list); i++ {
 		if list[i].Start <= list[i-1].Start {
 			sort.Slice(list, func(i, j int) bool { return list[i].Start < list[j].Start })

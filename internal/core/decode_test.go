@@ -73,9 +73,14 @@ func TestRejectionLeavesReplica(t *testing.T) {
 		call func(*Decoder, *Transmission) error
 	}{
 		{"Decode", func(d *Decoder, tx *Transmission) error { _, err := d.Decode(tx); return err }},
-		{"DecodeRow", func(d *Decoder, tx *Transmission) error { _, err := d.DecodeRow(tx, 1); return err }},
+		{"DecodeRow", func(d *Decoder, tx *Transmission) error { return d.DecodeRow(tx, 1, make(timeseries.Series, tx.M)) }},
 		{"Advance", func(d *Decoder, tx *Transmission) error { return d.Advance(tx) }},
-		{"DecodeRow out of range", func(d *Decoder, tx *Transmission) error { _, err := d.DecodeRow(tx, tx.N); return err }},
+		{"DecodeRow out of range", func(d *Decoder, tx *Transmission) error {
+			return d.DecodeRow(tx, tx.N, make(timeseries.Series, tx.M))
+		}},
+		{"DecodeRow short of room", func(d *Decoder, tx *Transmission) error {
+			return d.DecodeRow(tx, 1, make(timeseries.Series, tx.M-1))
+		}},
 	}
 	for _, at := range []int{0, 1} { // refused as the first transmission, then after one
 		for _, k := range kinds {
@@ -91,7 +96,7 @@ func TestRejectionLeavesReplica(t *testing.T) {
 				}
 				before := dec.State()
 				bad := cloneTx(txs[at])
-				if e.name != "DecodeRow out of range" {
+				if e.name == "Decode" || e.name == "DecodeRow" || e.name == "Advance" {
 					k.mut(bad)
 				}
 				if err := e.call(dec, bad); err == nil {
@@ -116,7 +121,7 @@ func TestRejectionLeavesReplica(t *testing.T) {
 
 // TestAdvanceThenDecodeRow checks that a replica advanced past the first
 // transmissions reconstructs every later row bit-identically to a replica
-// that decoded everything.
+// that decoded everything, into one buffer it overwrites each time.
 func TestAdvanceThenDecodeRow(t *testing.T) {
 	cfg := Config{TotalBand: 300, MBase: 320, Metric: metrics.SSE}
 	comp, err := NewCompressorForceIns(cfg, 1)
@@ -137,6 +142,7 @@ func TestAdvanceThenDecodeRow(t *testing.T) {
 		}
 		txs, want = append(txs, tx), append(want, rows)
 	}
+	got := make(timeseries.Series, 256)
 	for skip := range txs {
 		for row := 0; row < 4; row++ {
 			dec, _ := NewDecoder(cfg)
@@ -146,8 +152,10 @@ func TestAdvanceThenDecodeRow(t *testing.T) {
 				}
 			}
 			for i := skip; i < len(txs); i++ {
-				got, err := dec.DecodeRow(txs[i], row)
-				if err != nil {
+				for j := range got {
+					got[j] = math.NaN()
+				}
+				if err := dec.DecodeRow(txs[i], row, got); err != nil {
 					t.Fatal(err)
 				}
 				if !sameBits([]timeseries.Series{got}, want[i][row:row+1]) {

@@ -195,7 +195,8 @@ func (a *API) handleStats(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	// Read-path counters: query volume and chunks served cold from the
-	// archive (the store's singleflight totals ride along under "store").
+	// archive (the store's segment loads and chunks advanced and decoded
+	// ride along under "store").
 	out := map[string]any{"sensors": sensors, "query": a.st.ReadStats()}
 	if store := a.st.Archive(); store != nil {
 		out["store"] = store.StoreStats()

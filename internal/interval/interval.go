@@ -377,13 +377,21 @@ func TotalError(kind metrics.Kind, list []Interval) float64 {
 // Samples no interval covers are zero.
 func ReconstructRange(x timeseries.Series, list []Interval, lo, hi int) timeseries.Series {
 	out := make(timeseries.Series, hi-lo)
+	ReconstructInto(out, x, list, lo)
+	return out
+}
+
+// ReconstructInto is ReconstructRange writing samples [lo, lo+len(out))
+// into out, which it overwrites whole.
+func ReconstructInto(out timeseries.Series, x timeseries.Series, list []Interval, lo int) {
+	clear(out)
+	hi := lo + len(out)
 	for _, iv := range list {
 		s, e := max(iv.Start, lo), min(iv.Start+iv.Length, hi)
 		if s < e {
 			iv.fill(x, out[s-lo:e-lo], s-iv.Start)
 		}
 	}
-	return out
 }
 
 // TransmissionCost returns the number of values needed to ship the interval

@@ -256,7 +256,8 @@ func TestGetIntervalsEmptyInput(t *testing.T) {
 // TestReconstructRangeMatchesWhole checks the windowed reconstruction
 // against the whole signal bit for bit, for every window of a list that
 // mixes shifted, ramp and quadratic intervals and leaves a gap before its
-// first start.
+// first start, also when written into a reused buffer that holds earlier
+// samples (ReconstructInto).
 func TestReconstructRangeMatchesWhole(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := randSeries(rng, 32)
@@ -271,12 +272,20 @@ func TestReconstructRangeMatchesWhole(t *testing.T) {
 	for _, iv := range list {
 		iv.Approximate(x, whole[iv.Start:iv.Start+iv.Length])
 	}
+	dirty := make(timeseries.Series, total)
 	for lo := 0; lo <= total; lo++ {
 		for hi := lo; hi <= total; hi++ {
-			got := ReconstructRange(x, list, lo, hi)
-			for i, v := range got {
+			for i := range dirty {
+				dirty[i] = math.NaN()
+			}
+			into := dirty[:hi-lo]
+			ReconstructInto(into, x, list, lo)
+			for i, v := range ReconstructRange(x, list, lo, hi) {
 				if math.Float64bits(v) != math.Float64bits(whole[lo+i]) {
 					t.Fatalf("[%d,%d): sample %d is %v, whole signal has %v", lo, hi, lo+i, v, whole[lo+i])
+				}
+				if math.Float64bits(into[i]) != math.Float64bits(v) {
+					t.Fatalf("[%d,%d): ReconstructInto sample %d is %v, ReconstructRange %v", lo, hi, lo+i, into[i], v)
 				}
 			}
 		}

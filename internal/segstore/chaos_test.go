@@ -54,9 +54,7 @@ func TestChaosSegstoreTornAppendSweep(t *testing.T) {
 	}
 
 	// Record boundaries, rediscovered by a clean scan.
-	f, _ := os.Open(path)
-	scan, err := scanSegment(f, int64(len(full)))
-	f.Close()
+	scan, err := scanSegment(full, 0)
 	if err != nil || len(scan.Recs) != 6 {
 		t.Fatalf("staging scan: %d recs, %v", len(scan.Recs), err)
 	}
@@ -213,7 +211,7 @@ func TestChaosSegstoreCrashMidRetention(t *testing.T) {
 			t.Fatalf("%d unlinked: Bounds = (%d,%d,%v), want (%d,8,nil)", unlinked, oldest, next, err, 2*unlinked)
 		}
 		if unlinked > 0 {
-			if _, _, err := re.ChunkRow("node", 0, 0, nil); !errors.Is(err, ErrPurged) {
+			if err := re.ChunkRow("node", 0, 0, make(timeseries.Series, 16), nil); !errors.Is(err, ErrPurged) {
 				t.Errorf("%d unlinked: purged chunk read = %v, want ErrPurged", unlinked, err)
 			}
 		}
@@ -226,7 +224,7 @@ func TestChaosSegstoreCrashMidRetention(t *testing.T) {
 		if oldest, _, _ := re.Bounds("node"); oldest != 6 {
 			t.Errorf("%d unlinked: watermark %d after the next pass, want 6", unlinked, oldest)
 		}
-		if _, _, err := re.ChunkRow("node", 5, 0, nil); !errors.Is(err, ErrPurged) {
+		if err := re.ChunkRow("node", 5, 0, make(timeseries.Series, 16), nil); !errors.Is(err, ErrPurged) {
 			t.Errorf("%d unlinked: purged chunk read = %v, want ErrPurged", unlinked, err)
 		}
 		checkAll(t, re, "node", rows, bounds, 6)

@@ -1,10 +1,15 @@
 package segstore
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
+	"io"
 	"os"
+	"reflect"
 	"testing"
 
+	"sbr/internal/blocklog"
 	"sbr/internal/core"
 	"sbr/internal/timeseries"
 )
@@ -12,8 +17,11 @@ import (
 // FuzzScanSegment feeds arbitrary bytes to the segment reader: whatever a
 // crashed disk or a corrupt transfer hands us, scanning and decoding must
 // fail cleanly (error or torn-tail truncation), never panic, and never
-// claim more good bytes than the input holds. A file that scans is never
-// one Open would delete as a torn first write.
+// claim more good bytes than the input holds. The in-memory scanner must
+// find exactly what the reader-based scanner it replaced finds
+// (scanSegmentReader): the same error, header, records, frames and cut
+// point. A file that scans is never one Open would delete as a torn first
+// write.
 func FuzzScanSegment(f *testing.F) {
 	cfg := testConfig()
 
@@ -43,10 +51,24 @@ func FuzzScanSegment(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		scan, err := scanSegment(bytes.NewReader(data), int64(len(data)))
-		torn := tornFirstWrite(bytes.NewReader(data), int64(len(data)))
+		scan, err := scanSegment(data, 0)
+		ref, refErr := scanSegmentReader(bytes.NewReader(data), int64(len(data)))
+		if fmt.Sprint(err) != fmt.Sprint(refErr) {
+			t.Fatalf("scanSegment error %v, reader-based scanner error %v", err, refErr)
+		}
+		torn := tornFirstWrite(data)
 		if err != nil {
 			return
+		}
+		if !reflect.DeepEqual(scan.Header, ref.Header) || scan.Good != ref.Good ||
+			len(scan.Recs) != len(ref.Recs) || len(scan.Frames) != len(ref.Frames) {
+			t.Fatalf("scanSegment found %d records to %d, the reader-based scanner %d to %d",
+				len(scan.Recs), scan.Good, len(ref.Recs), ref.Good)
+		}
+		for i := range scan.Recs {
+			if scan.Recs[i] != ref.Recs[i] || !bytes.Equal(scan.Frames[i], ref.Frames[i]) {
+				t.Fatalf("record %d differs from the reader-based scanner's", i)
+			}
 		}
 		if torn {
 			t.Fatalf("a segment that scans (%d records) reads as a torn first write", len(scan.Recs))
@@ -61,10 +83,52 @@ func FuzzScanSegment(f *testing.F) {
 		// window; errors are fine (the frames may be garbage that happened
 		// to checksum).
 		_, _ = decodeSegmentChunks(cfg, scan)
-		if n := len(scan.Frames); n > 0 {
-			_, _, _ = decodeRow(cfg, scan.Header, scan.Frames, 0, n/2, n)
+		if n, m := len(scan.Frames), scan.Header.M; n > 0 && m <= 1<<12 {
+			_ = decodeRow(cfg, scan.Header, scan.Frames, 0, n/2, n, make(timeseries.Series, (n-n/2)*m))
 		}
 	})
+}
+
+// scanSegmentReader is the reader-based segment scanner that scanSegment
+// replaced, kept as FuzzScanSegment's reference: it reads the file block
+// by block through a bufio.Reader, copying each block into its own
+// allocation.
+func scanSegmentReader(r io.Reader, size int64) (segScan, error) {
+	var scan segScan
+	br := bufio.NewReaderSize(r, int(min(size, 1<<16)))
+	var magic [8]byte
+	if _, err := io.ReadFull(br, magic[:]); err != nil {
+		return scan, fmt.Errorf("segstore: segment too short for its magic")
+	}
+	if magic == oldSegMagic {
+		return scan, errOldFormat
+	}
+	if magic != segMagic {
+		return scan, fmt.Errorf("segstore: bad segment magic")
+	}
+	off := int64(len(segMagic))
+	payload, err := blocklog.Read(br, size-off)
+	if err != nil {
+		return scan, fmt.Errorf("segstore: unreadable segment header")
+	}
+	if scan.Header, err = decodeHeader(payload); err != nil {
+		return scan, err
+	}
+	off += int64(8 + len(payload))
+	scan.Good = off
+	for {
+		payload, err := blocklog.Read(br, size-off)
+		if err != nil || len(payload) < recordHeadLen || payload[0] != blockRecord {
+			return scan, nil
+		}
+		if le.Uint64(payload[1:9]) != uint64(scan.Header.FirstChunk+len(scan.Recs)) {
+			return scan, nil
+		}
+		scan.Recs = append(scan.Recs, recMeta{Offset: off, Unix: int64(le.Uint64(payload[9:17]))})
+		scan.Frames = append(scan.Frames, payload[recordHeadLen:])
+		off += int64(8 + len(payload))
+		scan.Good = off
+	}
 }
 
 // FuzzDecodeMetadata feeds arbitrary bytes to the binary metadata

@@ -3,10 +3,11 @@ package segstore
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"sbr/internal/core"
 	"sbr/internal/metrics"
@@ -16,12 +17,12 @@ import (
 	"sbr/internal/wire"
 )
 
-// openReadStore archives n chunks of one sensor into a fresh store and
-// returns it with the reference rows and per-chunk bounds.
-func openReadStore(t testing.TB, segChunks, cacheSegs, n int) (*Store, [][]timeseries.Series, []float64) {
+// openReadStore archives n chunks of 16 samples of one sensor into a
+// fresh store and returns it with the reference rows and per-chunk bounds.
+func openReadStore(t testing.TB, segChunks, n int) (*Store, [][]timeseries.Series, []float64) {
 	t.Helper()
 	cfg := testConfig()
-	s, err := Open(Options{Dir: t.TempDir(), Config: cfg, SegmentChunks: segChunks, CacheSegments: cacheSegs, NoSync: true})
+	s, err := Open(Options{Dir: t.TempDir(), Config: cfg, SegmentChunks: segChunks, NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,110 +33,48 @@ func openReadStore(t testing.TB, segChunks, cacheSegs, n int) (*Store, [][]times
 
 // TestChunkRangeRowsOrdered verifies the parallel range fan-out of
 // ChunkRangeRow: a read spanning several sealed segments plus the active
-// one streams every chunk in order, byte-identical to the live decode,
-// for assorted sub-ranges and worker counts.
+// one lands every chunk in its place in the buffer, byte-identical to the
+// live decode, for assorted sub-ranges and worker counts.
 func TestChunkRangeRowsOrdered(t *testing.T) {
 	for _, workers := range []int{0, 1, 3} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			s, rows, bounds := openReadStore(t, 4, 2, 18) // 4 sealed segments + active
+			s, rows, _ := openReadStore(t, 4, 18) // 4 sealed segments + active
 			s.opts.FetchWorkers = workers
 			for _, span := range [][2]int{{0, 18}, {3, 13}, {4, 8}, {7, 18}, {17, 18}, {5, 5}} {
 				from, to := span[0], span[1]
-				next := from
-				err := s.ChunkRangeRow("node", from, to, 0, nil, func(chunk int, got timeseries.Series, bound float64) error {
-					if chunk != next {
-						t.Fatalf("range [%d,%d): got chunk %d, want %d", from, to, chunk, next)
-					}
-					if !sameRows([]timeseries.Series{got}, rows[chunk]) {
-						t.Fatalf("range [%d,%d): chunk %d rows differ from live decode", from, to, chunk)
-					}
-					if bound != bounds[chunk] {
-						t.Fatalf("range [%d,%d): chunk %d bound %v, want %v", from, to, chunk, bound, bounds[chunk])
-					}
-					next++
-					return nil
-				})
-				if err != nil {
+				dst := make(timeseries.Series, (to-from)*16)
+				if err := s.ChunkRangeRow("node", from, to, 0, dst, nil); err != nil {
 					t.Fatalf("range [%d,%d): %v", from, to, err)
 				}
-				if next != to {
-					t.Fatalf("range [%d,%d): stopped at chunk %d", from, to, next)
+				for c := from; c < to; c++ {
+					got := dst[(c-from)*16 : (c-from+1)*16]
+					if !sameRows([]timeseries.Series{got}, rows[c]) {
+						t.Fatalf("range [%d,%d): chunk %d rows differ from live decode", from, to, c)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestChunkRangeRowsCallbackError verifies a callback error stops the
-// ChunkRangeRow stream and surfaces unchanged.
-func TestChunkRangeRowsCallbackError(t *testing.T) {
-	s, _, _ := openReadStore(t, 4, 2, 12)
-	boom := fmt.Errorf("boom")
-	calls := 0
-	err := s.ChunkRangeRow("node", 0, 12, 0, nil, func(chunk int, _ timeseries.Series, _ float64) error {
-		calls++
-		if chunk == 5 {
-			return boom
+// TestChunkRangeRowsRejectsMisfitBuffer: a buffer that does not hold a
+// whole number of rows per chunk, or holds rows of another length than the
+// archived chunks', fails the read without a write past the rows it was
+// given.
+func TestChunkRangeRowsRejectsMisfitBuffer(t *testing.T) {
+	s, _, _ := openReadStore(t, 4, 12)
+	for _, n := range []int{0, 1, 3*16 - 1, 3 * 15, 3 * 17} {
+		buf := make(timeseries.Series, n+1)
+		buf[n] = 7
+		if err := s.ChunkRangeRow("node", 2, 5, 0, buf[:n], nil); err == nil {
+			t.Errorf("%d samples of room for 3 chunks of 16: accepted", n)
 		}
-		return nil
-	})
-	if err != boom {
-		t.Fatalf("err = %v, want boom", err)
-	}
-	if calls != 6 {
-		t.Fatalf("callback ran %d times, want 6", calls)
-	}
-}
-
-// TestSingleflightJoin pins the dedup contract deterministically: while a
-// scan of a segment is in flight, a second reader of the same segment
-// joins it — blocking until the leader publishes — instead of scanning
-// again, and the hit/wait counters record the join.
-func TestSingleflightJoin(t *testing.T) {
-	s, rows, _ := openReadStore(t, 4, 2, 12)
-
-	s.mu.Lock()
-	ref, err := resolveRef("node", s.sensors["node"], 1)
-	if err != nil {
-		s.mu.Unlock()
-		t.Fatal(err)
-	}
-	// Plant a flight for chunk 1's segment, as if a leader were mid-scan.
-	f := &flight{done: make(chan struct{})}
-	s.flights[ref.key] = f
-	s.mu.Unlock()
-
-	got := make(chan error, 1)
-	go func() {
-		r, _, err := chunkRows(s, "node", 1, len(rows[1]))
-		if err == nil && !sameRows(r, rows[1]) {
-			err = fmt.Errorf("joined rows differ from live decode")
+		if buf[n] != 7 {
+			t.Errorf("%d samples of room: the read wrote past them", n)
 		}
-		got <- err
-	}()
-	select {
-	case err := <-got:
-		t.Fatalf("join returned before the leader published (err=%v)", err)
-	case <-time.After(50 * time.Millisecond):
 	}
-
-	// Leader finishes: scan for real, publish, release joiners.
-	e, err := s.loadRef(ref)
-	if err != nil {
+	if err := s.ChunkRow("node", 2, 0, make(timeseries.Series, 16), nil); err != nil {
 		t.Fatal(err)
-	}
-	s.mu.Lock()
-	delete(s.flights, ref.key)
-	s.mu.Unlock()
-	f.e, f.err = e, nil
-	close(f.done)
-
-	if err := <-got; err != nil {
-		t.Fatal(err)
-	}
-	st := s.StoreStats()
-	if st.SingleflightHits != 1 || st.SingleflightWaits != 1 {
-		t.Fatalf("singleflight hits=%d waits=%d, want 1/1", st.SingleflightHits, st.SingleflightWaits)
 	}
 }
 
@@ -143,7 +82,7 @@ func TestSingleflightJoin(t *testing.T) {
 // over the same segments, raced against nothing but each other, must all
 // see the live decode byte-identically (run with -race in CI).
 func TestConcurrentColdReads(t *testing.T) {
-	s, rows, _ := openReadStore(t, 4, 1, 16) // cache of 1: constant misses
+	s, rows, _ := openReadStore(t, 4, 16)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		g := g
@@ -152,7 +91,7 @@ func TestConcurrentColdReads(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 40; i++ {
 				c := (g*7 + i*3) % 16
-				got, _, err := chunkRows(s, "node", c, len(rows[c]))
+				got, err := chunkRows(s, "node", c, len(rows[c]), 16)
 				if err != nil {
 					t.Errorf("ChunkRow(%d): %v", c, err)
 					return
@@ -167,31 +106,6 @@ func TestConcurrentColdReads(t *testing.T) {
 	wg.Wait()
 }
 
-// BenchmarkSegCacheEviction proves O(1) LRU maintenance: steady-state
-// put+get cost must stay flat as the cache capacity grows (the old
-// order-slice scan was linear in capacity).
-func BenchmarkSegCacheEviction(b *testing.B) {
-	for _, capacity := range []int{4, 64, 1024} {
-		b.Run(fmt.Sprintf("cap=%d", capacity), func(b *testing.B) {
-			c := newSegCache(capacity)
-			e := &segCacheEntry{}
-			// Fill to capacity so every put below evicts.
-			for i := 0; i < capacity; i++ {
-				c.put(cacheKey("s", i, 1), e)
-			}
-			keys := make([]string, capacity+b.N)
-			for i := range keys {
-				keys[i] = cacheKey("s", i, 1)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.put(keys[capacity+i], e) // miss: insert + evict oldest
-				c.get(keys[i+1])           // touch the oldest resident to churn the list
-			}
-		})
-	}
-}
-
 // TestColdReadMatchesWholeSegmentDecode is the equivalence proof of the
 // windowed cold reader. A three-quantity sensor whose replica takes a
 // base-signal insert every chunk (evicting once its pool is full) reboots
@@ -199,9 +113,9 @@ func BenchmarkSegCacheEviction(b *testing.B) {
 // across two sealed segments and an active one. Every row of every window
 // [from, to), single chunks included, read through ChunkRangeRow and
 // ChunkRow, must equal the whole-segment decode — itself equal to the
-// live decode — bit for bit, and the
-// counters must show the chunks before each window advanced and only the
-// window's chunks decoded.
+// live decode — bit for bit, and the counters must show the chunks before
+// each window advanced, only the window's chunks decoded, and one load of
+// every segment the window spans.
 func TestColdReadMatchesWholeSegmentDecode(t *testing.T) {
 	const n, m, chunks, segChunks = 3, 16, 20, 8
 	cfg := core.Config{TotalBand: 24, MBase: 32, Metric: metrics.SSE}
@@ -234,8 +148,8 @@ func TestColdReadMatchesWholeSegmentDecode(t *testing.T) {
 		frames = append(frames, frame)
 	}
 
-	for _, cacheSegs := range []int{1, 0} {
-		s, err := Open(Options{Dir: t.TempDir(), Config: cfg, SegmentChunks: segChunks, CacheSegments: cacheSegs, NoSync: true})
+	{
+		s, err := Open(Options{Dir: t.TempDir(), Config: cfg, SegmentChunks: segChunks, NoSync: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,11 +195,11 @@ func TestColdReadMatchesWholeSegmentDecode(t *testing.T) {
 			if ref.sealed != (c < 2*segChunks) {
 				t.Fatalf("chunk %d: sealed=%v", c, ref.sealed)
 			}
-			e, err := s.loadRef(ref)
+			scan, err := ref.load("node")
 			if err != nil {
 				t.Fatal(err)
 			}
-			dc, err := decodeSegmentChunks(cfg, segScan{Header: e.header, Frames: e.frames})
+			dc, err := decodeSegmentChunks(cfg, scan)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -302,19 +216,14 @@ func TestColdReadMatchesWholeSegmentDecode(t *testing.T) {
 			for from := 0; from < chunks; from++ {
 				for to := from + 1; to <= chunks; to++ {
 					before := s.StoreStats()
-					next := from
-					err := s.ChunkRangeRow("node", from, to, row, nil, func(c int, got timeseries.Series, bound float64) error {
-						if c != next {
-							t.Fatalf("row %d [%d,%d): chunk %d, want %d", row, from, to, c, next)
-						}
-						next++
-						if !sameBits(got, whole[c].rows[row]) || bound != whole[c].bound {
+					dst := make(timeseries.Series, (to-from)*m)
+					if err := s.ChunkRangeRow("node", from, to, row, dst, nil); err != nil {
+						t.Fatalf("row %d [%d,%d): %v", row, from, to, err)
+					}
+					for c := from; c < to; c++ {
+						if !sameBits(dst[(c-from)*m:(c-from+1)*m], whole[c].rows[row]) {
 							t.Fatalf("row %d [%d,%d): chunk %d differs from the whole-segment decode", row, from, to, c)
 						}
-						return nil
-					})
-					if err != nil || next != to {
-						t.Fatalf("row %d [%d,%d): %v, stopped at %d", row, from, to, err, next)
 					}
 					after := s.StoreStats()
 					advanced := from % segChunks // only the first segment's chunks before the window
@@ -324,30 +233,29 @@ func TestColdReadMatchesWholeSegmentDecode(t *testing.T) {
 					if got := after.ColdChunksDecoded - before.ColdChunksDecoded; got != uint64(to-from) {
 						t.Fatalf("row %d [%d,%d): %d chunks decoded, want %d", row, from, to, got, to-from)
 					}
+					if got, want := after.ColdReads-before.ColdReads, uint64((to-1)/segChunks-from/segChunks+1); got != want {
+						t.Fatalf("row %d [%d,%d): %d segment loads, want %d", row, from, to, got, want)
+					}
 				}
-				got, bound, err := s.ChunkRow("node", from, row, nil)
-				if err != nil || !sameBits(got, whole[from].rows[row]) || bound != whole[from].bound {
+				got := make(timeseries.Series, m)
+				if err := s.ChunkRow("node", from, row, got, nil); err != nil || !sameBits(got, whole[from].rows[row]) {
 					t.Fatalf("ChunkRow(%d, row %d) differs from the whole-segment decode (%v)", from, row, err)
 				}
 			}
 		}
 		st := s.StoreStats()
-		if cacheSegs == 0 && st.ScanCacheHits == 0 {
-			t.Error("no scan-cache hits with the default cache")
-		}
 		vals := reg.Values()
 		for name, want := range map[string]uint64{
 			"sbr_segstore_cold_reads_total":           st.ColdReads,
 			"sbr_segstore_cold_chunks_advanced_total": st.ColdChunksAdvanced,
 			"sbr_segstore_cold_chunks_decoded_total":  st.ColdChunksDecoded,
-			"sbr_segstore_scan_cache_hits_total":      st.ScanCacheHits,
 		} {
 			if got := vals[name]; got != float64(want) {
 				t.Errorf("%s = %v, Stats says %d", name, got, want)
 			}
 		}
-		t.Logf("cache %d: %d segment loads, %d scan-cache hits, %d chunks advanced, %d decoded",
-			cacheSegs, st.ColdReads, st.ScanCacheHits, st.ColdChunksAdvanced, st.ColdChunksDecoded)
+		t.Logf("%d segment loads, %d chunks advanced, %d decoded",
+			st.ColdReads, st.ColdChunksAdvanced, st.ColdChunksDecoded)
 	}
 }
 
@@ -366,17 +274,18 @@ func sameBits(a, b timeseries.Series) bool {
 
 // TestColdFetchSpanAnnotations checks that a traced range read records
 // one segstore.cold_fetch span telling what it cost: the chunks asked
-// for, the chunks advanced and decoded, and the scan-cache hits.
+// for, and the chunks advanced and decoded. No segment is cached, so a
+// second read of the same window costs what the first did.
 func TestColdFetchSpanAnnotations(t *testing.T) {
-	s, _, _ := openReadStore(t, 4, 2, 12)
+	s, _, _ := openReadStore(t, 4, 12)
 	rec := trace.NewRecorder(trace.Options{SampleEvery: 1})
 	for i, want := range []string{
-		"from=5 chunks=2 advanced=1 decoded=2 scan_cache_hits=0",
-		"from=5 chunks=2 advanced=1 decoded=2 scan_cache_hits=1",
+		"from=5 chunks=2 advanced=1 decoded=2",
+		"from=5 chunks=2 advanced=1 decoded=2",
 	} {
 		tr := rec.Begin("node")
 		root := tr.StartSpan("query")
-		if err := s.ChunkRangeRow("node", 5, 7, 0, root, func(int, timeseries.Series, float64) error { return nil }); err != nil {
+		if err := s.ChunkRangeRow("node", 5, 7, 0, make(timeseries.Series, 2*16), root); err != nil {
 			t.Fatal(err)
 		}
 		root.End()
@@ -390,6 +299,113 @@ func TestColdFetchSpanAnnotations(t *testing.T) {
 		}
 		if strings.Join(got, " ") != want {
 			t.Errorf("read %d: annotations %q, want %q", i, strings.Join(got, " "), want)
+		}
+	}
+}
+
+// coldReadAllocs bounds the allocations of one cold read of one segment,
+// whatever the chunks it advances past: the file read and its scan, the
+// seeded decoder, and scratch that grows only until it fits the widest
+// frame.
+const coldReadAllocs = 24
+
+// TestColdReadAllocsFlat: a point read deep in a sealed 64-chunk segment,
+// and a 512-sample range read, allocate no more than a bounded number of
+// times, the same bound at the head of the segment and 63 chunks into
+// it. Every chunk inserts a base interval into a full replica pool, so
+// every advanced chunk also applies an update.
+func TestColdReadAllocsFlat(t *testing.T) {
+	const m, segChunks = 16, 64
+	cfg := core.Config{TotalBand: 8, MBase: 32, Metric: metrics.SSE}
+	comp, err := core.NewCompressorForceIns(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frames [][]byte
+	for c := 0; c < 2*segChunks+8; c++ {
+		row := make(timeseries.Series, m)
+		for i := range row {
+			x := float64(c*m + i)
+			row[i] = math.Sin(x/3) + 0.1*math.Cos(x*x/7)
+		}
+		tr, err := comp.Encode([]timeseries.Series{row})
+		if err != nil {
+			t.Fatal(err)
+		}
+		frame, err := wire.Encode(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, frame)
+	}
+	s, err := Open(Options{Dir: t.TempDir(), Config: cfg, SegmentChunks: segChunks, NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	rows, _ := feedStore(t, s, cfg, "node", frames, 0)
+
+	point := make(timeseries.Series, m)
+	for _, c := range []int{segChunks, segChunks + 1, segChunks + 31, 2*segChunks - 2, 2*segChunks - 1} {
+		n := testing.AllocsPerRun(20, func() {
+			if err := s.ChunkRow("node", c, 0, point, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > coldReadAllocs {
+			t.Errorf("point read %d chunks into a sealed segment: %v allocations, want at most %d", c-segChunks, n, coldReadAllocs)
+		}
+		if !sameBits(point, rows[c][0]) {
+			t.Errorf("point read of chunk %d differs from the live decode", c)
+		}
+	}
+	window := make(timeseries.Series, 512)
+	for _, from := range []int{segChunks, segChunks + 16, 2*segChunks - 512/m} {
+		n := testing.AllocsPerRun(20, func() {
+			if err := s.ChunkRangeRow("node", from, from+512/m, 0, window, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > coldReadAllocs {
+			t.Errorf("512-sample read %d chunks into a sealed segment: %v allocations, want at most %d", from-segChunks, n, coldReadAllocs)
+		}
+	}
+}
+
+// TestCorruptRecordFailsEveryColdRead: one flipped byte in a record of a
+// sealed segment fails every cold read of that segment, whichever chunk
+// it asks for, twice in a row — no read remembers an earlier one — with
+// an error that names the file, and leaves the other segments readable.
+func TestCorruptRecordFailsEveryColdRead(t *testing.T) {
+	s, rows, _ := openReadStore(t, 4, 12) // sealed [0,4), [4,8), [8,12)
+	path := filepath.Join(s.sensors["node"].dir, segName(4))
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scan, err := scanSegment(b, 0)
+	if err != nil || len(scan.Recs) != 4 {
+		t.Fatalf("staging scan: %d records, %v", len(scan.Recs), err)
+	}
+	b[scan.Recs[2].Offset+8+recordHeadLen+3] ^= 0x10 // inside chunk 6's frame
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for attempt := 0; attempt < 2; attempt++ {
+		for c := 4; c < 8; c++ {
+			err := s.ChunkRow("node", c, 0, make(timeseries.Series, 16), nil)
+			if err == nil || !strings.Contains(err.Error(), path) {
+				t.Errorf("attempt %d, chunk %d: %v, want an error naming %s", attempt, c, err, path)
+			}
+		}
+		if err := s.ChunkRangeRow("node", 2, 10, 0, make(timeseries.Series, 8*16), nil); err == nil {
+			t.Errorf("attempt %d: a range over the damaged segment read", attempt)
+		}
+	}
+	for _, c := range []int{0, 3, 8, 11} {
+		got, err := chunkRows(s, "node", c, 1, 16)
+		if err != nil || !sameRows(got, rows[c]) {
+			t.Errorf("chunk %d of an intact segment: %v", c, err)
 		}
 	}
 }

@@ -96,9 +96,6 @@ func (s *Store) EnforceRetention(now time.Time) (int, error) {
 	var err error
 	for id, n := range drop {
 		ss := s.sensors[id]
-		if n > 0 {
-			s.cache.dropSensor(id)
-		}
 		for ; n > 0 && err == nil; n-- {
 			sm := ss.sealed[0]
 			err = os.Remove(filepath.Join(ss.dir, segName(sm.FirstChunk)))

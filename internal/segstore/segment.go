@@ -1,7 +1,6 @@
 package segstore
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -353,17 +352,13 @@ func parseTrailer(tr []byte) (int64, bool) {
 	return int64(le.Uint64(tr[:8])), true
 }
 
-// footerOffset reads the trailer of a sealed file of size bytes and
-// returns the footer offset it names: the end of the records.
-func footerOffset(f io.ReaderAt, size int64) (int64, error) {
-	var tr [trailerLen]byte
+// footerOffset returns the footer offset that tr, the last trailerLen
+// bytes of a sealed file of size bytes, names: the end of the records.
+func footerOffset(tr []byte, size int64) (int64, error) {
 	if size < int64(len(segMagic))+trailerLen {
 		return 0, fmt.Errorf("segstore: %d bytes cannot hold a sealed segment", size)
 	}
-	if _, err := f.ReadAt(tr[:], size-trailerLen); err != nil {
-		return 0, fmt.Errorf("segstore: reading trailer: %w", err)
-	}
-	off, ok := parseTrailer(tr[:])
+	off, ok := parseTrailer(tr)
 	if !ok || off <= int64(len(segMagic)) || off > size-trailerLen-8 {
 		return 0, fmt.Errorf("segstore: bad segment trailer")
 	}
@@ -374,7 +369,13 @@ func footerOffset(f io.ReaderAt, size int64) (int64, error) {
 // one block a restart reads per sealed segment — and returns its first
 // chunk and facts.
 func footerFacts(f io.ReaderAt, size int64) (int, []ChunkFacts, error) {
-	off, err := footerOffset(f, size)
+	var tr [trailerLen]byte
+	if size >= trailerLen {
+		if _, err := f.ReadAt(tr[:], size-trailerLen); err != nil {
+			return 0, nil, fmt.Errorf("segstore: reading trailer: %w", err)
+		}
+	}
+	off, err := footerOffset(tr[:], size)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -408,96 +409,90 @@ type segScan struct {
 	Good int64
 }
 
-// scanSegment reads a segment file sequentially, validating every block
-// checksum, and reports the header and every whole record plus the
-// torn-tail cut point. It stops at the first block that is not the next
-// record — a footer, a torn or corrupt block, the end of the file — and
-// never fails on one; it fails only on files whose preamble or header
-// block is unusable (err != nil and Header unset). A sealed file's footer
-// and trailer are read through footerFacts, never by a scan.
-func scanSegment(r io.Reader, size int64) (segScan, error) {
+// scanSegment scans a segment file held whole in b, validating every
+// block checksum, and reports the header and every whole record — frames
+// in place, as sub-slices of b — plus the torn-tail cut point. It stops at
+// the first block that is not the next record — a footer, a torn or
+// corrupt block, the end of b — and never fails on one; it fails only on
+// files whose preamble or header block is unusable (err != nil and Header
+// unset). records, the count the caller expects, sizes the result. A
+// sealed file's footer and trailer are read through footerFacts, never by
+// a scan.
+func scanSegment(b []byte, records int) (segScan, error) {
 	var scan segScan
-	br := bufio.NewReaderSize(r, int(min(size, 1<<16)))
-	var magic [8]byte
-	if _, err := io.ReadFull(br, magic[:]); err != nil {
+	if len(b) < len(segMagic) {
 		return scan, fmt.Errorf("segstore: segment too short for its magic")
 	}
-	if magic == oldSegMagic {
+	switch [8]byte(b[:8]) {
+	case oldSegMagic:
 		return scan, errOldFormat
-	}
-	if magic != segMagic {
+	case segMagic:
+	default:
 		return scan, fmt.Errorf("segstore: bad segment magic")
 	}
-	off := int64(len(segMagic))
-	payload, err := blocklog.Read(br, size-off)
+	payload, rest, err := blocklog.Cut(b[len(segMagic):])
 	if err != nil {
 		return scan, fmt.Errorf("segstore: unreadable segment header")
 	}
 	if scan.Header, err = decodeHeader(payload); err != nil {
 		return scan, err
 	}
-	off += int64(8 + len(payload))
-	scan.Good = off
+	scan.Recs = make([]recMeta, 0, records)
+	scan.Frames = make([][]byte, 0, records)
 	for {
-		payload, err := blocklog.Read(br, size-off)
-		// io.EOF is a clean end (unsealed segment, or the end of a sealed
-		// one's records); a torn block is cut back to Good; a footer ends
-		// the records.
-		if err != nil || len(payload) < recordHeadLen || payload[0] != blockRecord {
+		scan.Good = int64(len(b) - len(rest))
+		// The end of b is a clean end (unsealed segment, or the end of a
+		// sealed one's records); a torn block is cut back to Good; a footer
+		// ends the records. A record out of sequence is indistinguishable
+		// from corruption that happened to keep a valid CRC.
+		payload, rest, err = blocklog.Cut(rest)
+		if err != nil || len(payload) < recordHeadLen || payload[0] != blockRecord ||
+			le.Uint64(payload[1:9]) != uint64(scan.Header.FirstChunk+len(scan.Recs)) {
 			return scan, nil
 		}
-		// A record out of sequence is indistinguishable from corruption
-		// that happened to keep a valid CRC.
-		if le.Uint64(payload[1:9]) != uint64(scan.Header.FirstChunk+len(scan.Recs)) {
-			return scan, nil
-		}
-		scan.Recs = append(scan.Recs, recMeta{Offset: off, Unix: int64(le.Uint64(payload[9:17]))})
+		scan.Recs = append(scan.Recs, recMeta{Offset: scan.Good, Unix: int64(le.Uint64(payload[9:17]))})
 		scan.Frames = append(scan.Frames, payload[recordHeadLen:])
-		off += int64(8 + len(payload))
-		scan.Good = off
 	}
 }
 
-// tornFirstWrite reports whether a segment file of size bytes whose
-// preamble or header does not scan is what a crash inside the segment's
-// first write leaves behind: too short to hold the magic and a whole
-// header block. No record can follow such a header, so deleting the file
-// loses nothing that was acknowledged. Any other unreadable segment may
-// hold acknowledged records and is left for the operator.
-func tornFirstWrite(f io.ReaderAt, size int64) bool {
-	var head [16]byte // the magic and the header block's length and checksum
-	n, err := f.ReadAt(head[:], 0)
+// tornFirstWrite reports whether a segment file b whose preamble or header
+// does not scan is what a crash inside the segment's first write leaves
+// behind: too short to hold the magic and a whole header block. No record
+// can follow such a header, so deleting the file loses nothing that was
+// acknowledged. Any other unreadable segment may hold acknowledged records
+// and is left for the operator.
+func tornFirstWrite(b []byte) bool {
+	const head = 16 // the magic and the header block's length and checksum
 	switch {
-	case err != nil && !errors.Is(err, io.EOF):
-		return false // unreadable, not short: keep it
-	case n < len(segMagic):
+	case len(b) < len(segMagic):
 		return true
-	case [8]byte(head[:8]) != segMagic:
+	case [8]byte(b[:8]) != segMagic:
 		return false
-	case n < len(head):
+	case len(b) < head:
 		return true
 	}
-	return int64(len(head))+int64(le.Uint32(head[8:12])) > size
+	return int64(head)+int64(le.Uint32(b[8:12])) > int64(len(b))
 }
 
 // replay parses a segment's frames in order and hands each transmission
 // to visit with the decoder it must go through: seeded from the header
 // state, and replaced, as the station does, by a fresh one at a zero
 // sequence after any prior history — the sensor restarted with an empty
-// base signal. visit consumes the transmission through that decoder.
-// Because the decode pipeline is deterministic and the header snapshot
-// reproduces the replica pool exactly as it stood at segment start, the
-// rows are bit-identical to what the live station computed when it first
-// received the frames.
+// base signal. visit consumes the transmission through that decoder
+// before the next frame is parsed into the same Transmission. Because the
+// decode pipeline is deterministic and the header snapshot reproduces the
+// replica pool exactly as it stood at segment start, the rows are
+// bit-identical to what the live station computed when it first received
+// the frames.
 func replay(cfg core.Config, h segHeader, frames [][]byte, visit func(i int, dec *core.Decoder, t *core.Transmission) error) error {
 	dec, err := core.NewDecoderAt(cfg, h.Decoder)
 	if err != nil {
 		return err
 	}
+	var t core.Transmission
 	for i, frame := range frames {
 		chunk := h.FirstChunk + i
-		t, err := wire.DecodeBytes(frame)
-		if err != nil {
+		if err := wire.DecodeInto(&t, frame); err != nil {
 			return fmt.Errorf("segstore: chunk %d: %w", chunk, err)
 		}
 		if t.Seq == 0 && chunk > 0 {
@@ -505,7 +500,7 @@ func replay(cfg core.Config, h segHeader, frames [][]byte, visit func(i int, dec
 				return err
 			}
 		}
-		if err := visit(i, dec, t); err != nil {
+		if err := visit(i, dec, &t); err != nil {
 			return fmt.Errorf("segstore: chunk %d: %w", chunk, err)
 		}
 	}
@@ -513,27 +508,21 @@ func replay(cfg core.Config, h segHeader, frames [][]byte, visit func(i int, dec
 }
 
 // decodeRow reconstructs quantity row of a segment's records [lo, hi)
-// (segment-relative) and returns it with each record's bound. The records
-// before lo are parsed and validated but only advance the decoder; the
-// records from hi on are not parsed at all.
-func decodeRow(cfg core.Config, h segHeader, frames [][]byte, row, lo, hi int) ([]timeseries.Series, []float64, error) {
-	if lo < 0 || hi > len(frames) || lo > hi {
-		return nil, nil, fmt.Errorf("segstore: records [%d,%d) outside a segment of %d", lo, hi, len(frames))
+// (segment-relative) into dst, which holds M samples per record: record
+// lo+i's row lands at dst[i·M : (i+1)·M]. The records before lo are parsed
+// and validated but only advance the decoder; the records from hi on are
+// not parsed at all.
+func decodeRow(cfg core.Config, h segHeader, frames [][]byte, row, lo, hi int, dst timeseries.Series) error {
+	if lo < 0 || hi > len(frames) || lo >= hi {
+		return fmt.Errorf("segstore: records [%d,%d) outside a segment of %d", lo, hi, len(frames))
 	}
-	values := make([]timeseries.Series, 0, hi-lo)
-	bounds := make([]float64, 0, hi-lo)
-	err := replay(cfg, h, frames[:hi], func(i int, dec *core.Decoder, t *core.Transmission) error {
+	m := len(dst) / (hi - lo)
+	return replay(cfg, h, frames[:hi], func(i int, dec *core.Decoder, t *core.Transmission) error {
 		if i < lo {
 			return dec.Advance(t)
 		}
-		v, err := dec.DecodeRow(t, row)
-		values, bounds = append(values, v), append(bounds, t.ErrBound)
-		return err
+		return dec.DecodeRow(t, row, dst[(i-lo)*m:(i-lo+1)*m])
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return values, bounds, nil
 }
 
 // decodedChunk is one record replayed through a cold decoder.

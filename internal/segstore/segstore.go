@@ -66,10 +66,6 @@ var ErrUnknownSensor = errors.New("segstore: unknown sensor")
 // enough that a cold read decodes a bounded batch.
 const DefaultSegmentChunks = 64
 
-// DefaultCacheSegments bounds the scanned-segment cache when Options
-// leaves it zero.
-const DefaultCacheSegments = 4
-
 // Retention bounds the archive. Zero values mean unlimited.
 type Retention struct {
 	// MaxAge drops sealed segments whose newest record is older than this.
@@ -94,9 +90,6 @@ type Options struct {
 	// acknowledged frames. The default (false) is the durable mode the
 	// recovery guarantees assume.
 	NoSync bool
-	// CacheSegments bounds the scanned-segment LRU (DefaultCacheSegments
-	// when zero).
-	CacheSegments int
 	// FetchWorkers bounds the segments one range read scans and decodes
 	// in parallel (DefaultFetchWorkers when zero).
 	FetchWorkers int
@@ -191,28 +184,22 @@ func (ss *sensorSegs) oldestChunk() int { return ss.purged }
 // metrics so Stats works uninstrumented, swapped for registered instances
 // by Instrument.
 type storeMetrics struct {
-	segments      *obs.Gauge
-	bytes         *obs.Gauge
-	appends       *obs.Counter
-	coldReads     *obs.Counter
-	coldAdvanced  *obs.Counter
-	coldDecoded   *obs.Counter
-	scanHits      *obs.Counter
-	compactions   *obs.Counter
-	ckptAge       *obs.Gauge
-	sfHits        *obs.Counter
-	sfWaits       *obs.Counter
-	fetchParallel *obs.Gauge
+	segments     *obs.Gauge
+	bytes        *obs.Gauge
+	appends      *obs.Counter
+	coldReads    *obs.Counter
+	coldAdvanced *obs.Counter
+	coldDecoded  *obs.Counter
+	compactions  *obs.Counter
+	ckptAge      *obs.Gauge
 }
 
 func newStoreMetrics() storeMetrics {
 	return storeMetrics{
 		segments: &obs.Gauge{}, bytes: &obs.Gauge{},
 		appends: &obs.Counter{}, coldReads: &obs.Counter{},
-		coldAdvanced: &obs.Counter{}, coldDecoded: &obs.Counter{}, scanHits: &obs.Counter{},
+		coldAdvanced: &obs.Counter{}, coldDecoded: &obs.Counter{},
 		compactions: &obs.Counter{}, ckptAge: &obs.Gauge{},
-		sfHits: &obs.Counter{}, sfWaits: &obs.Counter{},
-		fetchParallel: &obs.Gauge{},
 	}
 }
 
@@ -226,8 +213,6 @@ type Store struct {
 	ckptSeq   int64
 	ckptUnix  int64
 	ckptCover map[string]int // chunks covered by the latest checkpoint
-	cache     *segCache
-	flights   map[string]*flight // in-progress segment scans, by cache key
 	met       storeMetrics
 	tornTails int      // torn active-segment tails Open truncated
 	recovery  Recovery // what Open read back, until TakeRecovery
@@ -272,9 +257,6 @@ func Open(opts Options) (*Store, error) {
 	if opts.SegmentChunks <= 0 {
 		opts.SegmentChunks = DefaultSegmentChunks
 	}
-	if opts.CacheSegments <= 0 {
-		opts.CacheSegments = DefaultCacheSegments
-	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("segstore: creating data dir: %w", err)
 	}
@@ -286,8 +268,6 @@ func Open(opts Options) (*Store, error) {
 		opts:      opts,
 		sensors:   make(map[string]*sensorSegs),
 		ckptCover: make(map[string]int),
-		cache:     newSegCache(opts.CacheSegments),
-		flights:   make(map[string]*flight),
 		met:       newStoreMetrics(),
 	}
 	if err := s.mkdirDurable(filepath.Join(opts.Dir, "segments")); err != nil {
@@ -454,11 +434,13 @@ var errTornFirstWrite = errors.New("segstore: torn first write")
 // starting at chunk first belongs; next is the first chunk of the file
 // after it, or -1 for the newest. A sealed segment comes back as its
 // metadata and footer facts, read through the trailer without touching
-// the rest of the file. A file without a readable footer is scanned, its
-// header checked against its place, and its facts decoded from its
-// records: an older file comes back as sealed, its records reaching next,
-// and the newest as the active segment's scan. A newest file that does not
-// scan and is too short to hold a header yields errTornFirstWrite.
+// the rest of the file. A file without a readable footer is read whole in
+// one ReadAt and scanned in place, its header checked against its place,
+// and its facts decoded from its records: an older file comes back as
+// sealed, its records reaching next, and the newest as the active
+// segment's scan, whose frames stay in the buffer they were read into. A
+// newest file that does not scan and is too short to hold a header yields
+// errTornFirstWrite.
 func readSegment(cfg core.Config, path, sensor string, first, next int) (sm segMeta, facts []ChunkFacts, active *segScan, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -476,9 +458,13 @@ func readSegment(cfg core.Config, path, sensor string, first, next int) (sm segM
 		}
 		return sealedMeta(first, size, facts), facts, nil, nil
 	}
-	scan, err := scanSegment(f, size)
+	b := make([]byte, size)
+	if _, err := f.ReadAt(b, 0); err != nil {
+		return sm, nil, nil, err
+	}
+	scan, err := scanSegment(b, 0)
 	if err != nil {
-		if next < 0 && tornFirstWrite(f, size) {
+		if next < 0 && tornFirstWrite(b) {
 			return sm, nil, nil, errTornFirstWrite
 		}
 		return sm, nil, nil, err
@@ -792,19 +778,20 @@ type Stats struct {
 	SealedSegments int    `json:"sealed_segments"`
 	Bytes          int64  `json:"bytes"`
 	Appends        uint64 `json:"appends"`
-	// ColdReads counts the segments loaded to serve cold reads: file
-	// scans of sealed segments and captures of an active one.
+	// ColdReads counts the segments loaded to serve cold reads: file reads
+	// of sealed segments and captures of an active one. No segment is
+	// cached, so a read that spans k segments loads k.
 	ColdReads uint64 `json:"cold_reads"`
 	// ColdChunksAdvanced counts the chunks cold reads parsed only to move
 	// a decoder past them, and ColdChunksDecoded those whose requested
 	// row they reconstructed.
 	ColdChunksAdvanced uint64 `json:"cold_chunks_advanced"`
 	ColdChunksDecoded  uint64 `json:"cold_chunks_decoded"`
-	// ScanCacheHits counts the segments cold reads found already scanned.
-	ScanCacheHits      uint64 `json:"scan_cache_hits"`
 	Compactions        uint64 `json:"compactions"`
+	// SingleflightHits is always 0: concurrent cold reads of one segment
+	// each load it, and no read joins another's. It is kept for readers
+	// of earlier reports that still ask for it.
 	SingleflightHits   uint64 `json:"singleflight_hits"`
-	SingleflightWaits  uint64 `json:"singleflight_waits"`
 	LastCheckpointUnix int64  `json:"last_checkpoint_unix"`
 	// TornTails counts the torn active-segment tails Open truncated: the
 	// crashes that landed mid-append. It is fixed once Open returns.
@@ -821,10 +808,7 @@ func (s *Store) StoreStats() Stats {
 		ColdReads:          s.met.coldReads.Value(),
 		ColdChunksAdvanced: s.met.coldAdvanced.Value(),
 		ColdChunksDecoded:  s.met.coldDecoded.Value(),
-		ScanCacheHits:      s.met.scanHits.Value(),
 		Compactions:        s.met.compactions.Value(),
-		SingleflightHits:   s.met.sfHits.Value(),
-		SingleflightWaits:  s.met.sfWaits.Value(),
 		LastCheckpointUnix: s.ckptUnix,
 		TornTails:          s.tornTails,
 	}
@@ -838,18 +822,14 @@ func (s *Store) Instrument(reg *obs.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.met = storeMetrics{
-		segments:      reg.Gauge("sbr_segstore_segments", "Segment files in the archive (sealed + active)."),
-		bytes:         reg.Gauge("sbr_segstore_bytes", "Archive size in bytes (sealed + active segments)."),
-		appends:       reg.Counter("sbr_segstore_appends_total", "Transmissions archived."),
-		coldReads:     reg.Counter("sbr_segstore_cold_reads_total", "Segment loads serving queries beyond the in-memory window."),
-		coldAdvanced:  reg.Counter("sbr_segstore_cold_chunks_advanced_total", "Archived chunks cold reads parsed only to advance a decoder past them."),
-		coldDecoded:   reg.Counter("sbr_segstore_cold_chunks_decoded_total", "Archived chunks whose requested row cold reads reconstructed."),
-		scanHits:      reg.Counter("sbr_segstore_scan_cache_hits_total", "Cold reads of a segment served from the scanned-segment cache."),
-		compactions:   reg.Counter("sbr_segstore_compactions_total", "Retention passes that removed at least one segment."),
-		ckptAge:       reg.Gauge("sbr_segstore_checkpoint_age_seconds", "Seconds since the last station checkpoint (-1: none yet)."),
-		sfHits:        reg.Counter("sbr_segstore_singleflight_hits_total", "Cold fetches served by joining an in-flight scan of the same segment."),
-		sfWaits:       reg.Counter("sbr_segstore_singleflight_waits_total", "Singleflight joins that blocked waiting for the leading decode."),
-		fetchParallel: reg.Gauge("sbr_segstore_cold_fetch_parallel", "Segment scans currently in flight serving cold reads."),
+		segments:     reg.Gauge("sbr_segstore_segments", "Segment files in the archive (sealed + active)."),
+		bytes:        reg.Gauge("sbr_segstore_bytes", "Archive size in bytes (sealed + active segments)."),
+		appends:      reg.Counter("sbr_segstore_appends_total", "Transmissions archived."),
+		coldReads:    reg.Counter("sbr_segstore_cold_reads_total", "Segment loads serving queries beyond the in-memory window."),
+		coldAdvanced: reg.Counter("sbr_segstore_cold_chunks_advanced_total", "Archived chunks cold reads parsed only to advance a decoder past them."),
+		coldDecoded:  reg.Counter("sbr_segstore_cold_chunks_decoded_total", "Archived chunks whose requested row cold reads reconstructed."),
+		compactions:  reg.Counter("sbr_segstore_compactions_total", "Retention passes that removed at least one segment."),
+		ckptAge:      reg.Gauge("sbr_segstore_checkpoint_age_seconds", "Seconds since the last station checkpoint (-1: none yet)."),
 	}
 	s.updateGauges()
 	s.updateCheckpointAgeLocked()

@@ -3,6 +3,7 @@ package segstore
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -105,35 +106,42 @@ func sameRows(a, b []timeseries.Series) bool {
 	return true
 }
 
-// chunkRows reads every one of n quantities of one archived chunk through
-// ChunkRow, with the chunk's bound.
-func chunkRows(s *Store, sensor string, chunk, n int) ([]timeseries.Series, float64, error) {
+// chunkRows reads every one of n quantities of m samples of one archived
+// chunk through ChunkRow.
+func chunkRows(s *Store, sensor string, chunk, n, m int) ([]timeseries.Series, error) {
 	rows := make([]timeseries.Series, n)
-	var bound float64
 	for r := range rows {
-		var err error
-		if rows[r], bound, err = s.ChunkRow(sensor, chunk, r, nil); err != nil {
-			return nil, 0, err
+		rows[r] = make(timeseries.Series, m)
+		if err := s.ChunkRow(sensor, chunk, r, rows[r], nil); err != nil {
+			return nil, err
 		}
 	}
-	return rows, bound, nil
+	return rows, nil
 }
 
-// checkAll verifies every archived chunk reads back byte-identical to the
-// live decode.
+// checkAll verifies every archived chunk from chunk from on reads back
+// byte-identical to the live decode, and that its archived frame carries
+// the chunk's bound.
 func checkAll(t testing.TB, s *Store, sensor string, rows [][]timeseries.Series, bounds []float64, from int) {
 	t.Helper()
 	for c := from; c < len(rows); c++ {
-		got, bound, err := chunkRows(s, sensor, c, len(rows[c]))
+		got, err := chunkRows(s, sensor, c, len(rows[c]), len(rows[c][0]))
 		if err != nil {
 			t.Fatalf("ChunkRow(%d): %v", c, err)
 		}
 		if !sameRows(got, rows[c]) {
 			t.Fatalf("chunk %d read back differs from live decode", c)
 		}
-		if bound != bounds[c] {
-			t.Fatalf("chunk %d bound %v, want %v", c, bound, bounds[c])
+	}
+	err := s.ReplayFrom(sensor, from, func(c int, frame []byte) error {
+		tr, err := wire.DecodeBytes(frame)
+		if err == nil && c < len(bounds) && tr.ErrBound != bounds[c] {
+			err = fmt.Errorf("chunk %d bound %v, want %v", c, tr.ErrBound, bounds[c])
 		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -216,7 +224,7 @@ func TestCloseSealsAndReopens(t *testing.T) {
 	if err != nil {
 		t.Fatalf("append after reopen: %v", err)
 	}
-	got, _, err := chunkRows(again, "node", 6, len(lastRows))
+	got, err := chunkRows(again, "node", 6, len(lastRows), len(lastRows[0]))
 	if err != nil || !sameRows(got, lastRows) {
 		t.Fatalf("chunk 6 after reopen: %v", err)
 	}
@@ -353,7 +361,7 @@ func TestRetentionByBytes(t *testing.T) {
 	if err != nil || oldest != 6 || next != 8 {
 		t.Errorf("Bounds after retention = (%d,%d,%v), want (6,8,nil)", oldest, next, err)
 	}
-	if _, _, err := s.ChunkRow("node", 3, 0, nil); !errors.Is(err, ErrPurged) {
+	if err := s.ChunkRow("node", 3, 0, make(timeseries.Series, 16), nil); !errors.Is(err, ErrPurged) {
 		t.Errorf("purged chunk read = %v, want ErrPurged", err)
 	}
 	checkAll(t, s, "node", rows, bounds, 6)
@@ -368,7 +376,7 @@ func TestRetentionByBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer again.Close()
-	if _, _, err := again.ChunkRow("node", 0, 0, nil); !errors.Is(err, ErrPurged) {
+	if err := again.ChunkRow("node", 0, 0, make(timeseries.Series, 16), nil); !errors.Is(err, ErrPurged) {
 		t.Errorf("purged chunk after reopen = %v, want ErrPurged", err)
 	}
 	checkAll(t, again, "node", rows, bounds, 6)
@@ -443,7 +451,7 @@ func TestRetentionKeepsWatermarkOfEmptySensor(t *testing.T) {
 	if oldest, next, err := again.Bounds("node"); err != nil || oldest != 4 || next != 4 {
 		t.Fatalf("Bounds after reopen = (%d,%d,%v), want (4,4,nil)", oldest, next, err)
 	}
-	if _, _, err := again.ChunkRow("node", 0, 0, nil); !errors.Is(err, ErrPurged) {
+	if err := again.ChunkRow("node", 0, 0, make(timeseries.Series, 16), nil); !errors.Is(err, ErrPurged) {
 		t.Errorf("purged chunk after reopen = %v, want ErrPurged", err)
 	}
 	feedStore(t, again, cfg, "node", frames, 4)
@@ -626,7 +634,7 @@ func TestOpenDeletesOnlyTornFirstWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	scan, err := scanSegment(bytes.NewReader(full), int64(len(full)))
+	scan, err := scanSegment(full, 0)
 	if err != nil || len(scan.Recs) != 2 {
 		t.Fatalf("staging scan: %d recs, %v", len(scan.Recs), err)
 	}

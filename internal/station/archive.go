@@ -138,7 +138,8 @@ func (s *Station) Recover() (RecoverStats, error) {
 	return st, nil
 }
 
-// installLog publishes a restored sensor log in the directory.
+// installLog publishes a restored sensor log in the directory and counts
+// it in the sensors gauge, as an accepted transmission would.
 func (s *Station) installLog(id string, l *sensorLog) {
 	sh := s.shard(id)
 	sh.mu.Lock()
@@ -147,6 +148,7 @@ func (s *Station) installLog(id string, l *sensorLog) {
 	}
 	sh.sensors[id] = l
 	sh.mu.Unlock()
+	s.metrics().sensors.Set(float64(s.nsensors.Load()))
 }
 
 // restoreSensor rebuilds one sensor's log from its checkpoint slice and

@@ -289,6 +289,48 @@ func TestStationGracefulShutdownRecovery(t *testing.T) {
 	compareStations(t, st2, ref, "s")
 }
 
+// TestRecoverSetsSensorsGauge: an instrumented station that recovers four
+// checkpointed sensors reports all four in sbr_station_sensors before any
+// of them sends a frame, as stationd's report and /debug/metrics read it.
+func TestRecoverSetsSensorsGauge(t *testing.T) {
+	cfg := restoreConfig()
+	frames := encodeTestFrames(t, cfg, 6, 16)
+	dir := t.TempDir()
+	st, store := newArchivedStation(t, cfg, dir, 4, 4)
+	for _, id := range []string{"a", "b", "c", "d"} {
+		feedFrames(t, st, id, frames)
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	st2.Instrument(reg)
+	store2, err := segstore.Open(segstore.Options{Dir: dir, Config: cfg, SegmentChunks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store2.Close()
+	st2.SetArchive(store2, 4)
+	rec, err := st2.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rec.FromCheckpoint || rec.Sensors != 4 || rec.Replayed != 0 {
+		t.Fatalf("recovery %+v, want 4 sensors from the checkpoint and no frame replayed", rec)
+	}
+	if v := reg.Values()["sbr_station_sensors"]; v != 4 {
+		t.Errorf("sbr_station_sensors = %v after recovering 4 sensors, want 4", v)
+	}
+}
+
 // TestStationRecoverColdStart: an empty data directory is a cold start,
 // not an error.
 func TestStationRecoverColdStart(t *testing.T) {

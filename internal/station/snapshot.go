@@ -126,10 +126,8 @@ func (s *Station) queryTimer() func() {
 
 // chunkRow returns quantity row of global chunk c: straight from the
 // snapshot window when c is inside it, otherwise cold from the archive,
-// which reconstructs only that row of that chunk (the segment holding c
-// is scanned and cached, deduplicated with any concurrent fetch of the
-// same segment by the store's singleflight). Cold fetches are recorded as
-// children of sp.
+// which loads the segment holding c and reconstructs only that row of
+// that chunk. Cold fetches are recorded as children of sp.
 func (sn *snap) chunkRow(c, row int, sp *trace.Span) (timeseries.Series, error) {
 	if c >= sn.first {
 		if i := c - sn.first; i < len(sn.window) {
@@ -137,27 +135,21 @@ func (sn *snap) chunkRow(c, row int, sp *trace.Span) (timeseries.Series, error) 
 		}
 		return nil, fmt.Errorf("station: sensor %q chunk %d beyond recorded history", sn.id, c)
 	}
-	if sn.store == nil {
-		return nil, fmt.Errorf("station: sensor %q chunk %d evicted and no archive attached", sn.id, c)
+	values := make(timeseries.Series, sn.m)
+	if err := sn.coldRange(c, c+1, row, values, sp); err != nil {
+		return nil, err
 	}
-	values, _, err := sn.store.ChunkRow(sn.id, c, row, sp)
-	if err == nil {
-		sn.met.queryCold.Inc()
-	}
-	return values, err
+	return values, nil
 }
 
-// coldRange streams quantity row of cold chunks [c0, c1) in order through
-// the store's windowed range read, recorded as one segstore.cold_fetch
-// child of sp.
-func (sn *snap) coldRange(c0, c1, row int, sp *trace.Span, fn func(c int, values timeseries.Series)) error {
+// coldRange reconstructs quantity row of cold chunks [c0, c1) into dst,
+// sn.m samples per chunk, through the store's windowed range read,
+// recorded as one segstore.cold_fetch child of sp.
+func (sn *snap) coldRange(c0, c1, row int, dst timeseries.Series, sp *trace.Span) error {
 	if sn.store == nil {
 		return fmt.Errorf("station: sensor %q chunk %d evicted and no archive attached", sn.id, c0)
 	}
-	err := sn.store.ChunkRangeRow(sn.id, c0, c1, row, sp, func(c int, values timeseries.Series, _ float64) error {
-		fn(c, values)
-		return nil
-	})
+	err := sn.store.ChunkRangeRow(sn.id, c0, c1, row, dst, sp)
 	if err == nil {
 		sn.met.queryCold.Add(uint64(c1 - c0))
 	}
@@ -179,11 +171,12 @@ type Window struct {
 // reconstructed samples rather than summaries reads through it. It
 // returns quantity row of the named sensor over [from, to), a zero `to`
 // meaning the end of the history as of the same snapshot that serves the
-// samples. Only the chunks the window overlaps are materialised: the cold
-// prefix through the archive's windowed range read, which reconstructs
-// only this row of those chunks, recorded as children of sp (nil:
-// untraced), the in-memory suffix straight off the snapshot window. It fails with the archive's purge error when retention
-// has dropped part of the window.
+// samples. Only the chunks the window overlaps are materialised, into one
+// buffer the window then spans: the cold prefix through the archive's
+// windowed range read, which reconstructs only this row of those chunks,
+// recorded as children of sp (nil: untraced), the in-memory suffix copied
+// off the snapshot window. It fails with the archive's purge error when
+// retention has dropped part of the window.
 func (s *Station) ReadWindow(id string, row, from, to int, sp *trace.Span) (Window, error) {
 	done := s.queryTimer()
 	defer done()
@@ -199,28 +192,31 @@ func (s *Station) ReadWindow(id string, row, from, to int, sp *trace.Span) (Wind
 		return Window{}, fmt.Errorf("%w: range [%d,%d) outside history [0,%d)",
 			ErrInvalidQuery, from, to, total)
 	}
-	w := Window{From: from, To: to, Values: make(timeseries.Series, 0, to-from)}
+	w := Window{From: from, To: to}
 	if from == to {
+		w.Values = timeseries.Series{}
 		return w, nil
 	}
 	if err := sn.readable(from, to); err != nil {
 		return Window{}, err
 	}
-	clip := func(c int, values timeseries.Series) {
-		lo, hi := max(from-c*sn.m, 0), min(to-c*sn.m, sn.m)
-		w.Values = append(w.Values, values[lo:hi]...)
-		w.Bound = max(w.Bound, sn.bound(c))
-	}
-	cLo := from / sn.m
-	cHi := (to + sn.m - 1) / sn.m
+	// The chunks [cLo, cHi) the window overlaps, whole: buf[i·m:(i+1)·m]
+	// holds chunk cLo+i, the cold ones decoded there by the archive.
+	m := sn.m
+	cLo, cHi := from/m, (to+m-1)/m
+	buf := make(timeseries.Series, (cHi-cLo)*m)
 	if coldHi := min(cHi, sn.first); cLo < coldHi {
-		if err := sn.coldRange(cLo, coldHi, row, sp, clip); err != nil {
+		if err := sn.coldRange(cLo, coldHi, row, buf[:(coldHi-cLo)*m], sp); err != nil {
 			return Window{}, err
 		}
 	}
 	for c := max(cLo, sn.first); c < cHi; c++ {
-		clip(c, sn.window[c-sn.first][row])
+		copy(buf[(c-cLo)*m:], sn.window[c-sn.first][row])
 	}
+	for c := cLo; c < cHi; c++ {
+		w.Bound = max(w.Bound, sn.bound(c))
+	}
+	w.Values = buf[from-cLo*m : to-cLo*m : to-cLo*m]
 	return w, nil
 }
 

@@ -40,7 +40,7 @@
 //   - Lock order is shard.mu → l.mu → segstore.Store.mu, and no path holds
 //     two of them at once except ingest (l.mu → store.mu inside Append).
 //     The segment store's lock is a leaf: it is never held during disk
-//     reads or segment decodes (see segstore's singleflight read path).
+//     reads or segment decodes (see segstore's cold-read path).
 //   - Station-wide mutable state (metrics, tracer, archive binding,
 //     degraded-sensor count) lives behind atomics, so hot paths read it
 //     without any lock.

@@ -20,11 +20,13 @@ import (
 
 // FuzzDecode checks that arbitrary byte streams never crash the decoder,
 // that the in-place parser accepts exactly the inputs the reader-based
-// parser it replaced accepts (oracleDecode), with identical fields, and
-// that every frame the decoder accepts re-encodes to a frame the decoder
-// accepts again with identical content. Run with `go test -fuzz=FuzzDecode
-// ./internal/wire` for an open-ended session; the seed corpus runs in every
-// regular `go test`.
+// parser it replaced accepts (oracleDecode), with identical fields, that
+// parsing into a Transmission a larger frame filled first (DecodeInto)
+// gives what DecodeBytes gives, errors included, and that every frame the
+// decoder accepts re-encodes to a frame the decoder accepts again with
+// identical content. Run with `go test -fuzz=FuzzDecode ./internal/wire`
+// for an open-ended session; the seed corpus runs in every regular `go
+// test`.
 func FuzzDecode(f *testing.F) {
 	// Seed with valid frames of several shapes plus structured garbage.
 	seeds := []*core.Transmission{
@@ -66,17 +68,32 @@ func FuzzDecode(f *testing.F) {
 		f.Add(shapeFrame(nm[0], nm[1]))
 	}
 
+	big, err := Encode(bigTransmission())
+	if err != nil {
+		f.Fatal(err)
+	}
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := DecodeBytes(data)
 		old, oldErr := oracleDecode(bytes.NewReader(data))
 		if (err == nil) != (oldErr == nil) {
 			t.Fatalf("DecodeBytes error %v, reader-based parser error %v", err, oldErr)
 		}
+		var reused core.Transmission
+		if err := DecodeInto(&reused, big); err != nil {
+			t.Fatal(err)
+		}
+		if rerr := DecodeInto(&reused, data); fmt.Sprint(rerr) != fmt.Sprint(err) {
+			t.Fatalf("DecodeInto over a parsed frame: error %v, DecodeBytes error %v", rerr, err)
+		}
 		if err != nil {
 			return // rejection is always fine; crashing is not
 		}
 		if !sameTransmission(tr, old) {
 			t.Fatalf("DecodeBytes parsed %+v, the reader-based parser %+v", tr, old)
+		}
+		if !sameTransmission(&reused, tr) || reused.TotalErr != 0 {
+			t.Fatalf("DecodeInto over a parsed frame gave %+v, DecodeBytes %+v", reused, *tr)
 		}
 		// Accepted frames must round-trip losslessly.
 		frame2, err := Encode(tr)
@@ -169,6 +186,26 @@ func FuzzReadFrame(f *testing.F) {
 			}
 		}
 	})
+}
+
+// bigTransmission is a quadratic, bounded frame with more inserts and
+// intervals, and wider base intervals, than any other seed: parsed first
+// into a reused Transmission, it leaves every slice longer and every field
+// set.
+func bigTransmission() *core.Transmission {
+	t := &core.Transmission{Seq: 9, N: 2, M: 32, W: 6, ErrBound: 0.75, TotalErr: 3}
+	for i := 0; i < 5; i++ {
+		iv := make(timeseries.Series, t.W)
+		for j := range iv {
+			iv[j] = float64(i*t.W+j) - 7.5
+		}
+		t.BaseIntervals = append(t.BaseIntervals, iv)
+		t.Placements = append(t.Placements, base.Placement{Slot: i})
+	}
+	for i := 0; i < 12; i++ {
+		t.Intervals = append(t.Intervals, interval.Interval{Start: 5 * i, Shift: i - 1, A: 0.5 * float64(i), B: -1, C: 0.25})
+	}
+	return t
 }
 
 // withBody frames a body with a valid checksum.

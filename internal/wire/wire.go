@@ -185,17 +185,31 @@ func FrameTrace(frame []byte) TraceContext {
 // decoded records by the decoder; Cost is recomputed from the frame
 // contents.
 func DecodeBytes(frame []byte) (*core.Transmission, error) {
+	t := new(core.Transmission)
+	if err := DecodeInto(t, frame); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// DecodeInto is DecodeBytes parsing into t, whose slices it reuses: a
+// reader that parses frame after frame through one Transmission allocates
+// only when a frame needs more room than every frame before it did. It
+// overwrites every field of t, accepts and refuses exactly the frames
+// DecodeBytes does with the same errors, and leaves t unspecified on an
+// error. A frame parsed into t is valid until the next call with t.
+func DecodeInto(t *core.Transmission, frame []byte) error {
 	if len(frame) == 0 {
-		return nil, io.EOF
+		return io.EOF
 	}
 	if len(frame) < 5 {
-		return nil, fmt.Errorf("wire: reading frame header: %w", io.ErrUnexpectedEOF)
+		return fmt.Errorf("wire: reading frame header: %w", io.ErrUnexpectedEOF)
 	}
 	if !bytes.Equal(frame[:4], magic[:]) {
-		return nil, ErrMagic
+		return ErrMagic
 	}
 	if frame[4] != Version && frame[4] != VersionTraced {
-		return nil, fmt.Errorf("wire: unsupported frame version %d", frame[4])
+		return fmt.Errorf("wire: unsupported frame version %d", frame[4])
 	}
 	r := cursor{b: frame[5:]}
 	if frame[4] == VersionTraced {
@@ -203,17 +217,17 @@ func DecodeBytes(frame []byte) (*core.Transmission, error) {
 	}
 	bodyLen := r.uvarint("frame length")
 	if r.err == nil && bodyLen > maxReasonable {
-		return nil, fmt.Errorf("wire: frame length %d too large", bodyLen)
+		return fmt.Errorf("wire: frame length %d too large", bodyLen)
 	}
 	body := r.take(int(bodyLen), "frame body")
 	crc := r.take(4, "frame checksum")
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if binary.LittleEndian.Uint32(crc) != crc32.ChecksumIEEE(body) {
-		return nil, ErrChecksum
+		return ErrChecksum
 	}
-	return parseBody(body)
+	return parseBody(t, body)
 }
 
 // ReadFrame reads one complete framed transmission from r and returns its
@@ -321,13 +335,14 @@ const flagBounded byte = 1 << 1
 // one-byte start and shift and the two coefficients.
 const minRecordBytes = 2 + 16
 
-// parseBody parses a checksummed frame body. Every count is checked
-// against the bytes left in the body before anything is allocated for it.
-func parseBody(body []byte) (*core.Transmission, error) {
+// parseBody parses a checksummed frame body into t, reusing its slices.
+// Every count is checked against the bytes left in the body before
+// anything is allocated for it.
+func parseBody(t *core.Transmission, body []byte) error {
 	r := cursor{b: body}
 	flags := r.byte("flags")
 	if r.err == nil && flags&^(flagQuadratic|flagBounded) != 0 {
-		return nil, fmt.Errorf("wire: unknown flags 0x%02x", flags)
+		return fmt.Errorf("wire: unknown flags 0x%02x", flags)
 	}
 	var errBound float64
 	if flags&flagBounded != 0 {
@@ -336,25 +351,35 @@ func parseBody(body []byte) (*core.Transmission, error) {
 	seq, n, m, w := r.uvarint("seq"), r.uvarint("N"), r.uvarint("M"), r.uvarint("W")
 	ins := r.uvarint("insert count")
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if !shapeFits(n, m) {
-		return nil, fmt.Errorf("wire: %d×%d frame outside the shape limit (N, M ≥ 1, N·M ≤ %d)", n, m, maxValues)
+		return fmt.Errorf("wire: %d×%d frame outside the shape limit (N, M ≥ 1, N·M ≤ %d)", n, m, maxValues)
 	}
 	if !insertsFit(ins, w) {
-		return nil, fmt.Errorf("wire: implausible insert count %d", ins)
+		return fmt.Errorf("wire: implausible insert count %d", ins)
 	}
 	// Each insert is a slot varint and W values.
 	if ins > uint64(len(r.b))/(8*w+1) {
-		return nil, fmt.Errorf("wire: reading placement slot: %w", io.ErrUnexpectedEOF)
+		return fmt.Errorf("wire: reading placement slot: %w", io.ErrUnexpectedEOF)
 	}
-	t := &core.Transmission{Seq: int(seq), N: int(n), M: int(m), W: int(w), ErrBound: errBound}
-	t.BaseIntervals = make([]timeseries.Series, ins)
-	t.Placements = make([]base.Placement, ins)
-	values := make(timeseries.Series, ins*w)
+	bases, placements, intervals := t.BaseIntervals, t.Placements, t.Intervals
+	*t = core.Transmission{Seq: int(seq), N: int(n), M: int(m), W: int(w), ErrBound: errBound}
+	t.BaseIntervals = reuse(bases, int(ins))
+	t.Placements = reuse(placements, int(ins))
+	// An insert keeps the values array of the one it replaces when that is
+	// W wide; the rest share one fresh array.
+	var values timeseries.Series
 	for i := range t.BaseIntervals {
 		t.Placements[i] = base.Placement{Slot: int(r.uvarint("placement slot"))}
-		iv := values[uint64(i)*w : uint64(i+1)*w : uint64(i+1)*w]
+		iv := t.BaseIntervals[i]
+		if cap(iv) < int(w) {
+			if len(values) == 0 {
+				values = make(timeseries.Series, (ins-uint64(i))*w)
+			}
+			iv, values = values[:w:w], values[w:]
+		}
+		iv = iv[:w]
 		for j := range iv {
 			iv[j] = r.float()
 		}
@@ -363,36 +388,44 @@ func parseBody(body []byte) (*core.Transmission, error) {
 
 	count := r.uvarint("interval count")
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if count > maxReasonable {
-		return nil, fmt.Errorf("wire: implausible interval count %d", count)
+		return fmt.Errorf("wire: implausible interval count %d", count)
 	}
 	if count > uint64(len(r.b))/minRecordBytes {
-		return nil, fmt.Errorf("wire: reading interval start: %w", io.ErrUnexpectedEOF)
+		return fmt.Errorf("wire: reading interval start: %w", io.ErrUnexpectedEOF)
 	}
-	t.Intervals = make([]interval.Interval, count)
+	t.Intervals = reuse(intervals, int(count))
 	for i := range t.Intervals {
-		iv := &t.Intervals[i]
-		iv.Start = int(r.uvarint("interval start"))
-		iv.Shift = int(r.varint("interval shift"))
+		iv := interval.Interval{Start: int(r.uvarint("interval start")), Shift: int(r.varint("interval shift"))}
 		iv.A, iv.B = r.float(), r.float()
 		if flags&flagQuadratic != 0 {
 			iv.C = r.float()
 		}
+		t.Intervals[i] = iv
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if len(r.b) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes in frame body", len(r.b))
+		return fmt.Errorf("wire: %d trailing bytes in frame body", len(r.b))
 	}
 	perRecord := interval.ValuesPerInterval
 	if flags&flagQuadratic != 0 {
 		perRecord = interval.ValuesPerQuadInterval
 	}
 	t.Cost = int(ins)*(t.W+1) + len(t.Intervals)*perRecord
-	return t, nil
+	return nil
+}
+
+// reuse returns s resliced to n elements when it has the room, else a
+// fresh slice; never nil, as make's is not.
+func reuse[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // insertsFit bounds the base values a frame may declare: ins intervals of

@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -525,5 +527,93 @@ func TestFrameSeq(t *testing.T) {
 	bad[4] = 99 // version
 	if _, err := FrameSeq(bad); err == nil {
 		t.Error("bad version accepted")
+	}
+}
+
+// TestReuseMatchesFreshDecodes drives one stream through the reused path
+// of a cold read — every frame parsed into one Transmission (DecodeInto)
+// and decoded by one Decoder with its scratch space — and through fresh
+// ones: DecodeBytes, and a decoder seeded (NewDecoderAt) from the state
+// the reused one had before the frame. A frame with many intervals and
+// inserts comes first, then ones with few and none, a refused update, a
+// corrupt frame and an insert that replaces a slot. Rows, errors and
+// replica states must be identical bit for bit.
+func TestReuseMatchesFreshDecodes(t *testing.T) {
+	cfg := core.Config{TotalBand: 64, MBase: 16, Metric: metrics.SSE}
+	const n, m, w = 2, 16, 4
+	base4 := func(v float64) timeseries.Series { return timeseries.Series{v, -v, 2 * v, v / 3} }
+	tx := func(seq int, inserts []timeseries.Series, slots []int, starts, shifts []int) *core.Transmission {
+		tr := &core.Transmission{Seq: seq, N: n, M: m, W: w, BaseIntervals: inserts}
+		for _, s := range slots {
+			tr.Placements = append(tr.Placements, base.Placement{Slot: s})
+		}
+		for i, s := range starts {
+			tr.Intervals = append(tr.Intervals, interval.Interval{Start: s, Shift: shifts[i], A: 0.5 + float64(i), B: float64(seq) - 1})
+		}
+		return tr
+	}
+	many := tx(0, []timeseries.Series{base4(1), base4(2), base4(3)}, []int{0, 1, 2},
+		[]int{0, 3, 6, 9, 12, 15, 18, 21, 24, 27}, []int{0, 2, interval.RampShift, 5, 8, 1, 4, interval.RampShift, 9, 7})
+	few := tx(1, nil, nil, []int{0, 11, 20}, []int{0, interval.RampShift, 0})
+	none := tx(2, nil, nil, []int{0}, []int{interval.RampShift})
+	refused := tx(3, nil, nil, []int{0, 30}, []int{10, 0}) // shift 10 of a 32-sample interval: past the signal
+	insert := tx(3, []timeseries.Series{base4(4)}, []int{3}, []int{0, 8}, []int{8, interval.RampShift})
+	replace := tx(4, []timeseries.Series{base4(5), base4(6)}, []int{0, 2}, []int{0, 5, 31}, []int{1, interval.RampShift, 15})
+	var frames [][]byte
+	for _, tr := range []*core.Transmission{many, few, none, refused, insert, replace} {
+		frame, err := Encode(tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, frame)
+	}
+	corrupt := append([]byte(nil), frames[1]...)
+	corrupt[len(corrupt)-1] ^= 1
+	frames = append(frames[:4], append([][]byte{corrupt}, frames[4:]...)...)
+
+	var reused core.Transmission
+	dec, err := core.NewDecoder(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := make(timeseries.Series, m)
+	for i, frame := range frames {
+		before := dec.State()
+		fresh, ferr := DecodeBytes(frame)
+		rerr := DecodeInto(&reused, frame)
+		if fmt.Sprint(rerr) != fmt.Sprint(ferr) {
+			t.Fatalf("frame %d: DecodeInto error %v, DecodeBytes error %v", i, rerr, ferr)
+		}
+		if ferr != nil {
+			continue
+		}
+		if !sameTransmission(&reused, fresh) {
+			t.Fatalf("frame %d: DecodeInto parsed %+v, DecodeBytes %+v", i, reused, *fresh)
+		}
+		ref, err := core.NewDecoderAt(cfg, before)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, werr := ref.Decode(fresh)
+		q := i % n
+		for j := range row {
+			row[j] = math.NaN()
+		}
+		if gerr := dec.DecodeRow(&reused, q, row); fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("frame %d: reused decode error %v, fresh decode error %v", i, gerr, werr)
+		}
+		if werr == nil {
+			for j, v := range want[q] {
+				if math.Float64bits(row[j]) != math.Float64bits(v) {
+					t.Fatalf("frame %d row %d sample %d: reused decode %v, fresh decode %v", i, q, j, row[j], v)
+				}
+			}
+		}
+		if got, want := dec.State(), ref.State(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("frame %d: reused replica %+v, fresh replica %+v", i, got, want)
+		}
+	}
+	if dec.State().Next != 5 {
+		t.Fatalf("the stream ended at transmission %d, want all 5 accepted ones decoded", dec.State().Next)
 	}
 }

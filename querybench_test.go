@@ -70,10 +70,10 @@ func feedBenchFrames(b *testing.B, st *station.Station, id string, frames [][]by
 }
 
 // newQueryBenchStation builds an archive-backed station: memChunks bounds
-// the in-memory window, segChunks the records per sealed segment, cacheSegs
-// the scanned-segment cache. NoSync keeps ingest off the fsync path so the
-// benchmarks measure locking and decoding, not disk flushes.
-func newQueryBenchStation(b *testing.B, cfg core.Config, memChunks, segChunks, cacheSegs int) (*station.Station, *segstore.Store) {
+// the in-memory window, segChunks the records per sealed segment. NoSync
+// keeps ingest off the fsync path so the benchmarks measure locking and
+// decoding, not disk flushes.
+func newQueryBenchStation(b *testing.B, cfg core.Config, memChunks, segChunks int) (*station.Station, *segstore.Store) {
 	b.Helper()
 	st, err := station.New(cfg)
 	if err != nil {
@@ -83,7 +83,6 @@ func newQueryBenchStation(b *testing.B, cfg core.Config, memChunks, segChunks, c
 		Dir:           b.TempDir(),
 		Config:        cfg,
 		SegmentChunks: segChunks,
-		CacheSegments: cacheSegs,
 		NoSync:        true,
 	})
 	if err != nil {
@@ -133,19 +132,17 @@ func BenchmarkQueryHot(b *testing.B) {
 // BenchmarkQueryColdParallel measures range reads over archived history
 // under 8 concurrent readers. The per-reader spans rotate through the
 // sealed segments in loose lockstep (a shared counter), the dashboard
-// refresh pattern: concurrent readers keep missing the same segment at
-// the same moment, so a read path that deduplicates and parallelises
-// segment decodes collapses the repeated work.
+// refresh pattern: concurrent readers keep reading the same two segments
+// at the same moment, and each read loads and decodes them itself.
 func BenchmarkQueryColdParallel(b *testing.B) {
 	const (
 		chunks    = 128
 		batchLen  = 32
 		segChunks = 16
 		memChunks = 8
-		cacheSegs = 2
 	)
 	cfg := queryBenchConfig()
-	st, store := newQueryBenchStation(b, cfg, memChunks, segChunks, cacheSegs)
+	st, store := newQueryBenchStation(b, cfg, memChunks, segChunks)
 	defer store.Close()
 	feedBenchFrames(b, st, "cold", queryBenchFrames(b, cfg, chunks, batchLen, 0))
 
@@ -179,11 +176,10 @@ func BenchmarkQueryColdParallel(b *testing.B) {
 // aggregates on one sensor while a writer ingests a live stream into
 // another at a fixed offered rate (one frame per frameInterval — open
 // loop, so both sides of a comparison absorb the same ingest work and
-// ns/op isolates what the locking discipline costs the readers). The
-// scanned-segment cache covers the reader's cold working set — the
-// dashboard-refresh pattern — so the op cost is lock discipline and
-// summary merging, not segment codec throughput (BenchmarkQueryColdParallel
-// owns the decode-bound case). ns/op is the query cost under ingest
+// ns/op isolates what the locking discipline costs the readers). Every
+// cold range read loads and decodes its segments, as in
+// BenchmarkQueryColdParallel, so the op cost is that decode plus lock
+// discipline and summary merging. ns/op is the query cost under ingest
 // pressure; ingest-p99-ns reports the writer's tail latency under reader
 // pressure — the reader-blocks-writer number the per-sensor read path is
 // meant to fix.
@@ -193,12 +189,11 @@ func BenchmarkQueryMixedIngest(b *testing.B) {
 		batchLen      = 32
 		segChunks     = 16
 		memChunks     = 8
-		cacheSegs     = 8
 		genFrames     = 512
 		frameInterval = 500 * time.Microsecond
 	)
 	cfg := queryBenchConfig()
-	st, store := newQueryBenchStation(b, cfg, memChunks, segChunks, cacheSegs)
+	st, store := newQueryBenchStation(b, cfg, memChunks, segChunks)
 	defer store.Close()
 	feedBenchFrames(b, st, "r", queryBenchFrames(b, cfg, chunks, batchLen, 0))
 
