@@ -186,7 +186,8 @@ func main() {
 		dlog.Info("recovered station from segment store", "dir", *dataDir,
 			"sensors", rs.Sensors, "from_checkpoint", rs.FromCheckpoint,
 			"tail_frames_replayed", rs.Replayed, "torn_tails", ss.TornTails,
-			"segments", ss.Segments, "bytes", ss.Bytes)
+			"segments", ss.Segments, "bytes", ss.Bytes,
+			"open_s", ss.OpenSeconds, "recover_s", rs.Duration.Seconds(), "workers", rs.Workers)
 	}
 
 	srv, err := netio.ServeWith(st, *addr, netio.Options{

@@ -51,15 +51,34 @@ func Merge(a, b Summary) Summary {
 	if b.Empty() {
 		return a
 	}
-	out := Summary{
+	return Summary{
 		Count:    a.Count + b.Count,
 		Sum:      a.Sum + b.Sum,
-		Min:      math.Min(a.Min, b.Min),
-		Max:      math.Max(a.Max, b.Max),
-		BoundMax: math.Max(a.BoundMax, b.BoundMax),
+		Min:      minOf(a.Min, b.Min),
+		Max:      maxOf(a.Max, b.Max),
+		BoundMax: maxOf(a.BoundMax, b.BoundMax),
 		BoundSum: a.BoundSum + b.BoundSum,
 	}
-	return out
+}
+
+// minOf is math.Min bit for bit, small enough for the compiler to inline.
+// The builtin min agrees with math.Min unless an operand is NaN: then it
+// returns a NaN where math.Min returns −Inf for a −Inf operand, and it
+// keeps an operand's NaN payload where math.Min returns the canonical
+// NaN. A NaN result sends those cases to math.Min.
+func minOf(x, y float64) float64 {
+	if m := min(x, y); m == m {
+		return m
+	}
+	return math.Min(x, y)
+}
+
+// maxOf is math.Max bit for bit, and inlinable, as minOf is math.Min.
+func maxOf(x, y float64) float64 {
+	if m := max(x, y); m == m {
+		return m
+	}
+	return math.Max(x, y)
 }
 
 // Summarize builds the summary of one span of reconstructed samples whose
@@ -175,7 +194,8 @@ func (ix *Index) AppendChunk(rows []timeseries.Series, bound float64) error {
 // the archive's segment footers. Every row must hold the same number of
 // chunks. Each tree is built bottom-up, every level once and at its exact
 // length, with the same node values incremental AppendChunk calls would
-// have produced; the leaf slices become the trees' first levels.
+// have produced; the leaf slices become the trees' first levels, and the
+// levels above them, of every tree, share one allocation.
 func NewIndexFromLeaves(n, m int, leaves [][]Summary) (*Index, error) {
 	if len(leaves) != n {
 		return nil, fmt.Errorf("query: %d leaf rows for %d quantities", len(leaves), n)
@@ -184,32 +204,46 @@ func NewIndexFromLeaves(n, m int, leaves [][]Summary) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
+	count := len(leaves[0])
 	for row, ls := range leaves {
-		if len(ls) != len(leaves[0]) {
+		if len(ls) != count {
 			return nil, fmt.Errorf("query: leaf row %d has %d chunks, row 0 has %d",
-				row, len(ls), len(leaves[0]))
+				row, len(ls), count)
 		}
-		ix.rows[row] = buildTree(ls)
+	}
+	upper := 0 // nodes above the leaves, per tree
+	for w := count; w > 1; w = (w + 1) / 2 {
+		upper += (w + 1) / 2
+	}
+	nodes := make([]Summary, n*upper)
+	for row, ls := range leaves {
+		ix.rows[row] = buildTree(ls, nodes[row*upper:(row+1)*upper])
 	}
 	return ix, nil
 }
 
-// buildTree lays a tree over leaves level by level: node i of each level
+// buildTree lays a tree over leaves level by level, the levels above them
+// cut from nodes, which holds exactly their nodes: node i of each level
 // merges children 2i and 2i+1 of the level below, or copies a lone right
-// edge child, up to a single root — exactly the nodes append leaves.
-func buildTree(leaves []Summary) *tree {
-	t := &tree{count: len(leaves)}
+// edge child, up to a single root — exactly the nodes append leaves. Each
+// level's capacity ends at its length, and the first append moves the
+// levels out of nodes (see tree.append).
+func buildTree(leaves, nodes []Summary) *tree {
+	t := &tree{count: len(leaves), shared: len(nodes) > 0}
 	if len(leaves) == 0 {
 		return t
 	}
 	t.levels = make([][]Summary, 1, bits.Len(uint(len(leaves)-1))+1)
 	t.levels[0] = leaves
 	for lv := leaves; len(lv) > 1; {
-		up := make([]Summary, (len(lv)+1)/2)
+		w := (len(lv) + 1) / 2
+		up := nodes[:w:w]
+		nodes = nodes[w:]
 		for i := range up {
-			up[i] = lv[2*i]
 			if 2*i+1 < len(lv) {
 				up[i] = Merge(lv[2*i], lv[2*i+1])
+			} else {
+				up[i] = lv[2*i]
 			}
 		}
 		t.levels = append(t.levels, up)
@@ -335,9 +369,22 @@ func snapQuery(levels [][]Summary, lo, hi int) (Summary, int) {
 type tree struct {
 	count  int
 	levels [][]Summary
+	// shared marks levels above the leaves that buildTree cut from one
+	// block, possibly with other trees' levels.
+	shared bool
 }
 
 func (t *tree) append(s Summary) {
+	if t.shared {
+		// Move every upper level out of the shared block before the first
+		// append. Left to grow one by one, the top levels would keep the
+		// whole block allocated until the history passes the next power
+		// of two.
+		for lv := 1; lv < len(t.levels); lv++ {
+			t.levels[lv] = append([]Summary(nil), t.levels[lv]...)
+		}
+		t.shared = false
+	}
 	if len(t.levels) == 0 {
 		t.levels = append(t.levels, nil)
 	}

@@ -223,3 +223,80 @@ func TestNewIndexFromLeavesMatchesAppends(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeMatchesMathMinMax pins Merge's Min, Max and BoundMax to
+// math.Min and math.Max bit for bit, on the operands where the builtin min
+// and max differ from them too: NaNs of either sign and any payload, alone
+// or beside ±Inf, and zeros of either sign.
+func TestMergeMatchesMathMinMax(t *testing.T) {
+	vals := []float64{
+		0, math.Copysign(0, -1), 1, -1, math.SmallestNonzeroFloat64, -math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+		math.Float64frombits(0x7ff8000000000123), math.Float64frombits(0xfff8000000000000),
+	}
+	same := func(got, want float64) bool { return math.Float64bits(got) == math.Float64bits(want) }
+	for _, x := range vals {
+		for _, y := range vals {
+			got := Merge(Summary{Count: 1, Min: x, Max: x, BoundMax: x}, Summary{Count: 2, Min: y, Max: y, BoundMax: y})
+			if !same(got.Min, math.Min(x, y)) || !same(got.Max, math.Max(x, y)) || !same(got.BoundMax, math.Max(x, y)) {
+				t.Errorf("Merge of %#x and %#x: min %#x max %#x bound %#x, want %#x %#x %#x",
+					math.Float64bits(x), math.Float64bits(y),
+					math.Float64bits(got.Min), math.Float64bits(got.Max), math.Float64bits(got.BoundMax),
+					math.Float64bits(math.Min(x, y)), math.Float64bits(math.Max(x, y)), math.Float64bits(math.Max(x, y)))
+			}
+		}
+	}
+}
+
+// TestNewIndexFromLeavesSharedBlock builds an index over several rows
+// whose leaves share one allocation, as a restart's facts lay them out,
+// and whose upper levels share another: appends to one row's levels must
+// never write into another row's, every row keeps matching its
+// incremental twin, and the first append moves every upper level out of
+// the shared block, so nothing keeps it allocated.
+func TestNewIndexFromLeavesSharedBlock(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const n, m, chunks = 3, 4, 37
+	block := make([]Summary, n*chunks)
+	leaves := make([][]Summary, n)
+	inc := make([]*tree, n)
+	for row := range leaves {
+		leaves[row] = block[row*chunks : (row+1)*chunks : (row+1)*chunks]
+		inc[row] = &tree{}
+		for i := range leaves[row] {
+			leaves[row][i] = Leaf(m, rng.NormFloat64(), -rng.Float64(), rng.Float64(), rng.Float64())
+			inc[row].append(leaves[row][i])
+		}
+	}
+	ix, err := NewIndexFromLeaves(n, m, leaves)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built := make([][]*Summary, n) // each row's upper levels, as built
+	for row, tr := range ix.rows {
+		for _, level := range tr.levels[1:] {
+			built[row] = append(built[row], &level[0])
+		}
+	}
+	for k := 0; k < 70; k++ {
+		for row := range inc {
+			s := Leaf(m, rng.NormFloat64(), -rng.Float64(), rng.Float64(), rng.Float64())
+			ix.rows[row].append(s)
+			inc[row].append(s)
+		}
+		if k == 0 {
+			for row, tr := range ix.rows {
+				for lv, first := range built[row] {
+					if &tr.levels[lv+1][0] == first {
+						t.Fatalf("row %d level %d still lies in the shared block after an append", row, lv+1)
+					}
+				}
+			}
+		}
+		for row := range inc {
+			if !sameTree(ix.rows[row], inc[row]) {
+				t.Fatalf("after %d appends to every row, row %d differs from its incremental twin", k+1, row)
+			}
+		}
+	}
+}

@@ -192,3 +192,31 @@ func FuzzDecodeMetadata(f *testing.F) {
 		_, _ = decodeCheckpoint(data)
 	})
 }
+
+// decodeFooter parses a footer block payload, kind tag included, into its
+// first chunk and per-record facts, field by field. Open decodes footers
+// straight into a sensor's columns instead (SensorFacts.putEntries); this
+// is the reference both FuzzDecodeMetadata's round trip and
+// TestFooterColumnsMatchReference check against.
+func decodeFooter(payload []byte) (int, []ChunkFacts, error) {
+	first, count, n, entries, err := footerHead(payload)
+	if err != nil {
+		return 0, nil, err
+	}
+	r := fields{b: entries}
+	facts := make([]ChunkFacts, count)
+	for i := range facts {
+		f := &facts[i]
+		f.Unix = int64(r.u64())
+		f.Bound = r.f64()
+		f.Inserts = r.u32()
+		f.Rows = make([]RowSummary, n)
+		for j := range f.Rows {
+			f.Rows[j] = RowSummary{Sum: r.f64(), Min: r.f64(), Max: r.f64()}
+		}
+	}
+	if err := r.done("segment footer"); err != nil {
+		return 0, nil, err
+	}
+	return first, facts, nil
+}

@@ -5,8 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 
+	"sbr/internal/fanout"
 	"sbr/internal/obs/trace"
 	"sbr/internal/timeseries"
 )
@@ -23,8 +23,8 @@ import (
 // before the window, applying their base-signal updates, and reconstructs
 // one row of each chunk inside it into the caller's buffer (decodeRow).
 // Range reads spanning several segments fan the per-segment work out over
-// a bounded worker pool, each segment decoding into its own part of the
-// buffer.
+// a bounded worker pool (fanout.Run), each segment decoding into its own
+// part of the buffer.
 
 // segRef is a decodable reference to one segment, resolved under s.mu and
 // then safe to act on without it. For the active segment it captures the
@@ -169,28 +169,7 @@ func (s *Store) ChunkRangeRow(sensor string, from, to, row int, dst timeseries.S
 	if workers <= 0 {
 		workers = DefaultFetchWorkers
 	}
-	if workers = min(workers, len(parts)); workers <= 1 {
-		for i := range parts {
-			read(&parts[i])
-		}
-	} else {
-		idx := make(chan int, len(parts))
-		for i := range parts {
-			idx <- i
-		}
-		close(idx)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					read(&parts[i])
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	fanout.Run(len(parts), workers, func(_, i int) { read(&parts[i]) })
 
 	var advanced int
 	for _, p := range parts {

@@ -280,6 +280,14 @@ func encodeFooterBlock(first, n int, facts []ChunkFacts, footerOff int64) []byte
 	p = le.AppendUint64(p, uint64(first))
 	p = le.AppendUint32(p, uint32(len(facts)))
 	p = le.AppendUint32(p, uint32(n))
+	p = appendFooterEntries(p, facts)
+	out := blocklog.Append(nil, p)
+	out = le.AppendUint64(out, uint64(footerOff))
+	return append(out, trailerMagic[:]...)
+}
+
+// appendFooterEntries encodes one footer entry per fact.
+func appendFooterEntries(p []byte, facts []ChunkFacts) []byte {
 	for _, f := range facts {
 		p = le.AppendUint64(p, uint64(f.Unix))
 		p = appendFloat(p, f.Bound)
@@ -290,9 +298,7 @@ func encodeFooterBlock(first, n int, facts []ChunkFacts, footerOff int64) []byte
 			p = appendFloat(p, rs.Max)
 		}
 	}
-	out := blocklog.Append(nil, p)
-	out = le.AppendUint64(out, uint64(footerOff))
-	return append(out, trailerMagic[:]...)
+	return p
 }
 
 // footerHead parses the fixed head of a footer block payload, kind tag
@@ -318,32 +324,6 @@ func footerHead(payload []byte) (first, count, n int, entries []byte, err error)
 	return first, count, n, r.b, nil
 }
 
-// decodeFooter parses a footer block payload, kind tag included, into its
-// first chunk and per-record facts.
-func decodeFooter(payload []byte) (int, []ChunkFacts, error) {
-	first, count, n, entries, err := footerHead(payload)
-	if err != nil {
-		return 0, nil, err
-	}
-	r := fields{b: entries}
-	facts := make([]ChunkFacts, count)
-	rows := make([]RowSummary, count*n)
-	for i := range facts {
-		f := &facts[i]
-		f.Unix = int64(r.u64())
-		f.Bound = r.f64()
-		f.Inserts = r.u32()
-		f.Rows = rows[i*n : (i+1)*n : (i+1)*n]
-		for j := range f.Rows {
-			f.Rows[j] = RowSummary{Sum: r.f64(), Min: r.f64(), Max: r.f64()}
-		}
-	}
-	if err := r.done("segment footer"); err != nil {
-		return 0, nil, err
-	}
-	return first, facts, nil
-}
-
 // parseTrailer returns the footer offset a sealed file's trailer names.
 func parseTrailer(tr []byte) (int64, bool) {
 	if len(tr) != trailerLen || string(tr[8:]) != string(trailerMagic[:]) {
@@ -365,27 +345,94 @@ func footerOffset(tr []byte, size int64) (int64, error) {
 	return off, nil
 }
 
-// footerFacts reads the footer block of a sealed file of size bytes — the
-// one block a restart reads per sealed segment — and returns its first
-// chunk and facts.
-func footerFacts(f io.ReaderAt, size int64) (int, []ChunkFacts, error) {
-	var tr [trailerLen]byte
-	if size >= trailerLen {
-		if _, err := f.ReadAt(tr[:], size-trailerLen); err != nil {
-			return 0, nil, fmt.Errorf("segstore: reading trailer: %w", err)
+// footerTail is the least readFooter reads from a file's end: a footer of
+// 24 entries for 6 quantities, with its trailer.
+const footerTail = 4 << 10
+
+// readFooter reads the footer block of a sealed file of size bytes — the
+// one block a restart reads per sealed segment — into *buf, which the
+// caller reuses from file to file, and returns the block's payload,
+// checked against its checksum, in place. One read of the file's tail, as
+// long as the longest footer the buffer has held, usually brings the
+// trailer and the footer both; a longer footer takes a second read, and
+// grows the buffer to hold it next time.
+func readFooter(f io.ReaderAt, size int64, buf *[]byte) ([]byte, error) {
+	if size < int64(len(segMagic))+trailerLen {
+		return nil, fmt.Errorf("segstore: %d bytes cannot hold a sealed segment", size)
+	}
+	b, err := readTail(f, size, max(int64(cap(*buf)), footerTail), buf)
+	if err != nil {
+		return nil, err
+	}
+	off, err := footerOffset(b[len(b)-trailerLen:], size)
+	if err != nil {
+		return nil, err
+	}
+	if off < size-int64(len(b)) {
+		if b, err = readTail(f, size, size-off, buf); err != nil {
+			return nil, err
 		}
 	}
-	off, err := footerOffset(tr[:], size)
-	if err != nil {
-		return 0, nil, err
+	payload, rest, err := blocklog.Cut(b[int64(len(b))-(size-off) : len(b)-trailerLen])
+	if err != nil || len(rest) != 0 {
+		return nil, fmt.Errorf("segstore: torn segment footer")
 	}
-	avail := size - trailerLen - off
-	payload, err := blocklog.Read(io.NewSectionReader(f, off, avail), avail)
-	if err != nil || int64(8+len(payload)) != avail {
-		return 0, nil, fmt.Errorf("segstore: torn segment footer")
-	}
-	return decodeFooter(payload)
+	return payload, nil
 }
+
+// readTail reads the last min(n, size) bytes of a file of size bytes into
+// *buf, growing it as needed.
+func readTail(f io.ReaderAt, size, n int64, buf *[]byte) ([]byte, error) {
+	n = min(n, size)
+	if int64(cap(*buf)) < n {
+		*buf = make([]byte, n)
+	}
+	b := (*buf)[:n]
+	if _, err := f.ReadAt(b, size-n); err != nil {
+		return nil, fmt.Errorf("segstore: reading footer: %w", err)
+	}
+	return b, nil
+}
+
+// putEntries decodes the footer entries of chunks first, first+1, … — n
+// row summaries each, laid out as footerHead checked them — and returns
+// the newest time among them. The facts of the chunks inside the columns'
+// span and below stop (stop < 0: no limit) land in the columns; the
+// others are only timed. Each entry's fields sit at fixed offsets, so
+// nothing is checked field by field. Entries of different files touch
+// different chunks, so files can be decoded into one sensor's columns at
+// once.
+func (sf *SensorFacts) putEntries(first, stop, n int, entries []byte) (newest int64, err error) {
+	lo := max(first, sf.First)
+	hi := sf.First + len(sf.Bounds)
+	if stop >= 0 {
+		hi = min(hi, stop)
+	}
+	if lo < hi && sf.Leaves != nil && len(sf.Leaves) != n {
+		return 0, fmt.Errorf("footer entries hold %d quantities, the checkpoint %d", n, len(sf.Leaves))
+	}
+	w := footerEntryLen(n)
+	for i := 0; i*w < len(entries); i++ {
+		e := entries[i*w : (i+1)*w]
+		newest = max(newest, int64(le.Uint64(e)))
+		c := first + i
+		if c < lo || c >= hi {
+			continue
+		}
+		j := c - sf.First
+		bound := f64At(e, 8)
+		sf.Bounds[j] = bound
+		sf.Inserts[j] = int(le.Uint32(e[16:20]))
+		for row, leaves := range sf.Leaves {
+			at := 20 + 24*row
+			leaves[j] = query.Leaf(sf.m, f64At(e, at), f64At(e, at+8), f64At(e, at+16), bound)
+		}
+	}
+	return newest, nil
+}
+
+// f64At reads the little-endian float64 at b[at:].
+func f64At(b []byte, at int) float64 { return math.Float64frombits(le.Uint64(b[at : at+8])) }
 
 // summarizeRows digests the decoded rows for the footer with
 // query.Summarize, so a restart rebuilds the very leaves the live index
@@ -416,7 +463,7 @@ type segScan struct {
 // corrupt block, the end of b — and never fails on one; it fails only on
 // files whose preamble or header block is unusable (err != nil and Header
 // unset). records, the count the caller expects, sizes the result. A
-// sealed file's footer and trailer are read through footerFacts, never by
+// sealed file's footer and trailer are read through readFooter, never by
 // a scan.
 func scanSegment(b []byte, records int) (segScan, error) {
 	var scan segScan

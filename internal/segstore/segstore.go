@@ -41,6 +41,7 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -50,8 +51,10 @@ import (
 
 	"sbr/internal/blocklog"
 	"sbr/internal/core"
+	"sbr/internal/fanout"
 	"sbr/internal/obs"
 	"sbr/internal/obs/trace"
+	"sbr/internal/query"
 	"sbr/internal/timeseries"
 )
 
@@ -137,6 +140,26 @@ func dirName(id string) string {
 	return b.String()
 }
 
+// maxDirName is the longest file name the file systems the store runs on
+// accept (NAME_MAX on Linux): a sensor directory's name must fit.
+const maxDirName = 255
+
+// CheckSensorID fails for a sensor ID the store cannot archive: an empty
+// one, or one whose directory name (dirName, every escaped byte three
+// bytes long) is longer than a file name may be. A station checks a new
+// sensor's ID before it accepts the sensor's first frame, so no frame is
+// acknowledged that its archive could never hold.
+func CheckSensorID(id string) error {
+	if id == "" {
+		return fmt.Errorf("segstore: empty sensor id")
+	}
+	if n := len(dirName(id)); n > maxDirName {
+		return fmt.Errorf("segstore: sensor id of %d bytes names a directory of %d bytes, past the %d bytes a file name may have",
+			len(id), n, maxDirName)
+	}
+	return nil
+}
+
 // sensorID inverts dirName; ok is false for a name dirName never yields.
 func sensorID(name string) (id string, ok bool) {
 	id, err := url.PathUnescape(name)
@@ -192,6 +215,7 @@ type storeMetrics struct {
 	coldDecoded  *obs.Counter
 	compactions  *obs.Counter
 	ckptAge      *obs.Gauge
+	openSeconds  *obs.Gauge
 }
 
 func newStoreMetrics() storeMetrics {
@@ -200,6 +224,7 @@ func newStoreMetrics() storeMetrics {
 		appends: &obs.Counter{}, coldReads: &obs.Counter{},
 		coldAdvanced: &obs.Counter{}, coldDecoded: &obs.Counter{},
 		compactions: &obs.Counter{}, ckptAge: &obs.Gauge{},
+		openSeconds: &obs.Gauge{},
 	}
 }
 
@@ -218,6 +243,11 @@ type Store struct {
 	recovery  Recovery // what Open read back, until TakeRecovery
 	closed    bool
 
+	// openDur is how long Open took, its walk run by openWorkers
+	// goroutines (GOMAXPROCS when Open ran).
+	openDur     time.Duration
+	openWorkers int
+
 	// watermarks maps each sensor with purged history to its purge
 	// watermark, for readers that must not wait on s.mu. It is replaced
 	// whole whenever a watermark moves, which only Open and retention do.
@@ -225,21 +255,56 @@ type Store struct {
 }
 
 // Recovery is what Open read back for Station.Recover: the checkpoint it
-// decoded and every sensor's per-chunk facts.
+// decoded and the per-chunk facts of every sensor the checkpoint names.
 type Recovery struct {
 	// Checkpoint is the newest loadable checkpoint (nil: none).
 	Checkpoint *Checkpoint
-	// Facts holds each sensor's facts for every archived chunk, from its
-	// purge watermark to its newest chunk: the sealed segments' footers,
-	// then the active segment's records decoded.
-	Facts map[string]SensorFacts
+	// Facts maps each sensor the checkpoint names to the facts of the
+	// chunks the checkpoint covers: the sealed segments' footers, and the
+	// records of a segment without one decoded. A sensor the checkpoint
+	// does not name replays its whole archive and needs none.
+	Facts map[string]*SensorFacts
 }
 
-// SensorFacts is one sensor's per-chunk facts: Chunks[i] describes chunk
-// First+i, and First is the sensor's purge watermark.
+// SensorFacts is one checkpointed sensor's per-chunk facts over the chunks
+// [First, First+len(Bounds)): from its purge watermark First up to the
+// checkpoint's coverage. Open decodes them from the segment footers
+// straight into the columns the station keeps: Bounds[i] and Inserts[i]
+// are chunk First+i's §4.5 error bound and inserted base intervals, and
+// Leaves[row][i] its aggregate-index leaf (query.Leaf) for quantity row.
+// Only the chunks below Archived are in the archive. A sensor checkpointed
+// while its archive appends were failing covers chunks the archive never
+// took, and their facts stay zero. Each leaf row's capacity ends at its
+// length, so appending to one row never writes into the next.
 type SensorFacts struct {
-	First  int
-	Chunks []ChunkFacts
+	First    int
+	Archived int
+	Bounds   []float64
+	Inserts  []int
+	Leaves   [][]query.Summary
+
+	m int // samples per chunk, every leaf's count
+}
+
+// newSensorFacts returns zeroed columns for the chunks [first, sc.Chunks)
+// of a sensor with checkpoint sc; a checkpoint below first gets none, and
+// restoring it fails. The leaves of every row share one allocation.
+func newSensorFacts(first int, sc *SensorCheckpoint) *SensorFacts {
+	sf := &SensorFacts{First: first, m: sc.M}
+	held := sc.Chunks - first
+	if held < 0 {
+		return sf
+	}
+	sf.Bounds = make([]float64, held)
+	sf.Inserts = make([]int, held)
+	if sc.N > 0 {
+		leaves := make([]query.Summary, sc.N*held)
+		sf.Leaves = make([][]query.Summary, sc.N)
+		for row := range sf.Leaves {
+			sf.Leaves[row] = leaves[row*held : (row+1)*held : (row+1)*held]
+		}
+	}
+	return sf
 }
 
 // legacyManifest is the index file earlier versions kept beside the
@@ -248,9 +313,11 @@ const legacyManifest = "MANIFEST.json"
 
 // Open opens (creating if needed) a segment store rooted at opts.Dir and
 // recovers whatever a previous process — cleanly shut down or crashed —
-// left behind, from one walk of the segments tree (recoverSegments). The
-// newest checkpoint and the per-chunk facts wait for TakeRecovery.
+// left behind, from one walk of the segments tree (recoverSegments) on
+// every core. The newest checkpoint and the per-chunk facts wait for
+// TakeRecovery.
 func Open(opts Options) (*Store, error) {
+	start := time.Now()
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("segstore: empty data directory")
 	}
@@ -269,6 +336,8 @@ func Open(opts Options) (*Store, error) {
 		sensors:   make(map[string]*sensorSegs),
 		ckptCover: make(map[string]int),
 		met:       newStoreMetrics(),
+
+		openWorkers: runtime.GOMAXPROCS(0),
 	}
 	if err := s.mkdirDurable(filepath.Join(opts.Dir, "segments")); err != nil {
 		return nil, fmt.Errorf("segstore: creating data dir: %w", err)
@@ -285,12 +354,14 @@ func Open(opts Options) (*Store, error) {
 	}
 	s.publishWatermarksLocked()
 	s.updateGauges()
+	s.openDur = time.Since(start)
+	s.met.openSeconds.Set(s.openDur.Seconds())
 	return s, nil
 }
 
-// TakeRecovery hands over what Open read back. The store keeps no copy, so
-// the facts are freed once the station has rebuilt its state from them; a
-// second call returns an empty Recovery.
+// TakeRecovery hands over what Open read back. The store keeps no
+// reference, so the fact columns become the caller's — the station adopts
+// them as its own — and a second call returns an empty Recovery.
 func (s *Store) TakeRecovery() Recovery {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -322,28 +393,66 @@ func (s *Store) publishWatermarksLocked() {
 }
 
 // recoverSegments rebuilds the index from one walk of segments/, each
-// directory holding the files of the sensor its name encodes, and gathers
-// every sensor's per-chunk facts for TakeRecovery. It changes nothing on
-// disk until every sensor's files have tiled: only then does it delete
-// torn first writes and cut torn tails off the active segments.
+// directory holding the files of the sensor its name encodes, and decodes
+// the facts of every checkpointed sensor for TakeRecovery. The work runs
+// on a pool as wide as GOMAXPROCS, in two steps: each sensor directory is
+// listed, then each segment file is read, a file being the unit so that
+// one long-lived sensor's history spreads over every core too. Then the
+// decisions run serially, in directory and file order: a directory name
+// that does not decode, the listings, the tiling of each sensor's files
+// and each file's own error, the first failure returned, exactly the one
+// a serial walk meets first. It changes nothing on disk until every
+// sensor's files have tiled: only then does it delete torn first writes
+// and cut torn tails off the active segments.
 func (s *Store) recoverSegments() error {
 	root := filepath.Join(s.dir, "segments")
-	dirs, err := os.ReadDir(root)
+	entries, err := os.ReadDir(root)
 	if err != nil {
 		return fmt.Errorf("segstore: reading segments dir: %w", err)
 	}
-	s.recovery.Facts = make(map[string]SensorFacts, len(dirs))
-	var torn []string
-	for _, d := range dirs {
+	var dirs []*sensorDir
+	var nameErr error // met after every directory in dirs
+	for _, d := range entries {
 		if !d.IsDir() {
 			continue
 		}
 		id, ok := sensorID(d.Name())
 		if !ok {
-			return fmt.Errorf("segstore: segments/%s: not a sensor directory name", d.Name())
+			nameErr = fmt.Errorf("segstore: segments/%s: not a sensor directory name", d.Name())
+			break
 		}
-		if err := s.recoverSensor(id, filepath.Join(root, d.Name()), &torn); err != nil {
+		dirs = append(dirs, &sensorDir{id: id, dir: filepath.Join(root, d.Name())})
+	}
+	ck := s.recovery.Checkpoint
+	fanout.Run(len(dirs), s.openWorkers, func(_, i int) { dirs[i].list(ck, s.ckptCover) })
+	var files []fileRef
+	for _, sd := range dirs {
+		for j := range sd.files {
+			files = append(files, fileRef{sd, &sd.files[j]})
+		}
+	}
+	bufs := make([][]byte, s.openWorkers) // each worker's footer buffer
+	fanout.Run(len(files), s.openWorkers, func(w, i int) {
+		sd, f := files[i].sd, files[i].f
+		f.sm, f.active, f.err = readSegment(s.opts.Config, f.path, sd.id, f.first, f.next, sd.facts, &bufs[w])
+	})
+
+	s.recovery.Facts = make(map[string]*SensorFacts)
+	var torn []string
+	for _, sd := range dirs {
+		if err := s.installSensor(sd, &torn); err != nil {
 			return err
+		}
+	}
+	if nameErr != nil {
+		return nameErr
+	}
+	if ck != nil {
+		for id, sc := range ck.Sensors {
+			if _, ok := s.recovery.Facts[id]; !ok {
+				// No segment file left: nothing it covers was archived.
+				s.recovery.Facts[id] = newSensorFacts(0, sc)
+			}
 		}
 	}
 	for _, path := range torn {
@@ -363,67 +472,124 @@ func (s *Store) recoverSegments() error {
 	return nil
 }
 
-// recoverSensor rebuilds one sensor's index and facts from its directory,
-// whose files (readSegment) must tile the sensor's chunks: the oldest
-// one's first chunk is the purge watermark, and each later file starts
-// where the one before ends. A gap fails, naming the file after it. The
-// active segment is left unopened, and a torn first write is added to
-// torn, for the caller to heal. A sensor with no file left had all of it
-// dropped by retention, which stops at the checkpoint's coverage: that is
-// its watermark and its next chunk. Without coverage it is not recovered.
-func (s *Store) recoverSensor(id, dir string, torn *[]string) error {
-	entries, err := os.ReadDir(dir)
+// sensorDir is one sensor's directory in Open's walk: its segment files
+// in chunk order, what listing them met, and the columns its checkpointed
+// facts are decoded into.
+type sensorDir struct {
+	id, dir string
+	err     error // listing the directory failed
+	files   []segFile
+	ckpt    *SensorCheckpoint // nil: the checkpoint does not name the sensor
+	facts   *SensorFacts      // no columns without ckpt
+}
+
+// segFile is one segment file in Open's walk and what reading it found.
+type segFile struct {
+	path   string
+	first  int // the first chunk its name gives
+	next   int // the first chunk of the file after it; -1 for the newest
+	sm     segMeta
+	active *activeSeg // the newest file, read without a footer
+	err    error
+}
+
+// fileRef names one file of one sensor for the read step.
+type fileRef struct {
+	sd *sensorDir
+	f  *segFile
+}
+
+// list reads the sensor's directory into its files, in chunk order, and
+// sizes the columns of its facts when ck names it. The purge watermark
+// the facts start from is the oldest file's first chunk or, with no file
+// left, the checkpoint's coverage.
+func (sd *sensorDir) list(ck *Checkpoint, cover map[string]int) {
+	entries, err := os.ReadDir(sd.dir)
 	if err != nil {
-		return fmt.Errorf("segstore: reading sensor dir: %w", err)
+		sd.err = fmt.Errorf("segstore: reading sensor dir: %w", err)
+		return
 	}
-	var firsts []int
 	for _, e := range entries {
 		if e.IsDir() || !strings.HasSuffix(e.Name(), segExt) {
 			continue
 		}
+		path := filepath.Join(sd.dir, e.Name())
 		first, ok := segFirst(e.Name())
 		if !ok {
-			return fmt.Errorf("segstore: segment %s: not a segment file name", filepath.Join(dir, e.Name()))
+			sd.err = fmt.Errorf("segstore: segment %s: not a segment file name", path)
+			return
 		}
-		firsts = append(firsts, first)
+		sd.files = append(sd.files, segFile{path: path, first: first})
 	}
-	sort.Ints(firsts)
-	ss := &sensorSegs{dir: dir}
-	if len(firsts) > 0 {
-		ss.purged = firsts[0]
+	sort.Slice(sd.files, func(i, j int) bool { return sd.files[i].first < sd.files[j].first })
+	for i := range sd.files {
+		sd.files[i].next = -1
+		if i+1 < len(sd.files) {
+			sd.files[i].next = sd.files[i+1].first
+		}
 	}
-	var facts []ChunkFacts
-	for i, first := range firsts {
-		path := filepath.Join(dir, segName(first))
-		if want := ss.nextChunk(); first != want {
+	sd.facts = &SensorFacts{}
+	if ck != nil {
+		if sd.ckpt = ck.Sensors[sd.id]; sd.ckpt != nil {
+			first := cover[sd.id]
+			if len(sd.files) > 0 {
+				first = sd.files[0].first
+			}
+			sd.facts = newSensorFacts(first, sd.ckpt)
+		}
+	}
+}
+
+// installSensor rebuilds one sensor's index from its walked directory,
+// whose files must tile the sensor's chunks: the oldest one's first chunk
+// is the purge watermark, and each later file starts where the one before
+// ends. A gap fails, naming the file after it, before that file's own
+// error could. The active segment is left unopened, and a torn first
+// write is added to torn, for the caller to heal. A sensor with no file
+// left had all of it dropped by retention, which stops at the
+// checkpoint's coverage: that is its watermark and its next chunk.
+// Without coverage it is not recovered.
+func (s *Store) installSensor(sd *sensorDir, torn *[]string) error {
+	if sd.err != nil {
+		return sd.err
+	}
+	ss := &sensorSegs{dir: sd.dir}
+	if len(sd.files) > 0 {
+		ss.purged = sd.files[0].first
+	}
+	for i := range sd.files {
+		f := &sd.files[i]
+		if want := ss.nextChunk(); f.first != want {
 			return fmt.Errorf("segstore: segment %s starts at chunk %d, but sensor %q ends at chunk %d: a segment is missing",
-				path, first, id, want)
+				f.path, f.first, sd.id, want)
 		}
-		next := -1 // the newest file
-		if i+1 < len(firsts) {
-			next = firsts[i+1]
-		}
-		sm, ff, active, err := readSegment(s.opts.Config, path, id, first, next)
 		switch {
-		case errors.Is(err, errTornFirstWrite):
-			*torn = append(*torn, path)
-		case err != nil:
-			return fmt.Errorf("segstore: segment %s: %w", path, err)
-		case active != nil:
-			ss.active = &activeSeg{path: path, header: active.Header, facts: ff,
-				frames: active.Frames, size: active.Good}
+		case errors.Is(f.err, errTornFirstWrite):
+			*torn = append(*torn, f.path)
+		case f.err != nil:
+			return fmt.Errorf("segstore: segment %s: %w", f.path, f.err)
+		case f.active != nil:
+			ss.active = f.active
 		default:
-			ss.sealed = append(ss.sealed, sm)
+			ss.sealed = append(ss.sealed, f.sm)
 		}
-		facts = append(facts, ff...)
 	}
 	if len(ss.sealed) == 0 && ss.active == nil {
-		if ss.purged = s.ckptCover[id]; ss.purged == 0 {
+		if ss.purged = s.ckptCover[sd.id]; ss.purged == 0 {
 			return nil
 		}
 	}
-	s.sensors[id] = ss
-	s.recovery.Facts[id] = SensorFacts{First: ss.purged, Chunks: facts}
+	s.sensors[sd.id] = ss
+	if sd.ckpt != nil {
+		sf := sd.facts
+		if sf.First != ss.purged {
+			// Only a torn first write was left, and the watermark is the
+			// coverage: no chunk it covers is archived.
+			sf = newSensorFacts(ss.purged, sd.ckpt)
+		}
+		sf.Archived = min(sf.First+len(sf.Bounds), ss.nextChunk())
+		s.recovery.Facts[sd.id] = sf
+	}
 	return nil
 }
 
@@ -433,56 +599,68 @@ var errTornFirstWrite = errors.New("segstore: torn first write")
 // readSegment reads the segment file at path, where the sensor's segment
 // starting at chunk first belongs; next is the first chunk of the file
 // after it, or -1 for the newest. A sealed segment comes back as its
-// metadata and footer facts, read through the trailer without touching
-// the rest of the file. A file without a readable footer is read whole in
+// metadata, its footer read into buf (reused from file to file) through
+// the trailer, without touching the rest of the file, and its entries
+// decoded into facts. A file without a readable footer is read whole in
 // one ReadAt and scanned in place, its header checked against its place,
 // and its facts decoded from its records: an older file comes back as
 // sealed, its records reaching next, and the newest as the active
-// segment's scan, whose frames stay in the buffer they were read into. A
-// newest file that does not scan and is too short to hold a header yields
+// segment, whose frames stay in the buffer they were read into. A newest
+// file that does not scan and is too short to hold a header yields
 // errTornFirstWrite.
-func readSegment(cfg core.Config, path, sensor string, first, next int) (sm segMeta, facts []ChunkFacts, active *segScan, err error) {
+func readSegment(cfg core.Config, path, sensor string, first, next int, facts *SensorFacts, buf *[]byte) (sm segMeta, active *activeSeg, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return sm, nil, nil, err
+		return sm, nil, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return sm, nil, nil, err
+		return sm, nil, err
 	}
-	size := fi.Size()
-	if ffirst, facts, err := footerFacts(f, size); err == nil && len(facts) > 0 {
-		if ffirst != first {
-			return sm, nil, nil, fmt.Errorf("footer starts at chunk %d, the file name at %d", ffirst, first)
+	sm = segMeta{FirstChunk: first, Bytes: fi.Size()}
+	if payload, err := readFooter(f, sm.Bytes, buf); err == nil {
+		if ffirst, count, n, entries, err := footerHead(payload); err == nil && count > 0 {
+			if ffirst != first {
+				return sm, nil, fmt.Errorf("footer starts at chunk %d, the file name at %d", ffirst, first)
+			}
+			sm.LastChunk = first + count - 1
+			sm.MaxUnix, err = facts.putEntries(first, next, n, entries)
+			return sm, nil, err
 		}
-		return sealedMeta(first, size, facts), facts, nil, nil
 	}
-	b := make([]byte, size)
+	b := make([]byte, sm.Bytes)
 	if _, err := f.ReadAt(b, 0); err != nil {
-		return sm, nil, nil, err
+		return sm, nil, err
 	}
 	scan, err := scanSegment(b, 0)
 	if err != nil {
 		if next < 0 && tornFirstWrite(b) {
-			return sm, nil, nil, errTornFirstWrite
+			return sm, nil, errTornFirstWrite
 		}
-		return sm, nil, nil, err
+		return sm, nil, err
 	}
 	if err := checkPlace(scan.Header, sensor, first); err != nil {
-		return sm, nil, nil, err
+		return sm, nil, err
 	}
-	if facts, err = factsFromScan(cfg, scan); err != nil {
-		return sm, nil, nil, err
+	ff, err := factsFromScan(cfg, scan)
+	if err != nil {
+		return sm, nil, err
 	}
+	if next >= 0 && len(ff) != next-first {
+		return sm, nil, fmt.Errorf("footer unreadable and %d whole records, but the next segment starts at chunk %d",
+			len(ff), next)
+	}
+	// The records' facts reach the columns as the footer entries a seal
+	// would write for them.
+	if sm.MaxUnix, err = facts.putEntries(first, next, scan.Header.N, appendFooterEntries(nil, ff)); err != nil {
+		return sm, nil, err
+	}
+	sm.LastChunk = first + len(ff) - 1
 	if next < 0 {
-		return sm, facts, &scan, nil
+		return sm, &activeSeg{path: path, header: scan.Header, facts: ff, frames: scan.Frames, size: scan.Good}, nil
 	}
-	if len(facts) != next-first {
-		return sm, nil, nil, fmt.Errorf("footer unreadable and %d whole records, but the next segment starts at chunk %d",
-			len(facts), next)
-	}
-	return sealedMeta(first, size, facts), facts, nil, nil
+	return sm, nil, nil
 }
 
 // sealedMeta describes a sealed segment of size bytes holding facts from
@@ -587,8 +765,8 @@ func (s *Store) AppendTraced(sensor string, chunk int, rows []timeseries.Series,
 	}
 	ss := s.sensors[sensor]
 	if ss == nil {
-		if sensor == "" {
-			return fmt.Errorf("segstore: empty sensor id")
+		if err := CheckSensorID(sensor); err != nil {
+			return err
 		}
 		ss = &sensorSegs{dir: filepath.Join(s.dir, "segments", dirName(sensor))}
 		s.sensors[sensor] = ss
@@ -796,6 +974,11 @@ type Stats struct {
 	// TornTails counts the torn active-segment tails Open truncated: the
 	// crashes that landed mid-append. It is fixed once Open returns.
 	TornTails int `json:"torn_tails"`
+	// OpenSeconds is how long Open took to rebuild the store from its
+	// files, and OpenWorkers how many goroutines read them (GOMAXPROCS
+	// when Open ran).
+	OpenSeconds float64 `json:"open_seconds"`
+	OpenWorkers int     `json:"open_workers"`
 }
 
 // StoreStats reports the current store statistics.
@@ -811,6 +994,8 @@ func (s *Store) StoreStats() Stats {
 		Compactions:        s.met.compactions.Value(),
 		LastCheckpointUnix: s.ckptUnix,
 		TornTails:          s.tornTails,
+		OpenSeconds:        s.openDur.Seconds(),
+		OpenWorkers:        s.openWorkers,
 	}
 	st.SealedSegments, st.Segments, st.Bytes = s.sizeLocked()
 	return st
@@ -830,7 +1015,9 @@ func (s *Store) Instrument(reg *obs.Registry) {
 		coldDecoded:  reg.Counter("sbr_segstore_cold_chunks_decoded_total", "Archived chunks whose requested row cold reads reconstructed."),
 		compactions:  reg.Counter("sbr_segstore_compactions_total", "Retention passes that removed at least one segment."),
 		ckptAge:      reg.Gauge("sbr_segstore_checkpoint_age_seconds", "Seconds since the last station checkpoint (-1: none yet)."),
+		openSeconds:  reg.Gauge("sbr_segstore_open_seconds", "Seconds Open took to rebuild the store from its segment files at start."),
 	}
+	s.met.openSeconds.Set(s.openDur.Seconds())
 	s.updateGauges()
 	s.updateCheckpointAgeLocked()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +15,7 @@ import (
 
 	"sbr/internal/core"
 	"sbr/internal/metrics"
+	"sbr/internal/query"
 	"sbr/internal/timeseries"
 	"sbr/internal/wire"
 )
@@ -553,8 +555,8 @@ func TestOpenRemovesLegacyManifest(t *testing.T) {
 
 // TestDamagedFooter corrupts a sealed segment's footer, then its trailer,
 // behind an open store: cold reads never need either, so every chunk
-// still reads back, and the next Open rebuilds the lost facts from the
-// segment's records.
+// still reads back, and the next Open rebuilds the lost facts of the
+// checkpointed sensor from the segment's records, into the same columns.
 func TestDamagedFooter(t *testing.T) {
 	cfg := testConfig()
 	for _, damage := range []struct {
@@ -571,6 +573,11 @@ func TestDamagedFooter(t *testing.T) {
 				t.Fatal(err)
 			}
 			rows, bounds := feedStore(t, s, cfg, "node", makeFrames(t, cfg, 8, 16), 0)
+			n, m := len(rows[0]), len(rows[0][0])
+			if err := s.WriteCheckpoint(&Checkpoint{Sensors: map[string]*SensorCheckpoint{
+				"node": {Chunks: 8, N: n, M: m}}}); err != nil {
+				t.Fatal(err)
+			}
 			if err := s.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -580,12 +587,18 @@ func TestDamagedFooter(t *testing.T) {
 			}
 			defer s.Close()
 			want := s.TakeRecovery().Facts["node"]
-			if want.First != 0 || len(want.Chunks) != 8 {
-				t.Fatalf("recovered facts for chunks [%d,+%d), want [0,+8)", want.First, len(want.Chunks))
+			if want.First != 0 || want.Archived != 8 || len(want.Bounds) != 8 || len(want.Leaves) != n {
+				t.Fatalf("recovered facts for chunks [%d,+%d) archived to %d in %d rows, want [0,+8) archived to 8 in %d",
+					want.First, len(want.Bounds), want.Archived, len(want.Leaves), n)
 			}
-			for c, f := range want.Chunks {
-				if f.Bound != bounds[c] || !reflect.DeepEqual(f.Rows, summarizeRows(rows[c])) {
-					t.Fatalf("chunk %d facts %+v differ from the live decode", c, f)
+			for c := range want.Bounds {
+				if want.Bounds[c] != bounds[c] {
+					t.Fatalf("chunk %d bound %v, the live decode %v", c, want.Bounds[c], bounds[c])
+				}
+				for row := range rows[c] {
+					if leaf := query.Summarize(rows[c][row], bounds[c]); want.Leaves[row][c] != leaf {
+						t.Fatalf("chunk %d row %d leaf %+v differs from the live decode's %+v", c, row, want.Leaves[row][c], leaf)
+					}
 				}
 			}
 
@@ -691,5 +704,79 @@ func TestOpenDeletesOnlyTornFirstWrites(t *testing.T) {
 	}
 	if _, err := Open(Options{Dir: dir, Config: cfg}); !errors.Is(err, errOldFormat) {
 		t.Errorf("JSON checkpoint: Open = %v, want errOldFormat", err)
+	}
+}
+
+// TestFooterColumnsMatchReference decodes a footer's entries into a
+// checkpointed sensor's columns, as Open does, and checks every column
+// against the field-by-field reference decode: columns spanning the whole
+// file, columns the checkpoint's coverage ends inside it, entries the next
+// file's first chunk cuts short, and a footer whose quantities differ from
+// the checkpoint's, which fails. Each leaf row ends at its own length, so
+// the station appending to one row cannot write into the next.
+func TestFooterColumnsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	const n, m, first, count = 3, 16, 40, 10
+	facts := make([]ChunkFacts, count)
+	for i := range facts {
+		facts[i] = ChunkFacts{Unix: 1.7e9 + rng.Int63n(1000), Bound: rng.Float64(), Inserts: rng.Intn(5)}
+		for j := 0; j < n; j++ {
+			facts[i].Rows = append(facts[i].Rows, RowSummary{Sum: rng.NormFloat64(), Min: -rng.Float64(), Max: rng.Float64()})
+		}
+	}
+	block := encodeFooterBlock(first, n, facts, 0)
+	payload := block[8 : len(block)-trailerLen]
+	_, ref, err := decodeFooter(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, _, entries, err := footerHead(payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var newest int64
+	for _, f := range ref {
+		newest = max(newest, f.Unix)
+	}
+	for _, tc := range []struct{ colFirst, cover, stop int }{
+		{first, first + count, -1},     // the whole file
+		{0, first + count + 5, -1},     // older files and a lost tail around it
+		{first, first + 6, -1},         // coverage ends inside the file
+		{first - 4, first + count, 46}, // the next file starts at chunk 46
+	} {
+		sf := newSensorFacts(tc.colFirst, &SensorCheckpoint{Chunks: tc.cover, N: n, M: m})
+		got, err := sf.putEntries(first, tc.stop, n, entries)
+		if err != nil || got != newest {
+			t.Fatalf("%+v: newest %d (%v), want %d", tc, got, err, newest)
+		}
+		for row, leaves := range sf.Leaves {
+			if len(leaves) != len(sf.Bounds) || cap(leaves) != len(leaves) {
+				t.Fatalf("%+v: leaf row %d has length %d and capacity %d for %d chunks", tc, row, len(leaves), cap(leaves), len(sf.Bounds))
+			}
+		}
+		for j := range sf.Bounds {
+			c := tc.colFirst + j
+			var want ChunkFacts
+			if c >= first && c < first+count && (tc.stop < 0 || c < tc.stop) {
+				want = ref[c-first]
+			}
+			if sf.Bounds[j] != want.Bound || sf.Inserts[j] != want.Inserts {
+				t.Fatalf("%+v: chunk %d bound %v inserts %d, want %v %d", tc, c, sf.Bounds[j], sf.Inserts[j], want.Bound, want.Inserts)
+			}
+			for row, leaves := range sf.Leaves {
+				var leaf query.Summary
+				if want.Rows != nil {
+					rs := want.Rows[row]
+					leaf = query.Leaf(m, rs.Sum, rs.Min, rs.Max, want.Bound)
+				}
+				if leaves[j] != leaf {
+					t.Fatalf("%+v: chunk %d row %d leaf %+v, want %+v", tc, c, row, leaves[j], leaf)
+				}
+			}
+		}
+	}
+	sf := newSensorFacts(first, &SensorCheckpoint{Chunks: first + count, N: n + 1, M: m})
+	if _, err := sf.putEntries(first, -1, n, entries); err == nil {
+		t.Fatal("a footer of 3 quantities decoded into columns for 4")
 	}
 }

@@ -3,8 +3,12 @@ package station
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"sort"
+	"time"
 
 	"sbr/internal/core"
+	"sbr/internal/fanout"
 	"sbr/internal/query"
 	"sbr/internal/segstore"
 	"sbr/internal/wire"
@@ -76,70 +80,126 @@ type RecoverStats struct {
 	FromCheckpoint bool // a checkpoint was loaded (false: full archive replay)
 	Sensors        int  // sensors recovered
 	Replayed       int  // tail frames replayed through the receive path
+	// Duration is how long Recover took, and Workers how many goroutines
+	// restored and replayed the sensors (GOMAXPROCS when Recover ran).
+	Duration time.Duration
+	Workers  int
 }
 
 // Recover rebuilds the station from the attached archive. It takes what
-// the archive's Open read back — the newest checkpoint and every archived
-// chunk's facts from the segment footers — and restores each checkpointed
-// sensor from them without decoding a frame: decoder replica and receive
-// bookkeeping from the checkpoint, error bounds, insert counts and the
-// aggregate index from the facts, starting at the purge watermark. It then
-// replays only the archived records past each sensor's checkpoint coverage
-// through the normal receive path. Without a checkpoint it degrades to
-// replaying the whole archive. Call once, before serving traffic, with the
-// archive already attached. The torn segment tails the archive truncated
-// when it was opened are counted here, with the replayed frames, in the
-// station's crash-recovery telemetry.
+// the archive's Open read back — the newest checkpoint and the facts of
+// every chunk it covers, decoded from the segment footers into the columns
+// a sensor keeps — and restores each checkpointed sensor from them without
+// decoding a frame: decoder replica and receive bookkeeping from the
+// checkpoint, error bounds, insert counts and the aggregate index from the
+// facts, starting at the purge watermark. It then replays only the
+// archived records past each sensor's checkpoint coverage through the
+// normal receive path. Without a checkpoint it degrades to replaying the
+// whole archive. Sensors are independent, so each one's restore and
+// replay is one task on a pool as wide as GOMAXPROCS; the first failure
+// in sensor ID order is returned, a restore's before any replay's. Call
+// once, before serving traffic, with the archive already attached. The
+// torn segment tails the archive truncated when it was opened are counted
+// here, with the replayed frames, in the station's crash-recovery
+// telemetry.
 func (s *Station) Recover() (RecoverStats, error) {
-	var st RecoverStats
+	start := time.Now()
+	st := RecoverStats{Workers: runtime.GOMAXPROCS(0)}
 	store, _ := s.archiveBinding()
 	if store == nil {
 		return st, errors.New("station: no archive attached")
 	}
 	rec := store.TakeRecovery()
-	cover := make(map[string]int)
-	if ck := rec.Checkpoint; ck != nil {
+	var ckpts map[string]*segstore.SensorCheckpoint
+	if rec.Checkpoint != nil {
 		st.FromCheckpoint = true
-		for id, sc := range ck.Sensors {
-			log, rerr := s.restoreSensor(sc, rec.Facts[id])
-			if rerr != nil {
-				return st, fmt.Errorf("station: restoring sensor %q: %w", id, rerr)
-			}
-			s.installLog(id, log)
-			cover[id] = sc.Chunks
+		ckpts = rec.Checkpoint.Sensors
+	}
+	ids := store.Sensors()
+	archived := make(map[string]bool, len(ids))
+	for _, id := range ids {
+		archived[id] = true
+	}
+	for id := range ckpts {
+		if !archived[id] {
+			ids = append(ids, id)
 		}
 	}
-
-	for _, id := range store.Sensors() {
-		id := id
-		err := store.ReplayFrom(id, cover[id], func(chunk int, frame []byte) error {
-			t, derr := wire.DecodeBytes(frame)
-			if derr != nil {
-				return fmt.Errorf("station: replaying sensor %q chunk %d: %w", id, chunk, derr)
-			}
-			rerr := s.receive(id, t, frame, len(frame), 0, fingerprint(frame), true, nil)
-			if rerr != nil {
-				if errors.Is(rerr, ErrDuplicate) {
-					return nil
-				}
-				return fmt.Errorf("station: replaying sensor %q chunk %d: %w", id, chunk, rerr)
-			}
-			st.Replayed++
-			return nil
-		})
-		if err != nil {
-			return st, err
+	sort.Strings(ids)
+	tasks := make([]recoverTask, len(ids))
+	fanout.Run(len(ids), st.Workers, func(_, i int) {
+		id := ids[i]
+		tasks[i] = s.recoverSensor(store, id, ckpts[id], rec.Facts[id], archived[id])
+	})
+	for _, t := range tasks {
+		if t.restoreErr != nil {
+			return st, t.restoreErr
 		}
+	}
+	for _, t := range tasks {
+		if t.replayErr != nil {
+			return st, t.replayErr
+		}
+		st.Replayed += t.replayed
 	}
 	st.Sensors = int(s.nsensors.Load())
+	st.Duration = time.Since(start)
 	met := s.metrics()
+	// Set here, not per sensor: concurrent tasks would race to publish
+	// the count each saw.
+	met.sensors.Set(float64(st.Sensors))
 	met.replayed.Add(uint64(st.Replayed))
 	met.tornTails.Add(uint64(store.StoreStats().TornTails))
+	met.recoverSeconds.Set(st.Duration.Seconds())
 	return st, nil
 }
 
+// recoverTask is how one sensor's recovery ended.
+type recoverTask struct {
+	restoreErr error
+	replayErr  error
+	replayed   int
+}
+
+// recoverSensor recovers one sensor: it restores it from its checkpoint
+// slice sc (nil: none) and facts, then, when the archive holds it,
+// replays the archived records past the checkpoint's coverage through the
+// receive path.
+func (s *Station) recoverSensor(store *segstore.Store, id string, sc *segstore.SensorCheckpoint, facts *segstore.SensorFacts, archived bool) (t recoverTask) {
+	cover := 0
+	if sc != nil {
+		log, err := s.restoreSensor(sc, facts)
+		if err != nil {
+			t.restoreErr = fmt.Errorf("station: restoring sensor %q: %w", id, err)
+			return t
+		}
+		s.installLog(id, log)
+		cover = sc.Chunks
+	}
+	if !archived {
+		return t
+	}
+	t.replayErr = store.ReplayFrom(id, cover, func(chunk int, frame []byte) error {
+		tr, derr := wire.DecodeBytes(frame)
+		if derr != nil {
+			return fmt.Errorf("station: replaying sensor %q chunk %d: %w", id, chunk, derr)
+		}
+		rerr := s.receive(id, tr, frame, len(frame), 0, fingerprint(frame), true, nil)
+		if rerr != nil {
+			if errors.Is(rerr, ErrDuplicate) {
+				return nil
+			}
+			return fmt.Errorf("station: replaying sensor %q chunk %d: %w", id, chunk, rerr)
+		}
+		t.replayed++
+		return nil
+	})
+	return t
+}
+
 // installLog publishes a restored sensor log in the directory and counts
-// it in the sensors gauge, as an accepted transmission would.
+// it among the sensors heard from; Recover sets the sensors gauge once
+// every sensor is in.
 func (s *Station) installLog(id string, l *sensorLog) {
 	sh := s.shard(id)
 	sh.mu.Lock()
@@ -148,13 +208,14 @@ func (s *Station) installLog(id string, l *sensorLog) {
 	}
 	sh.sensors[id] = l
 	sh.mu.Unlock()
-	s.metrics().sensors.Set(float64(s.nsensors.Load()))
 }
 
 // restoreSensor rebuilds one sensor's log from its checkpoint slice and
-// the facts of its archived chunks. The chunks below the purge watermark
-// are gone from every structure: bounds, insert counts and the index
-// start at facts.First, which every read checks before it looks.
+// the facts of its archived chunks, adopting the facts' columns as the
+// log's bounds, insert counts and index leaves without copying them. The
+// chunks below the purge watermark are gone from every structure: bounds,
+// insert counts and the index start at facts.First, which every read
+// checks before it looks.
 //
 // A sensor checkpointed while degraded covers chunks its archive never
 // took; they lived in memory only and died with the process. It comes
@@ -162,27 +223,25 @@ func (s *Station) installLog(id string, l *sensorLog) {
 // checkpoint put it — so the sensor's next frame still decodes — and
 // those chunks lost: chunks [archived, first), whose bounds, insert
 // counts and index leaves are zero padding that no read reaches.
-func (s *Station) restoreSensor(sc *segstore.SensorCheckpoint, facts segstore.SensorFacts) (*sensorLog, error) {
+func (s *Station) restoreSensor(sc *segstore.SensorCheckpoint, facts *segstore.SensorFacts) (*sensorLog, error) {
 	dec, err := core.NewDecoderAt(s.cfg, sc.Decoder)
 	if err != nil {
 		return nil, err
 	}
-	held := sc.Chunks - facts.First
-	if held < 0 {
+	if sc.Chunks < facts.First {
 		return nil, fmt.Errorf("checkpoint covers chunks [0,%d), below the purge watermark %d",
 			sc.Chunks, facts.First)
 	}
-	archived := min(sc.Chunks, facts.First+len(facts.Chunks))
 	log := &sensorLog{
 		decoder:  dec,
 		n:        sc.N,
 		m:        sc.M,
 		base:     facts.First,
 		first:    sc.Chunks,
-		archived: archived,
-		archDown: archived < sc.Chunks,
-		bounds:   make([]float64, held),
-		inserts:  make([]int, held),
+		archived: facts.Archived,
+		archDown: facts.Archived < sc.Chunks,
+		bounds:   facts.Bounds,
+		inserts:  facts.Inserts,
 		frames:   sc.Frames,
 		bytes:    sc.Bytes,
 		values:   sc.Values,
@@ -194,21 +253,7 @@ func (s *Station) restoreSensor(sc *segstore.SensorCheckpoint, facts segstore.Se
 	if sc.Chunks == 0 {
 		return log, nil
 	}
-	leaves := make([][]query.Summary, sc.N)
-	for row := range leaves {
-		leaves[row] = make([]query.Summary, held)
-	}
-	for i, f := range facts.Chunks[:archived-facts.First] {
-		if len(f.Rows) != sc.N {
-			return nil, fmt.Errorf("chunk %d has %d row summaries, want %d", facts.First+i, len(f.Rows), sc.N)
-		}
-		log.bounds[i] = f.Bound
-		log.inserts[i] = f.Inserts
-		for row, rs := range f.Rows {
-			leaves[row][i] = query.Leaf(sc.M, rs.Sum, rs.Min, rs.Max, f.Bound)
-		}
-	}
-	ix, err := query.NewIndexFromLeaves(sc.N, sc.M, leaves)
+	ix, err := query.NewIndexFromLeaves(sc.N, sc.M, facts.Leaves)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
@@ -340,8 +341,11 @@ func TestStationRecoverColdStart(t *testing.T) {
 	if err != nil {
 		t.Fatalf("cold start errored: %v", err)
 	}
-	if rec != (RecoverStats{}) {
-		t.Errorf("cold start stats %+v, want zero", rec)
+	if rec.Duration <= 0 || rec.Workers != runtime.GOMAXPROCS(0) {
+		t.Errorf("cold start stats %+v: want a duration and GOMAXPROCS workers", rec)
+	}
+	if rec.Duration, rec.Workers = 0, 0; rec != (RecoverStats{}) {
+		t.Errorf("cold start stats %+v, want zero besides the timing", rec)
 	}
 }
 

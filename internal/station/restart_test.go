@@ -1,0 +1,374 @@
+package station
+
+import (
+	"crypto/sha256"
+	"errors"
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"reflect"
+	"runtime"
+	"strings"
+	"testing"
+	"time"
+
+	"sbr/internal/blocklog"
+	"sbr/internal/obs"
+	"sbr/internal/segstore"
+)
+
+// buildRestartArchive leaves in dir, as a crash would, an archive holding
+// every shape a restart meets (segments of 4 chunks, 16 samples each):
+//
+//   - "ckpt": 12 chunks, all covered by the checkpoint;
+//   - "tail": 13 chunks, 8 covered, 5 replayed;
+//   - "full": 10 chunks the checkpoint does not name, replayed whole;
+//   - "purged": 14 chunks, the first 12 dropped by retention;
+//   - "torn": 5 whole records and half a sixth in its active segment;
+//   - "first": one sealed segment, then a newest file a crash cut inside
+//     its first write.
+func buildRestartArchive(t *testing.T, dir string) {
+	t.Helper()
+	cfg := restoreConfig()
+	const m = 16
+	frames := encodeTestFrames(t, cfg, 14, m)
+	st, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := segstore.Open(segstore.Options{Dir: dir, Config: cfg, SegmentChunks: 4,
+		Retention: segstore.Retention{MaxBytes: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.SetArchive(store, 4)
+	feedFrames(t, st, "purged", frames[:14])
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := store.EnforceRetention(time.Now()); err != nil || n != 3 {
+		t.Fatalf("retention removed %d segments (%v), want 3", n, err)
+	}
+	feedFrames(t, st, "ckpt", frames[:12])
+	feedFrames(t, st, "tail", frames[:8])
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	feedFrames(t, st, "tail", frames[8:13])
+	feedFrames(t, st, "full", frames[:10])
+	feedFrames(t, st, "torn", frames[:5])
+	feedFrames(t, st, "first", frames[:4])
+
+	// The crash: the store is abandoned, half of torn's sixth record
+	// reached its active segment, and first's next segment holds only
+	// part of its magic.
+	paths, err := filepath.Glob(filepath.Join(dir, "segments", "torn", "*.seg"))
+	if err != nil || len(paths) != 2 {
+		t.Fatalf("torn's segment files %v (%v), want two", paths, err)
+	}
+	rec := blocklog.Append(nil, append([]byte{'R'}, frames[5]...))
+	f, err := os.OpenFile(paths[1], os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(rec[:len(rec)/2]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	if err := os.WriteFile(filepath.Join(dir, "segments", "first", "000000000004.seg"), []byte("SBRS"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// copyTree copies the directory tree at src into dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// treeDigest maps every file under dir to its size and SHA-256.
+func treeDigest(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	out := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(dir, path)
+		out[rel] = fmt.Sprintf("%d %x", len(data), sha256.Sum256(data))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// restartResult is everything a restart can be told apart by, with the
+// timing and the pool width cleared.
+type restartResult struct {
+	Store    segstore.Stats
+	Recover  RecoverStats
+	Sensors  []string
+	Archived []string
+	Segments map[string]string // per sensor: bounds, watermark, coverage
+	Files    map[string]string // the data directory after the restart
+	Stats    map[string]Stats
+	Answers  map[string][]string
+}
+
+// restartAt opens and recovers the archive in dir at GOMAXPROCS procs
+// and records what the restarted station holds and answers.
+func restartAt(t *testing.T, dir string, procs int) restartResult {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	cfg := restoreConfig()
+	st, store := newArchivedStation(t, cfg, dir, 4, 4)
+	defer store.Close()
+	rs, err := st.Recover()
+	if err != nil {
+		t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+	}
+	ss := store.StoreStats()
+	if ss.OpenWorkers != procs || rs.Workers != procs || ss.OpenSeconds <= 0 || rs.Duration <= 0 {
+		t.Fatalf("GOMAXPROCS %d: open %v s by %d workers, recover %v by %d", procs,
+			ss.OpenSeconds, ss.OpenWorkers, rs.Duration, rs.Workers)
+	}
+	ss.OpenSeconds, ss.OpenWorkers = 0, 0
+	rs.Duration, rs.Workers = 0, 0
+	res := restartResult{
+		Store: ss, Recover: rs, Sensors: st.Sensors(), Archived: store.Sensors(),
+		Segments: map[string]string{}, Files: treeDigest(t, dir),
+		Stats: map[string]Stats{}, Answers: map[string][]string{},
+	}
+	for _, id := range res.Archived {
+		oldest, next, err := store.Bounds(id)
+		res.Segments[id] = fmt.Sprintf("[%d,%d) %v purged %d covered %d",
+			oldest, next, err, store.PurgedThrough(id), store.CheckpointCoverage(id))
+	}
+	for _, id := range res.Sensors {
+		if res.Stats[id], err = st.SensorStats(id); err != nil {
+			t.Fatal(err)
+		}
+		total, err := st.HistoryLen(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ans []string
+		note := func(v, b float64, err error) { ans = append(ans, fmt.Sprintf("%v %v %v", v, b, err)) }
+		for row := 0; row < res.Stats[id].Quantities; row++ {
+			for idx := 0; idx < total; idx++ {
+				note(st.AtWithBound(id, row, idx))
+			}
+			from := store.PurgedThrough(id) * res.Stats[id].SamplesPerRow
+			w, err := st.ReadWindow(id, row, from+3, total, nil)
+			ans = append(ans, fmt.Sprintf("%v %v %v", w.Values, w.Bound, err))
+			note(st.AggregateWithBound(id, row, from+5, total-2, AggSum))
+		}
+		res.Answers[id] = ans
+	}
+	return res
+}
+
+// TestRestartSameAtEveryWidth restarts one crashed archive holding every
+// shape a restart meets at GOMAXPROCS 1, 2 and 4: the store and recovery
+// statistics, the sensors, the segments, the data directory after the
+// torn tail is cut and the torn first write deleted, and every point, a
+// range and an aggregate per row must not depend on the pool's width.
+func TestRestartSameAtEveryWidth(t *testing.T) {
+	template := t.TempDir()
+	buildRestartArchive(t, template)
+	var want restartResult
+	for _, procs := range []int{1, 2, 4} {
+		dir := t.TempDir()
+		copyTree(t, template, dir)
+		got := restartAt(t, dir, procs)
+		if procs == 1 {
+			want = got
+			if got.Store.TornTails != 1 || !got.Recover.FromCheckpoint || got.Recover.Replayed != 5+10+5+4 {
+				t.Fatalf("restart %+v %+v: want one torn tail cut and 24 frames replayed from a checkpoint", got.Store, got.Recover)
+			}
+			if _, ok := got.Files[filepath.Join("segments", "first", "000000000004.seg")]; ok {
+				t.Fatal("the torn first write survived the restart")
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("GOMAXPROCS %d restarts differently from GOMAXPROCS 1:\n%+v\nwant\n%+v", procs, got, want)
+		}
+	}
+}
+
+// TestRestartGapsFailAlikeAtEveryWidth removes a middle segment of two
+// sensors: Open must fail at every width with the same error, naming the
+// first gap in directory order, and leave the directory as it was.
+func TestRestartGapsFailAlikeAtEveryWidth(t *testing.T) {
+	dir := t.TempDir()
+	buildRestartArchive(t, dir)
+	for _, id := range []string{"ckpt", "tail"} {
+		if err := os.Remove(filepath.Join(dir, "segments", id, "000000000004.seg")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := treeDigest(t, dir)
+	var want string
+	for _, procs := range []int{1, 2, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		store, err := segstore.Open(segstore.Options{Dir: dir, Config: restoreConfig(), SegmentChunks: 4})
+		runtime.GOMAXPROCS(prev)
+		if err == nil {
+			store.Close()
+			t.Fatalf("GOMAXPROCS %d: Open of a tree with gaps succeeded", procs)
+		}
+		if procs == 1 {
+			want = err.Error()
+			if !strings.Contains(want, filepath.Join("ckpt", "000000000008.seg")) {
+				t.Fatalf("error %q does not name ckpt's segment after the gap", want)
+			}
+		} else if err.Error() != want {
+			t.Fatalf("GOMAXPROCS %d: %q, want %q", procs, err, want)
+		}
+		if after := treeDigest(t, dir); !reflect.DeepEqual(after, before) {
+			t.Fatalf("GOMAXPROCS %d: the failed Open changed the directory", procs)
+		}
+	}
+}
+
+// TestRestartAllocatesLittlePerChunk bounds what Open and Recover
+// allocate per archived chunk of a checkpointed sensor: the footer
+// entries decode straight into the columns the station keeps, so a chunk
+// costs its bound, its insert count, its index leaf and its share of the
+// tree above the leaves (112 bytes for one quantity), plus each segment's
+// and the restart's fixed costs: about 140 bytes. Copying each chunk's
+// facts out of the footer into per-chunk structs, and those into the
+// leaves, cost 370.
+func TestRestartAllocatesLittlePerChunk(t *testing.T) {
+	cfg := restoreConfig()
+	const chunks = 1536
+	dir := t.TempDir()
+	st, store := newArchivedStation(t, cfg, dir, 16, 64)
+	feedFrames(t, st, "s", encodeTestFrames(t, cfg, chunks, 16))
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restart := func() {
+		st, store := newArchivedStation(t, cfg, dir, 16, 64)
+		if rs, err := st.Recover(); err != nil || rs.Replayed != 0 {
+			t.Fatalf("recover: %+v, %v", rs, err)
+		}
+		store.Close()
+	}
+	restart()
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		restart()
+	}
+	runtime.ReadMemStats(&after)
+	perChunk := float64(after.TotalAlloc-before.TotalAlloc) / runs / chunks
+	t.Logf("Open + Recover allocate %.0f bytes per archived chunk", perChunk)
+	if perChunk > 200 {
+		t.Errorf("Open + Recover allocate %.0f bytes per archived chunk, want at most 200", perChunk)
+	}
+}
+
+// TestRecoverExportsTimings: the station and the store export how long
+// the last restart took.
+func TestRecoverExportsTimings(t *testing.T) {
+	dir := t.TempDir()
+	buildRestartArchive(t, dir)
+	cfg := restoreConfig()
+	reg := obs.NewRegistry()
+	st, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Instrument(reg)
+	store, err := segstore.Open(segstore.Options{Dir: dir, Config: cfg, SegmentChunks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	store.Instrument(reg)
+	st.SetArchive(store, 4)
+	rs, err := st.Recover()
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := reg.Values()
+	if v := vals["sbr_segstore_open_seconds"]; v <= 0 || v != store.StoreStats().OpenSeconds {
+		t.Errorf("sbr_segstore_open_seconds = %v, want Open's %v s", v, store.StoreStats().OpenSeconds)
+	}
+	if v := vals["sbr_station_recover_seconds"]; v <= 0 || v != rs.Duration.Seconds() {
+		t.Errorf("sbr_station_recover_seconds = %v, want Recover's %v s", v, rs.Duration.Seconds())
+	}
+}
+
+// TestLongSensorIDsRefused: an ID whose directory name would pass the 255
+// bytes a file name may have is refused with its first frame — before
+// anything is acknowledged, and without creating or degrading a sensor —
+// while an ID of 255 plain bytes is archived and survives a restart.
+func TestLongSensorIDsRefused(t *testing.T) {
+	cfg := restoreConfig()
+	frames := encodeTestFrames(t, cfg, 3, 16)
+	dir := t.TempDir()
+	st, store := newArchivedStation(t, cfg, dir, 0, 4)
+	for _, id := range []string{strings.Repeat("a", 256), strings.Repeat("/", 86)} {
+		if err := st.ReceiveFrameFrom(id, 1, frames[0]); err == nil || errors.Is(err, ErrDuplicate) {
+			t.Fatalf("ID of %d bytes: first frame accepted (%v)", len(id), err)
+		}
+		if _, err := st.HistoryLen(id); !errors.Is(err, ErrUnknownSensor) {
+			t.Errorf("ID of %d bytes: the refused sensor exists (%v)", len(id), err)
+		}
+	}
+	if st.ArchiveDegraded() {
+		t.Fatal("a refused ID degraded the archive")
+	}
+	long := strings.Repeat("a", 255)
+	feedFrames(t, st, long, frames)
+	if st.ArchiveDegraded() {
+		t.Fatal("an ID of 255 bytes degraded the archive")
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st2, store2 := newArchivedStation(t, cfg, dir, 0, 4)
+	defer store2.Close()
+	if _, err := st2.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if got := st2.Sensors(); !reflect.DeepEqual(got, []string{long}) {
+		t.Fatalf("recovered sensors %q, want the 255-byte ID", got)
+	}
+	if n, err := st2.HistoryLen(long); err != nil || n != 3*16 {
+		t.Fatalf("HistoryLen = %d (%v), want %d", n, err, 3*16)
+	}
+}

@@ -148,6 +148,7 @@ type stationMetrics struct {
 	duplicates      *obs.Counter
 	replayed        *obs.Counter
 	tornTails       *obs.Counter
+	recoverSeconds  *obs.Gauge
 	receiveSeconds  *obs.Histogram
 	indexDepth      *obs.Gauge
 	degradedSensors *obs.Gauge
@@ -199,6 +200,7 @@ func (s *Station) Instrument(reg *obs.Registry) {
 		duplicates:      reg.Counter("sbr_station_duplicates_total", "Retransmitted already-accepted transmissions dropped idempotently."),
 		replayed:        reg.Counter("sbr_station_replayed_frames_total", "Archived frames replayed past the checkpoint during crash recovery."),
 		tornTails:       reg.Counter("sbr_station_torn_tails_total", "Torn segment tails truncated when the archive was opened for crash recovery."),
+		recoverSeconds:  reg.Gauge("sbr_station_recover_seconds", "Seconds the last Recover took to restore and replay the sensors from the archive."),
 		receiveSeconds:  reg.Histogram("sbr_station_receive_seconds", "Receive-path latency per transmission (decode + index append).", obs.LatencyBuckets),
 		indexDepth:      reg.Gauge("sbr_station_index_depth", "Deepest per-sensor aggregate index (segment-tree levels)."),
 		degradedSensors: reg.Gauge("sbr_station_degraded_sensors", "Sensors in degraded memory-only mode after an archive append failure."),
@@ -361,9 +363,17 @@ func (s *Station) lookupLog(id string) *sensorLog {
 }
 
 // getOrCreate returns (creating if needed) the log of the named sensor.
+// With an archive attached, a sensor whose ID the archive cannot name is
+// refused before it is created: its frames would be acknowledged and then
+// kept in memory only.
 func (s *Station) getOrCreate(id string) (*sensorLog, error) {
 	if l := s.lookupLog(id); l != nil {
 		return l, nil
+	}
+	if store, _ := s.archiveBinding(); store != nil {
+		if err := segstore.CheckSensorID(id); err != nil {
+			return nil, fmt.Errorf("station: sensor %q: %w", id, err)
+		}
 	}
 	dec, err := core.NewDecoder(s.cfg)
 	if err != nil {
