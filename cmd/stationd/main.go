@@ -10,14 +10,16 @@
 //	         -datadir /var/lib/sbr -band 150 -mbase 64
 //
 // With -datadir set, the daemon runs on the persistent segment store:
-// every accepted transmission is archived in its compressed wire form
-// before it is acknowledged, the in-memory history is a bounded window
-// (-mem-chunks) with older chunks served cold from sealed segments, the
-// station checkpoints itself periodically (-checkpoint), and a restart
-// recovers from the newest checkpoint plus a bounded tail replay instead
-// of replaying history from t=0. -retention-age / -retention-bytes bound
-// the archive. Without -datadir the station keeps its history in memory
-// only.
+// every transmission is archived in its compressed wire form before it is
+// acknowledged (a frame the archive refuses is answered with an error,
+// and its sensor's later frames too until a restart), and the in-memory
+// history is a bounded window (-mem-chunks) with older chunks served cold
+// from sealed segments. The segment files are the only state on disk: a
+// restart resumes each sensor from its newest file's header and replays
+// that file's records, none after a clean shutdown and at most
+// -segment-chunks after a crash. -retention-age / -retention-bytes bound
+// the archive, enforced once a minute. Without -datadir the station keeps
+// its history in memory only.
 //
 // With -http set, the approximate-query engine is exposed while frames
 // keep arriving: point, range, aggregate (answered from the hierarchical
@@ -58,7 +60,8 @@
 // Every daemon event and the periodic report go through the structured
 // logger (internal/obs conventions); -v raises it to debug level. On
 // SIGINT or SIGTERM the daemon stops accepting sensors, drains the HTTP
-// servers, checkpoints and closes the segment store, and exits.
+// servers, rolls every sensor's segments to a header-only restart point
+// and closes the segment store, and exits.
 package main
 
 import (
@@ -91,6 +94,10 @@ import (
 // it via -ldflags "-X main.version=v1.2.3".
 var version = "dev"
 
+// retentionEvery is how often the archive's retention budgets are
+// enforced with -datadir.
+const retentionEvery = time.Minute
+
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:7070", "TCP listen address for sensor connections")
@@ -100,7 +107,6 @@ func main() {
 		band       = flag.Int("band", 150, "TotalBand the sensors were configured with")
 		mbase      = flag.Int("mbase", 64, "MBase the sensors were configured with")
 		every      = flag.Duration("report", 10*time.Second, "statistics reporting interval (0: disabled)")
-		ckptEvery  = flag.Duration("checkpoint", time.Minute, "station checkpoint + retention interval with -datadir (0: only at shutdown)")
 		retAge     = flag.Duration("retention-age", 0, "drop sealed segments older than this (0: keep forever)")
 		retBytes   = flag.Int64("retention-bytes", 0, "archive byte budget; oldest segments dropped beyond it (0: unlimited)")
 		segChunks  = flag.Int("segment-chunks", segstore.DefaultSegmentChunks, "transmissions per segment before sealing")
@@ -176,15 +182,15 @@ func main() {
 		}
 		seg.Instrument(reg)
 		st.SetArchive(seg, *memChunks)
-		// Recovery before anything else: newest checkpoint + bounded tail
-		// replay of the records archived since, instead of a full replay.
+		// Recovery before anything else: each sensor resumes from its newest
+		// segment file's header and replays only that file's records.
 		rs, err := st.Recover()
 		if err != nil {
 			fatal(dlog, err)
 		}
 		ss := seg.StoreStats()
 		dlog.Info("recovered station from segment store", "dir", *dataDir,
-			"sensors", rs.Sensors, "from_checkpoint", rs.FromCheckpoint,
+			"sensors", rs.Sensors,
 			"tail_frames_replayed", rs.Replayed, "torn_tails", ss.TornTails,
 			"segments", ss.Segments, "bytes", ss.Bytes,
 			"open_s", ss.OpenSeconds, "recover_s", rs.Duration.Seconds(), "workers", rs.Workers)
@@ -253,22 +259,19 @@ func main() {
 		defer ticker.Stop()
 		tick = ticker.C
 	}
-	var ckptTick <-chan time.Time
-	if seg != nil && *ckptEvery > 0 {
-		ticker := time.NewTicker(*ckptEvery)
+	var retTick <-chan time.Time
+	if seg != nil {
+		ticker := time.NewTicker(retentionEvery)
 		defer ticker.Stop()
-		ckptTick = ticker.C
+		retTick = ticker.C
 	}
 
 	for {
 		select {
 		case <-tick:
-			if seg != nil {
-				seg.UpdateCheckpointAge()
-			}
 			report(dlog, reg, st)
-		case <-ckptTick:
-			checkpoint(dlog, st, seg)
+		case <-retTick:
+			enforceRetention(dlog, seg)
 		case <-stop:
 			if sampler != nil {
 				sampler.Stop()
@@ -279,21 +282,14 @@ func main() {
 	}
 }
 
-// checkpoint runs one periodic maintenance pass on the segment store:
-// write a station checkpoint, then enforce retention (which may only now
-// drop segments the new checkpoint no longer needs for tail replay).
-func checkpoint(log *slog.Logger, st *station.Station, seg *segstore.Store) {
-	if err := st.Checkpoint(); err != nil {
-		log.Error("checkpoint failed", "err", err)
-		return
-	}
+// enforceRetention runs one retention pass on the segment store.
+func enforceRetention(log *slog.Logger, seg *segstore.Store) {
 	removed, err := seg.EnforceRetention(time.Now())
 	if err != nil {
 		log.Error("retention failed", "err", err)
 	} else if removed > 0 {
 		log.Info("retention removed segments", "segments", removed)
 	}
-	seg.UpdateCheckpointAge()
 }
 
 // serveHTTP starts one HTTP listener in the background, or returns nil
@@ -332,7 +328,7 @@ func health(srv *netio.Server, st *station.Station) *httpapi.Health {
 		}},
 		httpapi.Check{Name: "archive", Probe: func() error {
 			if st.ArchiveDegraded() {
-				return errors.New("archive degraded: appends failing, serving memory only")
+				return errors.New("archive degraded: an append failed, and its sensor's frames are refused until restart")
 			}
 			return nil
 		}},
@@ -348,7 +344,8 @@ func health(srv *netio.Server, st *station.Station) *httpapi.Health {
 // shutdown tears the daemon down in dependency order: drain the sensor
 // transport gracefully (in-flight frames finish and are acknowledged, so
 // sensors do not retransmit work the station already archived), drain
-// in-flight HTTP queries, then checkpoint and close the segment store.
+// in-flight HTTP queries, then roll every sensor's segments and close the
+// segment store.
 func shutdown(log *slog.Logger, reg *obs.Registry, st *station.Station,
 	srv *netio.Server, httpSrv, debugSrv *http.Server,
 	seg *segstore.Store, drain time.Duration) {
@@ -370,9 +367,9 @@ func shutdown(log *slog.Logger, reg *obs.Registry, st *station.Station,
 		cancel()
 	}
 	if seg != nil {
-		// Final checkpoint with all traffic drained, then Close seals the
-		// active segments: the next boot loads the checkpoint and replays an
-		// empty tail.
+		// With all traffic drained, roll every sensor to a header-only
+		// newest file holding its end state, then close: the next boot
+		// resumes each sensor from that header and replays nothing.
 		if err := st.Checkpoint(); err != nil {
 			log.Error("final checkpoint failed", "err", err)
 		}

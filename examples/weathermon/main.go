@@ -103,9 +103,9 @@ func main() {
 			label, metrics.MeanSquared(orig, hist), orig.Variance())
 	}
 
-	// Shut the archive down the way stationd does — checkpoint, then close
-	// (sealing the segment) — rebuild a station purely from the data
-	// directory, and spot-check it.
+	// Shut the archive down the way stationd does — checkpoint, rolling
+	// the segment to a header-only restart point, then close — rebuild a
+	// station purely from the data directory, and spot-check it.
 	if err := st.Checkpoint(); err != nil {
 		log.Fatal(err)
 	}

@@ -165,8 +165,9 @@ func (d *Decoder) step(t *Transmission, signal bool) (timeseries.Series, []inter
 // DecoderState is a serialisable snapshot of a decoder's replica state:
 // the stream width, the next expected sequence number and the base-signal
 // pool slots in slot order. It is what the persistent segment store writes
-// into segment headers (so one sealed segment can be decoded cold, without
-// replaying the whole stream) and what station checkpoints persist.
+// into segment headers, so one sealed segment can be decoded cold without
+// replaying the whole stream, and a restart resumes the replica from the
+// newest segment's header.
 //
 // The replica pool carries no LFU frequencies — eviction decisions are the
 // sender's and arrive as placements — so the slots alone reproduce it.

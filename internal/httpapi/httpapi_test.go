@@ -399,8 +399,8 @@ func TestStatusByErrorType(t *testing.T) {
 	check(New(st, 0), "ghost", 0, http.StatusNotFound)
 	check(New(st, 0), "node-1", 99, http.StatusBadRequest)
 
-	// Retention drops the sealed segments a checkpoint covers: chunk 0,
-	// which every endpoint reads, is gone.
+	// Retention drops the sealed segments before the newest file a
+	// checkpoint rolled to: chunk 0, which every endpoint reads, is gone.
 	st, store, send := newArchivedStation(t, t.TempDir(), 2, segstore.Retention{MaxBytes: 1})
 	for f := 0; f < 8; f++ {
 		send()
@@ -431,10 +431,10 @@ func TestStatusByErrorType(t *testing.T) {
 }
 
 // TestRestartReadsNoSealedRecords damages a record inside a sealed
-// segment and leaves its footer whole. A restart reads the checkpoint and
-// the footers only, so it succeeds, and an aggregate over the damaged
-// chunks still answers from the footers' summaries; a cold read of the
-// damaged segment answers 500.
+// segment and leaves its footer whole. A restart after a checkpoint reads
+// the newest file's header and the older files' footers only, so it
+// succeeds, and an aggregate over the damaged chunks still answers from
+// the footers' summaries; a cold read of the damaged segment answers 500.
 func TestRestartReadsNoSealedRecords(t *testing.T) {
 	const aligned = "/v1/aggregate?sensor=node-1&row=0&from=0&to=256&kind=max"
 	dir := t.TempDir()
@@ -453,8 +453,8 @@ func TestRestartReadsNoSealedRecords(t *testing.T) {
 	// Flip a byte halfway between the first sealed segment's header block
 	// and its footer, whose offset the trailer names.
 	segs, err := filepath.Glob(filepath.Join(dir, "segments", "node-1", "*.seg"))
-	if err != nil || len(segs) != 4 {
-		t.Fatalf("segments %v (%v), want 4 sealed", segs, err)
+	if err != nil || len(segs) != 5 {
+		t.Fatalf("segments %v (%v), want 4 sealed and the rolled header", segs, err)
 	}
 	data, err := os.ReadFile(segs[0])
 	if err != nil {
@@ -472,8 +472,8 @@ func TestRestartReadsNoSealedRecords(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restart over a damaged record: %v", err)
 	}
-	if !rec.FromCheckpoint || rec.Replayed != 0 {
-		t.Errorf("recovery %+v, want from the checkpoint with nothing replayed", rec)
+	if rec.Replayed != 0 {
+		t.Errorf("recovery %+v, want nothing replayed", rec)
 	}
 	api := New(st2, 0)
 	if after := get(t, api, aligned, http.StatusOK); !reflect.DeepEqual(after, before) {

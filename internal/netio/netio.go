@@ -184,10 +184,10 @@ type Options struct {
 	// slow-to-decode frames sheds load even from few connections.
 	ShedQueueDepth int
 
-	// ArchiveDegraded, when set, is probed per arrival: true means the
-	// station's archive is refusing appends (degraded, memory-only mode),
-	// so accepting more traffic only widens the unarchived window — shed
-	// busy instead and let the sensors' durable outboxes hold the frames.
+	// ArchiveDegraded, when set, is probed per arrival: true means an
+	// archive append has failed, and the station refuses that sensor's
+	// frames until it restarts — shed busy instead and let the sensors'
+	// durable outboxes hold the frames.
 	ArchiveDegraded func() bool
 
 	// RetryAfter, when positive, rides in every busy acknowledgement as a

@@ -157,9 +157,9 @@ func TestChaosSegstoreCrashMidSeal(t *testing.T) {
 	})
 }
 
-// stageRetention archives 8 chunks in 4 sealed segments of 2 and a
-// checkpoint covering the first 6, so a byte-budget retention pass has 3
-// victims, and closes the store. It returns the rows and bounds written
+// stageRetention archives 8 chunks in 4 sealed segments of 2, so a
+// byte-budget retention pass has 3 victims — every file but the newest —
+// and closes the store. It returns the rows and bounds written
 // and the segment files, oldest first.
 func stageRetention(t *testing.T, dir string) ([][]timeseries.Series, []float64, []string) {
 	t.Helper()
@@ -169,12 +169,6 @@ func stageRetention(t *testing.T, dir string) ([][]timeseries.Series, []float64,
 		t.Fatal(err)
 	}
 	rows, bounds := feedStore(t, s, cfg, "node", makeFrames(t, cfg, 8, 16), 0)
-	err = s.WriteCheckpoint(&Checkpoint{Sensors: map[string]*SensorCheckpoint{
-		"node": {Chunks: 6, N: 1, M: 16},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}

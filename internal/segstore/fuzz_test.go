@@ -47,7 +47,7 @@ func FuzzScanSegment(f *testing.F) {
 	flipped := append([]byte(nil), seg...)
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)
-	f.Add([]byte("SBRSEG2\x00"))
+	f.Add(segMagic[:])
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -100,7 +100,7 @@ func scanSegmentReader(r io.Reader, size int64) (segScan, error) {
 	if _, err := io.ReadFull(br, magic[:]); err != nil {
 		return scan, fmt.Errorf("segstore: segment too short for its magic")
 	}
-	if magic == oldSegMagic {
+	if isOldMagic(magic) {
 		return scan, errOldFormat
 	}
 	if magic != segMagic {
@@ -132,35 +132,34 @@ func scanSegmentReader(r io.Reader, size int64) (segScan, error) {
 }
 
 // FuzzDecodeMetadata feeds arbitrary bytes to the binary metadata
-// decoders: the segment header, the footer and the checkpoint, as block
-// payloads (the checksum would otherwise reject almost every input before
-// a decoder saw it), and the checkpoint as a whole file. Each must return
-// an error or a value, never panic or allocate beyond what the input can
-// hold. Whatever decodes must survive a round trip: headers and footers
-// re-encode to the very same bytes, and a checkpoint's encoding decodes
-// and re-encodes to itself.
+// decoders, the segment header and the footer, as block payloads (the
+// checksum would otherwise reject almost every input before a decoder saw
+// it). Each must return an error or a value, never panic or allocate
+// beyond what the input can hold, and whatever decodes must re-encode to
+// the very same bytes.
 func FuzzDecodeMetadata(f *testing.F) {
 	dec := core.DecoderState{W: 4, Next: 7, Base: []timeseries.Series{{1, 2, 3, 4}, {5, 6, 7, 8}}}
-	hdr, err := encodeHeaderBlock(segHeader{Sensor: "node", FirstChunk: 64, N: 2, M: 16, CreatedUnix: 1.7e9, Decoder: dec})
-	if err != nil {
-		f.Fatal(err)
+	for _, h := range []segHeader{
+		// A live sensor's header, its receive bookkeeping counted up.
+		{Sensor: "node", FirstChunk: 64, N: 2, M: 16, CreatedUnix: 1.7e9, SensorState: SensorState{
+			Decoder: dec, Frames: 64, Bytes: 9000, Values: 700, Restarts: 1, NextSeq: 12, SrcNonce: 9, ZeroSum: 11}},
+		// A rebooted sensor rolled before its replica held a base slot.
+		{Sensor: "a/b", FirstChunk: 3, N: 1, M: 8, CreatedUnix: 1.7e9, SensorState: SensorState{
+			Decoder: core.DecoderState{W: 8}, Frames: 3, Restarts: 2, NextSeq: 1, SrcNonce: 1<<64 - 1, ZeroSum: 1 << 63}},
+	} {
+		block, err := encodeHeaderBlock(h)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(block[8:])
 	}
-	f.Add(hdr[8:])
 	facts := []ChunkFacts{
 		{Unix: 1.7e9, Bound: 0.5, Inserts: 2, Rows: []RowSummary{{1, -1, 2}, {3, 0, 4}}},
 		{Unix: 1.7e9 + 1, Bound: 0.25, Rows: []RowSummary{{5, 1, 3}, {-2, -3, 1}}},
 	}
 	ftr := encodeFooterBlock(64, 2, facts, 0)
 	f.Add(ftr[8 : len(ftr)-trailerLen])
-	ck, err := encodeCheckpoint(&Checkpoint{Unix: 1.7e9, Sensors: map[string]*SensorCheckpoint{
-		"a": {Chunks: 80, N: 2, M: 16, Decoder: dec, Frames: 80, Bytes: 9000, Values: 700, NextSeq: 80, SrcNonce: 9, ZeroSum: 11},
-		"b": {Chunks: 3, N: 1, M: 8, Restarts: 1},
-	}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(ck)
-	f.Add(ck[len(ckptMagic)+8:])
+	f.Add(ftr[8 : 8+footerHeadLen])
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -176,26 +175,12 @@ func FuzzDecodeMetadata(f *testing.F) {
 				t.Fatal("footer does not re-encode to its bytes")
 			}
 		}
-		if ck, err := parseCheckpoint(data); err == nil {
-			file, err := encodeCheckpoint(ck)
-			if err != nil {
-				t.Fatal(err)
-			}
-			again, err := decodeCheckpoint(file)
-			if err != nil {
-				t.Fatalf("checkpoint encoding does not decode: %v", err)
-			}
-			if file2, err := encodeCheckpoint(again); err != nil || !bytes.Equal(file2, file) {
-				t.Fatalf("checkpoint encoding is not a fixed point (%v)", err)
-			}
-		}
-		_, _ = decodeCheckpoint(data)
 	})
 }
 
 // decodeFooter parses a footer block payload, kind tag included, into its
 // first chunk and per-record facts, field by field. Open decodes footers
-// straight into a sensor's columns instead (SensorFacts.putEntries); this
+// straight into a sensor's columns instead (SensorRecovery.putEntries); this
 // is the reference both FuzzDecodeMetadata's round trip and
 // TestFooterColumnsMatchReference check against.
 func decodeFooter(payload []byte) (int, []ChunkFacts, error) {

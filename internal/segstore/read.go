@@ -202,18 +202,27 @@ func (p *windowPart) bounds(from, to int) (lo, hi int) {
 
 // loadSealed loads one sealed segment of the sensor from its directory:
 // one open, one ReadAt and one close read the whole file into a single
-// buffer, and scanSegment finds the header and records in place,
-// verifying every block checksum; the header must name the sensor and
-// first chunk the file's place does. The trailer at the end of the buffer
-// names where the records end, and the scan stops there: the footer is
-// read but not parsed. Only a damaged trailer sends the scan on to the
-// footer, where it stops.
+// buffer, which scanSealed scans in place.
 func loadSealed(sensor, dir string, sm segMeta) (segScan, error) {
 	path := filepath.Join(dir, segName(sm.FirstChunk))
 	b, err := readFile(path, sm.Bytes)
 	if err != nil {
 		return segScan{}, fmt.Errorf("segstore: sealed segment %s: %w", path, err)
 	}
+	scan, err := scanSealed(b, sensor, sm)
+	if err != nil {
+		return segScan{}, fmt.Errorf("segstore: sealed segment %s: %w", path, err)
+	}
+	return scan, nil
+}
+
+// scanSealed finds the header and records of the sealed segment sm of the
+// sensor, held whole in b, verifying every block checksum; the header must
+// name the sensor and first chunk the file's place does, and the records
+// must be as many as sm holds. The trailer at the end of b names where the
+// records end, and the scan stops there: the footer is not parsed. Only a
+// damaged trailer sends the scan on to the footer, where it stops.
+func scanSealed(b []byte, sensor string, sm segMeta) (segScan, error) {
 	end := sm.Bytes
 	if off, err := footerOffset(b[max(0, len(b)-trailerLen):], sm.Bytes); err == nil {
 		end = off
@@ -223,14 +232,10 @@ func loadSealed(sensor, dir string, sm segMeta) (segScan, error) {
 	if err == nil {
 		err = checkPlace(scan.Header, sensor, sm.FirstChunk)
 	}
-	if err != nil {
-		return segScan{}, fmt.Errorf("segstore: sealed segment %s: %w", path, err)
+	if err == nil && len(scan.Recs) != records {
+		err = fmt.Errorf("holds %d whole records, want %d", len(scan.Recs), records)
 	}
-	if got := len(scan.Recs); got != records {
-		return segScan{}, fmt.Errorf("segstore: sealed segment %s holds %d whole records, want %d",
-			path, got, records)
-	}
-	return scan, nil
+	return scan, err
 }
 
 // readFile reads the first size bytes of the file at path into one buffer
@@ -249,10 +254,11 @@ func readFile(path string, size int64) ([]byte, error) {
 }
 
 // ReplayFrom streams the archived raw frames of one sensor with chunk
-// index >= from, in order, to fn. It is the recovery tail replay: the
-// station calls it with the chunk count its checkpoint covers and feeds
-// each frame back through its receive path. Frames are read outside the
-// store lock, so fn may re-enter the station.
+// index >= from, in order, to fn. It is the restart's replay: the station
+// calls it with the first chunk of the sensor's newest file
+// (SensorRecovery.Start) and feeds each frame back through its receive
+// path. Frames are read outside the store lock, so fn may re-enter the
+// station.
 func (s *Store) ReplayFrom(sensor string, from int, fn func(chunk int, frame []byte) error) error {
 	s.mu.Lock()
 	ss := s.sensors[sensor]

@@ -175,7 +175,7 @@ func TestColdReadMatchesWholeSegmentDecode(t *testing.T) {
 			}
 			inserts += tr.Ins()
 			liveRows = append(liveRows, rows)
-			if err := s.Append("node", c, rows, tr.ErrBound, tr.Ins(), frame, func() core.DecoderState { return pre }); err != nil {
+			if err := s.Append("node", c, rows, tr.ErrBound, tr.Ins(), frame, func() SensorState { return SensorState{Decoder: pre} }); err != nil {
 				t.Fatal(err)
 			}
 		}

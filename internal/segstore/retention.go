@@ -15,8 +15,8 @@ import (
 //   - only a contiguous prefix of a sensor's sealed segments is ever
 //     removed, so the surviving archive has no holes (PurgedThrough is a
 //     single watermark);
-//   - segments holding chunks at or beyond the latest checkpoint's
-//     coverage are never removed — recovery's tail replay needs them;
+//   - a sensor's newest file is never removed: its header is the
+//     sensor's restart point, and its records are what a restart replays;
 //   - each sensor's victims are unlinked oldest first, each unlink made
 //     durable before the next, so a crash mid-pass leaves files that
 //     still tile: the victims not yet unlinked come back as history, and
@@ -41,8 +41,8 @@ func (s *Store) EnforceRetention(now time.Time) (int, error) {
 		cutoff := now.Add(-r.MaxAge).Unix()
 		for id, ss := range s.sensors {
 			n := 0
-			for _, sm := range ss.sealed {
-				if sm.MaxUnix >= cutoff || !s.removableLocked(id, sm) {
+			for _, sm := range ss.sealed[:ss.removable()] {
+				if sm.MaxUnix >= cutoff {
 					break
 				}
 				n++
@@ -73,13 +73,10 @@ func (s *Store) EnforceRetention(now time.Time) (int, error) {
 			var oldestUnix int64
 			for id, ss := range s.sensors {
 				n := drop[id]
-				if n >= len(ss.sealed) {
+				if n >= ss.removable() {
 					continue
 				}
 				sm := ss.sealed[n]
-				if !s.removableLocked(id, sm) {
-					continue
-				}
 				if oldest == "" || sm.MaxUnix < oldestUnix {
 					oldest, oldestUnix = id, sm.MaxUnix
 				}
@@ -114,15 +111,4 @@ func (s *Store) EnforceRetention(now time.Time) (int, error) {
 		s.updateGauges()
 	}
 	return removed, err
-}
-
-// removableLocked reports whether retention may drop sm: it must hold
-// nothing the latest checkpoint's tail replay still needs. A sensor with
-// no checkpoint coverage keeps everything.
-func (s *Store) removableLocked(sensor string, sm segMeta) bool {
-	cover, ok := s.ckptCover[sensor]
-	if !ok {
-		return false
-	}
-	return sm.LastChunk < cover
 }

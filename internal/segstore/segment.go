@@ -18,7 +18,8 @@ import (
 // sequence of CRC32C-framed blocks (internal/blocklog):
 //
 //	file    := magic₈ header-block record-block* [footer-block trailer₁₂]
-//	header  := 'H' first₈ n₄ m₄ created₈ decoder-state id-len₂ id
+//	header  := 'H' first₈ n₄ m₄ created₈ decoder-state receive id-len₂ id
+//	receive := frames₈ bytes₈ values₈ restarts₈ next-seq₈ nonce₈ zero-sum₈
 //	record  := 'R' chunk₈ unix₈ frame
 //	footer  := 'F' first₈ records₄ n₄ entry*
 //	entry   := unix₈ bound₈ inserts₄ (sum₈ min₈ max₈)×n
@@ -26,10 +27,13 @@ import (
 //	decoder-state := w₄ next₈ slots₄ value₈×(w·slots)
 //
 // Every field is fixed-width little endian. The header carries the sensor
-// identity, the chunk shape and the decoder replica state at segment
-// start, so a sealed segment is self-contained: a cold reader seeds a
-// replica from the header and decodes the segment's records without
-// touching any other part of the history — or the footer. A record holds
+// identity, the chunk shape and the sensor's state as of the segment's
+// first chunk: the decoder replica and the receive bookkeeping. A sealed
+// segment is therefore self-contained: a cold reader seeds a replica from
+// the header and decodes the segment's records without touching any other
+// part of the history — or the footer. And a sensor's newest file is its
+// restart point: a restart resumes the sensor from that header and replays
+// the records after it. A record holds
 // the wire-encoded SBR transmission verbatim (the compressed unit of
 // record, which already carries its §4.5 bound and insert count) and the
 // time it was archived. The footer holds one fixed-width entry per record:
@@ -44,15 +48,29 @@ import (
 // truncate the tail and keep appending.
 
 // segMagic opens every segment file.
-var segMagic = [8]byte{'S', 'B', 'R', 'S', 'E', 'G', '2', 0}
+var segMagic = [8]byte{'S', 'B', 'R', 'S', 'E', 'G', '3', 0}
 
-// oldSegMagic opened the segments of the earlier format, whose headers,
-// footers and checkpoints were JSON. Open refuses its files by name
-// rather than treating them as damage.
-var oldSegMagic = [8]byte{'S', 'B', 'R', 'S', 'E', 'G', '1', 0}
+// oldSegMagics opened the segments of earlier formats: SBRSEG1 kept JSON
+// metadata, and SBRSEG2 headers held no receive bookkeeping, which lived
+// in station checkpoint files beside the segments. Open refuses their
+// files by name rather than treating them as damage.
+var oldSegMagics = [][8]byte{
+	{'S', 'B', 'R', 'S', 'E', 'G', '1', 0},
+	{'S', 'B', 'R', 'S', 'E', 'G', '2', 0},
+}
 
-// errOldFormat reports a file of the earlier format.
-var errOldFormat = errors.New("segstore: written in the earlier SBRSEG1 format with JSON metadata, which this version does not read: discard the data directory")
+// errOldFormat reports a file of an earlier format.
+var errOldFormat = errors.New("segstore: written in an earlier format (SBRSEG1 or SBRSEG2 segments, ckpt-* checkpoints), which this version does not read: discard the data directory")
+
+// isOldMagic reports whether magic opens a segment of an earlier format.
+func isOldMagic(magic [8]byte) bool {
+	for _, old := range oldSegMagics {
+		if magic == old {
+			return true
+		}
+	}
+	return false
+}
 
 // trailerMagic closes a sealed segment, preceded by the footer offset.
 var trailerMagic = [4]byte{'S', 'G', 'F', 'T'}
@@ -84,8 +102,32 @@ type segHeader struct {
 	N           int
 	M           int
 	CreatedUnix int64
-	Decoder     core.DecoderState
+	SensorState
 }
+
+// SensorState is what a segment header records about its sensor as of the
+// segment's first chunk: the decoder replica and the receive bookkeeping a
+// restart resumes with. It holds nothing per chunk, so its size does not
+// grow with the history.
+type SensorState struct {
+	// Decoder is the replica (W, next sequence, pool slots).
+	Decoder core.DecoderState
+	// Frames, Bytes, Values and Restarts are the receive counters.
+	Frames   int
+	Bytes    int
+	Values   int
+	Restarts int
+	// NextSeq, SrcNonce and ZeroSum are the duplicate-detection state: the
+	// sequence the sensor sends next, the transport incarnation that
+	// delivered its incarnation's first frame, and that frame's
+	// fingerprint.
+	NextSeq  int
+	SrcNonce uint64
+	ZeroSum  uint64
+}
+
+// receiveLen is the size of the receive bookkeeping in a header.
+const receiveLen = 7 * 8
 
 // RowSummary digests one quantity of one chunk. With the chunk's bound and
 // sample count it is the chunk's aggregate-index leaf (query.Leaf).
@@ -229,13 +271,18 @@ func (r *fields) decoderState() core.DecoderState {
 
 // encodeHeaderBlock frames a header block.
 func encodeHeaderBlock(h segHeader) ([]byte, error) {
-	p := make([]byte, 0, 64+len(h.Sensor)+8*h.Decoder.W*len(h.Decoder.Base))
+	p := make([]byte, 0, 64+receiveLen+len(h.Sensor)+8*h.Decoder.W*len(h.Decoder.Base))
 	p = append(p, blockHeader)
 	p = le.AppendUint64(p, uint64(h.FirstChunk))
 	p = le.AppendUint32(p, uint32(h.N))
 	p = le.AppendUint32(p, uint32(h.M))
 	p = le.AppendUint64(p, uint64(h.CreatedUnix))
 	p = appendDecoderState(p, h.Decoder)
+	for _, v := range []int{h.Frames, h.Bytes, h.Values, h.Restarts, h.NextSeq} {
+		p = le.AppendUint64(p, uint64(v))
+	}
+	p = le.AppendUint64(p, h.SrcNonce)
+	p = le.AppendUint64(p, h.ZeroSum)
 	p, err := appendID(p, h.Sensor)
 	if err != nil {
 		return nil, err
@@ -251,6 +298,8 @@ func decodeHeader(payload []byte) (segHeader, error) {
 	r := fields{b: payload[1:]}
 	h := segHeader{FirstChunk: r.int(), N: r.u32(), M: r.u32(), CreatedUnix: int64(r.u64())}
 	h.Decoder = r.decoderState()
+	h.Frames, h.Bytes, h.Values, h.Restarts, h.NextSeq = r.int(), r.int(), r.int(), r.int(), r.int()
+	h.SrcNonce, h.ZeroSum = r.u64(), r.u64()
 	h.Sensor = r.id()
 	if err := r.done("segment header"); err != nil {
 		return segHeader{}, err
@@ -402,14 +451,14 @@ func readTail(f io.ReaderAt, size, n int64, buf *[]byte) ([]byte, error) {
 // nothing is checked field by field. Entries of different files touch
 // different chunks, so files can be decoded into one sensor's columns at
 // once.
-func (sf *SensorFacts) putEntries(first, stop, n int, entries []byte) (newest int64, err error) {
-	lo := max(first, sf.First)
-	hi := sf.First + len(sf.Bounds)
+func (sr *SensorRecovery) putEntries(first, stop, n int, entries []byte) (newest int64, err error) {
+	lo := max(first, sr.First)
+	hi := sr.Start()
 	if stop >= 0 {
 		hi = min(hi, stop)
 	}
-	if lo < hi && sf.Leaves != nil && len(sf.Leaves) != n {
-		return 0, fmt.Errorf("footer entries hold %d quantities, the checkpoint %d", n, len(sf.Leaves))
+	if lo < hi && len(sr.Leaves) != n {
+		return 0, fmt.Errorf("footer entries hold %d quantities, the newest segment's header %d", n, len(sr.Leaves))
 	}
 	w := footerEntryLen(n)
 	for i := 0; i*w < len(entries); i++ {
@@ -419,13 +468,13 @@ func (sf *SensorFacts) putEntries(first, stop, n int, entries []byte) (newest in
 		if c < lo || c >= hi {
 			continue
 		}
-		j := c - sf.First
+		j := c - sr.First
 		bound := f64At(e, 8)
-		sf.Bounds[j] = bound
-		sf.Inserts[j] = int(le.Uint32(e[16:20]))
-		for row, leaves := range sf.Leaves {
+		sr.Bounds[j] = bound
+		sr.Inserts[j] = int(le.Uint32(e[16:20]))
+		for row, leaves := range sr.Leaves {
 			at := 20 + 24*row
-			leaves[j] = query.Leaf(sf.m, f64At(e, at), f64At(e, at+8), f64At(e, at+16), bound)
+			leaves[j] = query.Leaf(sr.M, f64At(e, at), f64At(e, at+8), f64At(e, at+16), bound)
 		}
 	}
 	return newest, nil
@@ -470,11 +519,10 @@ func scanSegment(b []byte, records int) (segScan, error) {
 	if len(b) < len(segMagic) {
 		return scan, fmt.Errorf("segstore: segment too short for its magic")
 	}
-	switch [8]byte(b[:8]) {
-	case oldSegMagic:
+	switch magic := [8]byte(b[:8]); {
+	case isOldMagic(magic):
 		return scan, errOldFormat
-	case segMagic:
-	default:
+	case magic != segMagic:
 		return scan, fmt.Errorf("segstore: bad segment magic")
 	}
 	payload, rest, err := blocklog.Cut(b[len(segMagic):])

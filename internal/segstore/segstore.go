@@ -9,29 +9,31 @@
 // durable); once it holds SegmentChunks records it is sealed — a binary
 // footer holding each record's per-chunk facts (bound, inserted base
 // intervals, per-row sum/min/max, time) and a trailer locating it are
-// written and fsynced. Each segment header carries the decoder replica
-// state at segment start, so a cold read decodes one segment in isolation
-// and never reads its footer: queries over history evicted from station
-// memory load only the segments whose chunks overlap the requested range
-// and reconstruct only the requested quantity of those chunks. Periodic
-// station checkpoints (decoder replicas and receive bookkeeping, nothing
-// per chunk) land in the data directory; a restart reads the newest
-// checkpoint and one footer per sealed segment and hands both to the
-// station (TakeRecovery), which then replays only the records appended
-// since the checkpoint. Background retention drops the oldest sealed
-// segments by age or byte budget, never touching records newer than the
-// last checkpoint.
+// written and fsynced. Each segment header carries the sensor's state as
+// of the segment's first chunk — the decoder replica and the receive
+// bookkeeping — so a cold read decodes one segment in isolation and never
+// reads its footer: queries over history evicted from station memory load
+// only the segments whose chunks overlap the requested range and
+// reconstruct only the requested quantity of those chunks.
 //
-// The segment files are the only index. A sensor's directory name encodes
-// its ID, each file's name its first chunk, and a sensor's files tile its
-// chunks from the purge watermark on: Open rebuilds the store from one
-// walk of the tree. Crash safety relies on three invariants: every block
-// is independently checksummed (a torn append is detected and truncated
-// at reopen); a new segment's directory entry is durable before its first
-// record is acknowledged; and retention unlinks a sensor's segments oldest
-// first, each unlink durable before the next, so a crash mid-pass leaves
-// a tiling suffix. Checkpoints are replaced by atomic rename after an
-// fsync, so a restart sees either the old or the new one.
+// The segment files are the whole store: its index and its restart point.
+// A sensor's directory name encodes its ID, each file's name its first
+// chunk, and a sensor's files tile its chunks from the purge watermark on:
+// Open rebuilds the store from one walk of the tree. A restart resumes
+// each sensor from its newest file's header, takes the facts of the chunks
+// before that file from the older files' footers (TakeRecovery), and
+// replays the newest file's records (ReplayFrom). Roll bounds that replay
+// to nothing: it seals a sensor's active segment and starts the next file
+// with only a header, holding the sensor's state after its last chunk.
+// Background retention drops the oldest sealed segments by age or byte
+// budget, never a sensor's newest file.
+//
+// Crash safety relies on three invariants: every block is independently
+// checksummed (a torn append is detected and truncated at reopen); a new
+// segment's directory entry is durable before its first record is
+// acknowledged or Roll returns; and retention unlinks a sensor's segments
+// oldest first, each unlink durable before the next, so a crash mid-pass
+// leaves a tiling suffix.
 package segstore
 
 import (
@@ -88,8 +90,8 @@ type Options struct {
 	// SegmentChunks is the seal threshold in records (DefaultSegmentChunks
 	// when zero).
 	SegmentChunks int
-	// NoSync skips every fsync — per-append, segment seal, directory
-	// entries and checkpoint installs. Throughput rises; a crash may lose
+	// NoSync skips every fsync — per-append, segment seal, rolled headers
+	// and directory entries. Throughput rises; a crash may lose
 	// acknowledged frames. The default (false) is the durable mode the
 	// recovery guarantees assume.
 	NoSync bool
@@ -189,6 +191,15 @@ type sensorSegs struct {
 	active *activeSeg
 }
 
+// removable returns how many of the oldest sealed segments retention may
+// drop: all but the newest file, the sensor's restart point.
+func (ss *sensorSegs) removable() int {
+	if ss.active != nil {
+		return len(ss.sealed)
+	}
+	return max(len(ss.sealed)-1, 0)
+}
+
 // nextChunk returns the chunk index the next append must carry.
 func (ss *sensorSegs) nextChunk() int {
 	if ss.active != nil {
@@ -214,7 +225,6 @@ type storeMetrics struct {
 	coldAdvanced *obs.Counter
 	coldDecoded  *obs.Counter
 	compactions  *obs.Counter
-	ckptAge      *obs.Gauge
 	openSeconds  *obs.Gauge
 }
 
@@ -223,8 +233,7 @@ func newStoreMetrics() storeMetrics {
 		segments: &obs.Gauge{}, bytes: &obs.Gauge{},
 		appends: &obs.Counter{}, coldReads: &obs.Counter{},
 		coldAdvanced: &obs.Counter{}, coldDecoded: &obs.Counter{},
-		compactions: &obs.Counter{}, ckptAge: &obs.Gauge{},
-		openSeconds: &obs.Gauge{},
+		compactions: &obs.Counter{}, openSeconds: &obs.Gauge{},
 	}
 }
 
@@ -235,9 +244,6 @@ type Store struct {
 
 	mu        sync.Mutex
 	sensors   map[string]*sensorSegs
-	ckptSeq   int64
-	ckptUnix  int64
-	ckptCover map[string]int // chunks covered by the latest checkpoint
 	met       storeMetrics
 	tornTails int      // torn active-segment tails Open truncated
 	recovery  Recovery // what Open read back, until TakeRecovery
@@ -254,57 +260,50 @@ type Store struct {
 	watermarks atomic.Pointer[map[string]int]
 }
 
-// Recovery is what Open read back for Station.Recover: the checkpoint it
-// decoded and the per-chunk facts of every sensor the checkpoint names.
+// Recovery is what Open read back for Station.Recover: the restart point
+// of every sensor.
 type Recovery struct {
-	// Checkpoint is the newest loadable checkpoint (nil: none).
-	Checkpoint *Checkpoint
-	// Facts maps each sensor the checkpoint names to the facts of the
-	// chunks the checkpoint covers: the sealed segments' footers, and the
-	// records of a segment without one decoded. A sensor the checkpoint
-	// does not name replays its whole archive and needs none.
-	Facts map[string]*SensorFacts
+	Sensors map[string]*SensorRecovery
 }
 
-// SensorFacts is one checkpointed sensor's per-chunk facts over the chunks
-// [First, First+len(Bounds)): from its purge watermark First up to the
-// checkpoint's coverage. Open decodes them from the segment footers
-// straight into the columns the station keeps: Bounds[i] and Inserts[i]
-// are chunk First+i's §4.5 error bound and inserted base intervals, and
-// Leaves[row][i] its aggregate-index leaf (query.Leaf) for quantity row.
-// Only the chunks below Archived are in the archive. A sensor checkpointed
-// while its archive appends were failing covers chunks the archive never
-// took, and their facts stay zero. Each leaf row's capacity ends at its
-// length, so appending to one row never writes into the next.
-type SensorFacts struct {
-	First    int
-	Archived int
-	Bounds   []float64
-	Inserts  []int
-	Leaves   [][]query.Summary
-
-	m int // samples per chunk, every leaf's count
+// SensorRecovery is one sensor's restart point, read from its segment
+// files: the chunk shape and the state its newest file's header records as
+// of that file's first chunk, Start, and the per-chunk facts of the chunks
+// [First, Start) before it, from the purge watermark First on. The newest
+// file's records follow from Start; the station replays them (ReplayFrom).
+// Open decodes the facts from the older files' footers straight into the
+// columns the station keeps: Bounds[i] and Inserts[i] are chunk First+i's
+// §4.5 error bound and inserted base intervals, and Leaves[row][i] its
+// aggregate-index leaf (query.Leaf) for quantity row. Each leaf row's
+// capacity ends at its length, so appending to one row never writes into
+// the next.
+type SensorRecovery struct {
+	First   int
+	Bounds  []float64
+	Inserts []int
+	Leaves  [][]query.Summary
+	N, M    int
+	State   SensorState
 }
 
-// newSensorFacts returns zeroed columns for the chunks [first, sc.Chunks)
-// of a sensor with checkpoint sc; a checkpoint below first gets none, and
-// restoring it fails. The leaves of every row share one allocation.
-func newSensorFacts(first int, sc *SensorCheckpoint) *SensorFacts {
-	sf := &SensorFacts{First: first, m: sc.M}
-	held := sc.Chunks - first
-	if held < 0 {
-		return sf
+// Start returns the newest file's first chunk, where the replay starts.
+func (sr *SensorRecovery) Start() int { return sr.First + len(sr.Bounds) }
+
+// newSensorRecovery returns the restart point that newest, the header of a
+// sensor's newest file, records, with zeroed columns for the chunks from
+// first, the purge watermark, up to that file. The leaves of every row
+// share one allocation.
+func newSensorRecovery(first int, newest segHeader) *SensorRecovery {
+	sr := &SensorRecovery{First: first, N: newest.N, M: newest.M, State: newest.SensorState}
+	held := newest.FirstChunk - first
+	sr.Bounds = make([]float64, held)
+	sr.Inserts = make([]int, held)
+	leaves := make([]query.Summary, newest.N*held)
+	sr.Leaves = make([][]query.Summary, newest.N)
+	for row := range sr.Leaves {
+		sr.Leaves[row] = leaves[row*held : (row+1)*held : (row+1)*held]
 	}
-	sf.Bounds = make([]float64, held)
-	sf.Inserts = make([]int, held)
-	if sc.N > 0 {
-		leaves := make([]query.Summary, sc.N*held)
-		sf.Leaves = make([][]query.Summary, sc.N)
-		for row := range sf.Leaves {
-			sf.Leaves[row] = leaves[row*held : (row+1)*held : (row+1)*held]
-		}
-	}
-	return sf
+	return sr
 }
 
 // legacyManifest is the index file earlier versions kept beside the
@@ -314,8 +313,7 @@ const legacyManifest = "MANIFEST.json"
 // Open opens (creating if needed) a segment store rooted at opts.Dir and
 // recovers whatever a previous process — cleanly shut down or crashed —
 // left behind, from one walk of the segments tree (recoverSegments) on
-// every core. The newest checkpoint and the per-chunk facts wait for
-// TakeRecovery.
+// every core. Each sensor's restart point waits for TakeRecovery.
 func Open(opts Options) (*Store, error) {
 	start := time.Now()
 	if opts.Dir == "" {
@@ -331,20 +329,15 @@ func Open(opts Options) (*Store, error) {
 		return nil, err
 	}
 	s := &Store{
-		dir:       opts.Dir,
-		opts:      opts,
-		sensors:   make(map[string]*sensorSegs),
-		ckptCover: make(map[string]int),
-		met:       newStoreMetrics(),
+		dir:     opts.Dir,
+		opts:    opts,
+		sensors: make(map[string]*sensorSegs),
+		met:     newStoreMetrics(),
 
 		openWorkers: runtime.GOMAXPROCS(0),
 	}
 	if err := s.mkdirDurable(filepath.Join(opts.Dir, "segments")); err != nil {
 		return nil, fmt.Errorf("segstore: creating data dir: %w", err)
-	}
-	if ck, seq := s.loadLatestCheckpoint(); ck != nil {
-		s.noteCheckpointLocked(ck, seq)
-		s.recovery.Checkpoint = ck
 	}
 	if err := s.recoverSegments(); err != nil {
 		return nil, err
@@ -357,6 +350,27 @@ func Open(opts Options) (*Store, error) {
 	s.openDur = time.Since(start)
 	s.met.openSeconds.Set(s.openDur.Seconds())
 	return s, nil
+}
+
+// checkpointPrefix opens the names of the station checkpoint files earlier
+// versions kept beside the segments.
+const checkpointPrefix = "ckpt-"
+
+// refuseOldCheckpoints fails when dir holds a station checkpoint file of an
+// earlier version. The segments beside it are of an earlier format too,
+// and failing before anything is read leaves the directory exactly as it
+// was.
+func refuseOldCheckpoints(dir string) error {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return fmt.Errorf("segstore: reading data dir: %w", err)
+	}
+	for _, e := range entries {
+		if strings.HasPrefix(e.Name(), checkpointPrefix) {
+			return fmt.Errorf("segstore: checkpoint %s: %w", e.Name(), errOldFormat)
+		}
+	}
+	return nil
 }
 
 // TakeRecovery hands over what Open read back. The store keeps no
@@ -393,17 +407,18 @@ func (s *Store) publishWatermarksLocked() {
 }
 
 // recoverSegments rebuilds the index from one walk of segments/, each
-// directory holding the files of the sensor its name encodes, and decodes
-// the facts of every checkpointed sensor for TakeRecovery. The work runs
-// on a pool as wide as GOMAXPROCS, in two steps: each sensor directory is
-// listed, then each segment file is read, a file being the unit so that
-// one long-lived sensor's history spreads over every core too. Then the
-// decisions run serially, in directory and file order: a directory name
-// that does not decode, the listings, the tiling of each sensor's files
-// and each file's own error, the first failure returned, exactly the one
-// a serial walk meets first. It changes nothing on disk until every
-// sensor's files have tiled: only then does it delete torn first writes
-// and cut torn tails off the active segments.
+// directory holding the files of the sensor its name encodes, and reads
+// every sensor's restart point for TakeRecovery. The work runs on a pool
+// as wide as GOMAXPROCS, in two steps: each sensor directory is listed and
+// its newest file read whole, then each older segment file's footer is
+// read, a file being the unit so that one long-lived sensor's history
+// spreads over every core too. Then the decisions run serially, in
+// directory and file order: a directory name that does not decode, the
+// listings, the tiling of each sensor's files and each file's own error,
+// the first failure returned, exactly the one a serial walk meets first.
+// It changes nothing on disk until every sensor's files have tiled: only
+// then does it delete torn first writes and cut torn tails off the active
+// segments.
 func (s *Store) recoverSegments() error {
 	root := filepath.Join(s.dir, "segments")
 	entries, err := os.ReadDir(root)
@@ -423,21 +438,20 @@ func (s *Store) recoverSegments() error {
 		}
 		dirs = append(dirs, &sensorDir{id: id, dir: filepath.Join(root, d.Name())})
 	}
-	ck := s.recovery.Checkpoint
-	fanout.Run(len(dirs), s.openWorkers, func(_, i int) { dirs[i].list(ck, s.ckptCover) })
+	fanout.Run(len(dirs), s.openWorkers, func(_, i int) { dirs[i].list(s.opts.Config) })
 	var files []fileRef
 	for _, sd := range dirs {
-		for j := range sd.files {
+		for j := 0; j < sd.newest; j++ {
 			files = append(files, fileRef{sd, &sd.files[j]})
 		}
 	}
 	bufs := make([][]byte, s.openWorkers) // each worker's footer buffer
 	fanout.Run(len(files), s.openWorkers, func(w, i int) {
 		sd, f := files[i].sd, files[i].f
-		f.sm, f.active, f.err = readSegment(s.opts.Config, f.path, sd.id, f.first, f.next, sd.facts, &bufs[w])
+		f.sm, f.err = readSegment(s.opts.Config, f.path, sd.id, f.first, f.next, sd.rec, &bufs[w])
 	})
 
-	s.recovery.Facts = make(map[string]*SensorFacts)
+	s.recovery.Sensors = make(map[string]*SensorRecovery)
 	var torn []string
 	for _, sd := range dirs {
 		if err := s.installSensor(sd, &torn); err != nil {
@@ -446,14 +460,6 @@ func (s *Store) recoverSegments() error {
 	}
 	if nameErr != nil {
 		return nameErr
-	}
-	if ck != nil {
-		for id, sc := range ck.Sensors {
-			if _, ok := s.recovery.Facts[id]; !ok {
-				// No segment file left: nothing it covers was archived.
-				s.recovery.Facts[id] = newSensorFacts(0, sc)
-			}
-		}
 	}
 	for _, path := range torn {
 		// The crash landed inside the very first write of a fresh segment:
@@ -473,23 +479,23 @@ func (s *Store) recoverSegments() error {
 }
 
 // sensorDir is one sensor's directory in Open's walk: its segment files
-// in chunk order, what listing them met, and the columns its checkpointed
-// facts are decoded into.
+// in chunk order, what listing them met, and the restart point its newest
+// file records, whose columns the older files' facts are decoded into.
 type sensorDir struct {
 	id, dir string
 	err     error // listing the directory failed
 	files   []segFile
-	ckpt    *SensorCheckpoint // nil: the checkpoint does not name the sensor
-	facts   *SensorFacts      // no columns without ckpt
+	newest  int             // files[newest] is the newest file a crash did not tear
+	rec     *SensorRecovery // nil: no file but a torn first write
 }
 
 // segFile is one segment file in Open's walk and what reading it found.
 type segFile struct {
 	path   string
 	first  int // the first chunk its name gives
-	next   int // the first chunk of the file after it; -1 for the newest
+	next   int // the first chunk of the file after it; -1 for the last
 	sm     segMeta
-	active *activeSeg // the newest file, read without a footer
+	active *activeSeg // the newest file, when it has no footer
 	err    error
 }
 
@@ -500,10 +506,11 @@ type fileRef struct {
 }
 
 // list reads the sensor's directory into its files, in chunk order, and
-// sizes the columns of its facts when ck names it. The purge watermark
-// the facts start from is the oldest file's first chunk or, with no file
-// left, the checkpoint's coverage.
-func (sd *sensorDir) list(ck *Checkpoint, cover map[string]int) {
+// reads the newest of them whole: a last file torn inside its first write
+// leaves the one before it the newest. The restart point that file's
+// header records sizes the columns the older files' facts land in, from
+// the purge watermark, the oldest file's first chunk, up to it.
+func (sd *sensorDir) list(cfg core.Config) {
 	entries, err := os.ReadDir(sd.dir)
 	if err != nil {
 		sd.err = fmt.Errorf("segstore: reading sensor dir: %w", err)
@@ -528,15 +535,21 @@ func (sd *sensorDir) list(ck *Checkpoint, cover map[string]int) {
 			sd.files[i].next = sd.files[i+1].first
 		}
 	}
-	sd.facts = &SensorFacts{}
-	if ck != nil {
-		if sd.ckpt = ck.Sensors[sd.id]; sd.ckpt != nil {
-			first := cover[sd.id]
-			if len(sd.files) > 0 {
-				first = sd.files[0].first
-			}
-			sd.facts = newSensorFacts(first, sd.ckpt)
+	for sd.newest = len(sd.files) - 1; sd.newest >= 0; sd.newest-- {
+		f := &sd.files[sd.newest]
+		var h segHeader
+		h, f.sm, f.active, f.err = readNewest(cfg, f.path, sd.id, f.first, f.next)
+		if f.next < 0 && errors.Is(f.err, errTornFirstWrite) {
+			continue // the file before it is the newest
 		}
+		// A newest file that fails leaves columns of no chunks, which the
+		// older files' entries are only timed against: Open fails on its
+		// error, after the errors of the files before it.
+		sd.rec = &SensorRecovery{}
+		if f.err == nil {
+			sd.rec = newSensorRecovery(sd.files[0].first, h)
+		}
+		return
 	}
 }
 
@@ -545,10 +558,8 @@ func (sd *sensorDir) list(ck *Checkpoint, cover map[string]int) {
 // is the purge watermark, and each later file starts where the one before
 // ends. A gap fails, naming the file after it, before that file's own
 // error could. The active segment is left unopened, and a torn first
-// write is added to torn, for the caller to heal. A sensor with no file
-// left had all of it dropped by retention, which stops at the
-// checkpoint's coverage: that is its watermark and its next chunk.
-// Without coverage it is not recovered.
+// write is added to torn, for the caller to heal. A sensor whose directory
+// holds no file but a torn first write is not recovered.
 func (s *Store) installSensor(sd *sensorDir, torn *[]string) error {
 	if sd.err != nil {
 		return sd.err
@@ -574,93 +585,124 @@ func (s *Store) installSensor(sd *sensorDir, torn *[]string) error {
 			ss.sealed = append(ss.sealed, f.sm)
 		}
 	}
-	if len(ss.sealed) == 0 && ss.active == nil {
-		if ss.purged = s.ckptCover[sd.id]; ss.purged == 0 {
-			return nil
-		}
+	if sd.rec == nil {
+		return nil
 	}
 	s.sensors[sd.id] = ss
-	if sd.ckpt != nil {
-		sf := sd.facts
-		if sf.First != ss.purged {
-			// Only a torn first write was left, and the watermark is the
-			// coverage: no chunk it covers is archived.
-			sf = newSensorFacts(ss.purged, sd.ckpt)
-		}
-		sf.Archived = min(sf.First+len(sf.Bounds), ss.nextChunk())
-		s.recovery.Facts[sd.id] = sf
-	}
+	s.recovery.Sensors[sd.id] = sd.rec
 	return nil
 }
 
 // errTornFirstWrite reports a newest segment too short to hold its header.
 var errTornFirstWrite = errors.New("segstore: torn first write")
 
-// readSegment reads the segment file at path, where the sensor's segment
-// starting at chunk first belongs; next is the first chunk of the file
-// after it, or -1 for the newest. A sealed segment comes back as its
-// metadata, its footer read into buf (reused from file to file) through
-// the trailer, without touching the rest of the file, and its entries
-// decoded into facts. A file without a readable footer is read whole in
-// one ReadAt and scanned in place, its header checked against its place,
-// and its facts decoded from its records: an older file comes back as
-// sealed, its records reaching next, and the newest as the active
-// segment, whose frames stay in the buffer they were read into. A newest
-// file that does not scan and is too short to hold a header yields
-// errTornFirstWrite.
-func readSegment(cfg core.Config, path, sensor string, first, next int, facts *SensorFacts, buf *[]byte) (sm segMeta, active *activeSeg, err error) {
+// readSegment reads an older segment file of the sensor, one before its
+// newest, at path, where its segment starting at chunk first belongs; next
+// is the first chunk of the file after it. A sealed segment comes back as
+// its metadata, its footer read into buf (reused from file to file)
+// through the trailer, without touching the rest of the file, and its
+// entries decoded into rec's columns. A file without a readable footer is
+// read whole and scanned (scanFile), its records' facts decoded into the
+// columns as the footer entries a seal would write for them.
+func readSegment(cfg core.Config, path, sensor string, first, next int, rec *SensorRecovery, buf *[]byte) (sm segMeta, err error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return sm, nil, err
+		return sm, err
 	}
 	defer f.Close()
 	fi, err := f.Stat()
 	if err != nil {
-		return sm, nil, err
+		return sm, err
 	}
 	sm = segMeta{FirstChunk: first, Bytes: fi.Size()}
 	if payload, err := readFooter(f, sm.Bytes, buf); err == nil {
 		if ffirst, count, n, entries, err := footerHead(payload); err == nil && count > 0 {
 			if ffirst != first {
-				return sm, nil, fmt.Errorf("footer starts at chunk %d, the file name at %d", ffirst, first)
+				return sm, fmt.Errorf("footer starts at chunk %d, the file name at %d", ffirst, first)
 			}
 			sm.LastChunk = first + count - 1
-			sm.MaxUnix, err = facts.putEntries(first, next, n, entries)
-			return sm, nil, err
+			sm.MaxUnix, err = rec.putEntries(first, next, n, entries)
+			return sm, err
 		}
 	}
 	b := make([]byte, sm.Bytes)
 	if _, err := f.ReadAt(b, 0); err != nil {
-		return sm, nil, err
+		return sm, err
 	}
-	scan, err := scanSegment(b, 0)
+	scan, ff, err := scanFile(cfg, b, sensor, first, next)
+	if err != nil {
+		return sm, err
+	}
+	sm.LastChunk = first + len(ff) - 1
+	sm.MaxUnix, err = rec.putEntries(first, next, scan.Header.N, appendFooterEntries(nil, ff))
+	return sm, err
+}
+
+// readNewest reads the sensor's newest segment file, its restart point,
+// whole in one read, and returns its header. A file sealed with a readable
+// footer comes back as its metadata, its records scanned (scanSealed) but
+// its footer entries left unread: the station rebuilds those chunks' facts
+// when it replays them. Any other file is scanned
+// (scanFile) and comes back as the active segment, its frames left in the
+// buffer they were read into. next is the first chunk of the file after
+// it — a torn first write the caller deletes — or -1; the last file that
+// does not scan and is too short to hold a header yields
+// errTornFirstWrite.
+func readNewest(cfg core.Config, path, sensor string, first, next int) (h segHeader, sm segMeta, active *activeSeg, err error) {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return h, sm, nil, err
+	}
+	sm = segMeta{FirstChunk: first, Bytes: int64(len(b))}
+	if off, err := footerOffset(b[max(0, len(b)-trailerLen):], sm.Bytes); err == nil {
+		if payload, rest, err := blocklog.Cut(b[off : sm.Bytes-trailerLen]); err == nil && len(rest) == 0 {
+			if ffirst, count, _, _, err := footerHead(payload); err == nil && count > 0 {
+				if ffirst != first {
+					return h, sm, nil, fmt.Errorf("footer starts at chunk %d, the file name at %d", ffirst, first)
+				}
+				sm.LastChunk = first + count - 1
+				scan, err := scanSealed(b, sensor, sm)
+				if err != nil {
+					return h, sm, nil, err
+				}
+				for _, r := range scan.Recs {
+					sm.MaxUnix = max(sm.MaxUnix, r.Unix)
+				}
+				return scan.Header, sm, nil, nil
+			}
+		}
+	}
+	scan, ff, err := scanFile(cfg, b, sensor, first, next)
 	if err != nil {
 		if next < 0 && tornFirstWrite(b) {
-			return sm, nil, errTornFirstWrite
+			err = errTornFirstWrite
 		}
-		return sm, nil, err
+		return h, sm, nil, err
+	}
+	sm = sealedMeta(first, sm.Bytes, ff)
+	return scan.Header, sm, &activeSeg{path: path, header: scan.Header, facts: ff, frames: scan.Frames, size: scan.Good}, nil
+}
+
+// scanFile scans a segment file without a readable footer, held whole in
+// b, checks its header against its place and decodes its records' facts.
+// A file followed by another, next >= 0, must hold records up to it.
+func scanFile(cfg core.Config, b []byte, sensor string, first, next int) (segScan, []ChunkFacts, error) {
+	scan, err := scanSegment(b, 0)
+	if err != nil {
+		return scan, nil, err
 	}
 	if err := checkPlace(scan.Header, sensor, first); err != nil {
-		return sm, nil, err
+		return scan, nil, err
 	}
 	ff, err := factsFromScan(cfg, scan)
 	if err != nil {
-		return sm, nil, err
+		return scan, nil, err
 	}
 	if next >= 0 && len(ff) != next-first {
-		return sm, nil, fmt.Errorf("footer unreadable and %d whole records, but the next segment starts at chunk %d",
+		return scan, nil, fmt.Errorf("footer unreadable and %d whole records, but the next segment starts at chunk %d",
 			len(ff), next)
 	}
-	// The records' facts reach the columns as the footer entries a seal
-	// would write for them.
-	if sm.MaxUnix, err = facts.putEntries(first, next, scan.Header.N, appendFooterEntries(nil, ff)); err != nil {
-		return sm, nil, err
-	}
-	sm.LastChunk = first + len(ff) - 1
-	if next < 0 {
-		return sm, &activeSeg{path: path, header: scan.Header, facts: ff, frames: scan.Frames, size: scan.Good}, nil
-	}
-	return sm, nil, nil
+	return scan, ff, nil
 }
 
 // sealedMeta describes a sealed segment of size bytes holding facts from
@@ -733,7 +775,8 @@ func (s *Store) syncDir(dir string) error {
 // NeedsSegment reports whether the next Append for sensor will open a
 // fresh segment — the station's cue to snapshot the decoder replica
 // *before* decoding the frame, because that pre-decode state becomes the
-// new segment's header. The answer stays valid as long as the caller
+// new segment's header, with the receive bookkeeping as it stands before
+// the frame. The answer stays valid as long as the caller
 // serialises its appends per sensor (the station's lock does).
 func (s *Store) NeedsSegment(sensor string) bool {
 	s.mu.Lock()
@@ -745,11 +788,16 @@ func (s *Store) NeedsSegment(sensor string) bool {
 // Append archives one accepted transmission: chunk is the station's global
 // chunk index for the sensor, rows the decoded quantities, bound the §4.5
 // error bound, inserts the base intervals it inserted, frame the raw wire
-// bytes, and state a lazy snapshot of the decoder replica *before* this
-// frame was decoded — evaluated only when the append opens a fresh
-// segment, whose header it becomes. Only the chunk, the time and the frame
-// are written now; the rest waits in memory for the seal's footer.
-func (s *Store) Append(sensor string, chunk int, rows []timeseries.Series, bound float64, inserts int, frame []byte, state func() core.DecoderState) error {
+// bytes, and state a lazy snapshot of the sensor *before* this frame was
+// received — the decoder replica and the receive bookkeeping — evaluated
+// only when the append opens a fresh segment, whose header it becomes.
+// Only the chunk, the time and the frame are written now; the rest waits
+// in memory for the seal's footer. An error may leave the record durable
+// all the same, when the seal after it fails, and may leave torn bytes at
+// the end of the active segment: the caller must neither append to the
+// sensor nor roll it again until a restart reopens the store (the station
+// refuses the sensor's frames until then).
+func (s *Store) Append(sensor string, chunk int, rows []timeseries.Series, bound float64, inserts int, frame []byte, state func() SensorState) error {
 	return s.AppendTraced(sensor, chunk, rows, bound, inserts, frame, state, nil)
 }
 
@@ -757,7 +805,7 @@ func (s *Store) Append(sensor string, chunk int, rows []timeseries.Series, bound
 // fsync and any segment seal — as children of sp (nil: identical to
 // Append). The fsync child is the usual answer to "where did this
 // frame's receive latency go".
-func (s *Store) AppendTraced(sensor string, chunk int, rows []timeseries.Series, bound float64, inserts int, frame []byte, state func() core.DecoderState, sp *trace.Span) error {
+func (s *Store) AppendTraced(sensor string, chunk int, rows []timeseries.Series, bound float64, inserts int, frame []byte, state func() SensorState, sp *trace.Span) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -775,7 +823,11 @@ func (s *Store) AppendTraced(sensor string, chunk int, rows []timeseries.Series,
 		return fmt.Errorf("segstore: sensor %q chunk %d out of order (want %d)", sensor, chunk, want)
 	}
 	if ss.active == nil {
-		if err := s.openSegment(sensor, ss, chunk, rows, state()); err != nil {
+		h := segHeader{Sensor: sensor, FirstChunk: chunk, N: len(rows), SensorState: state()}
+		if len(rows) > 0 {
+			h.M = len(rows[0])
+		}
+		if err := s.openSegment(ss, h, false); err != nil {
 			return err
 		}
 	}
@@ -812,26 +864,17 @@ func (s *Store) AppendTraced(sensor string, chunk int, rows []timeseries.Series,
 	return nil
 }
 
-// openSegment creates the sensor's next active segment, its header holding
-// the decoder state as of firstChunk, and makes its directory entry durable
-// before the append that follows acknowledges the first record in it.
-func (s *Store) openSegment(sensor string, ss *sensorSegs, firstChunk int, rows []timeseries.Series, state core.DecoderState) error {
-	m := 0
-	if len(rows) > 0 {
-		m = len(rows[0])
-	}
-	h := segHeader{
-		Sensor:      sensor,
-		FirstChunk:  firstChunk,
-		N:           len(rows),
-		M:           m,
-		Decoder:     state,
-		CreatedUnix: time.Now().Unix(),
-	}
+// openSegment creates the sensor's next active segment with header h, and
+// makes its directory entry durable before the append that follows
+// acknowledges the first record in it. syncHeader fsyncs the header
+// first, for a file that stays header-only: a record's fsync covers it
+// otherwise.
+func (s *Store) openSegment(ss *sensorSegs, h segHeader, syncHeader bool) error {
+	h.CreatedUnix = time.Now().Unix()
 	if err := s.mkdirDurable(ss.dir); err != nil {
 		return fmt.Errorf("segstore: creating sensor dir: %w", err)
 	}
-	path := filepath.Join(ss.dir, segName(firstChunk))
+	path := filepath.Join(ss.dir, segName(h.FirstChunk))
 	block, err := encodeHeaderBlock(h)
 	if err != nil {
 		return err
@@ -845,6 +888,12 @@ func (s *Store) openSegment(sensor string, ss *sensorSegs, firstChunk int, rows 
 		f.Close()
 		return fmt.Errorf("segstore: writing segment header: %w", err)
 	}
+	if syncHeader && !s.opts.NoSync {
+		if err := f.Sync(); err != nil {
+			f.Close()
+			return fmt.Errorf("segstore: syncing segment header: %w", err)
+		}
+	}
 	if err := s.syncDir(ss.dir); err != nil {
 		f.Close()
 		return err
@@ -853,18 +902,46 @@ func (s *Store) openSegment(sensor string, ss *sensorSegs, firstChunk int, rows 
 	return nil
 }
 
+// Roll makes the sensor's newest file its restart point as it stands now:
+// it seals the active segment when that holds records, then starts the
+// next file with only a header — the chunk shape n×m and state, the
+// sensor's state after its last chunk — and makes the header and its
+// directory entry durable before it returns. A restart then resumes the
+// sensor from that header and replays nothing. A sensor whose newest file
+// holds only a header already is left as it is. The caller serialises
+// Roll with the sensor's appends, as the station's lock does.
+func (s *Store) Roll(sensor string, n, m int, state SensorState) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return fmt.Errorf("segstore: store is closed")
+	}
+	ss := s.sensors[sensor]
+	if ss == nil {
+		return fmt.Errorf("%w: %q", ErrUnknownSensor, sensor)
+	}
+	if ss.active != nil && len(ss.active.frames) == 0 {
+		return nil
+	}
+	defer s.updateGauges()
+	if err := s.sealActive(ss); err != nil {
+		return err
+	}
+	return s.openSegment(ss, segHeader{Sensor: sensor, FirstChunk: ss.nextChunk(), N: n, M: m, SensorState: state}, true)
+}
+
 // sealActive writes the footer and trailer, fsyncs and closes the active
-// segment, and moves it to the sealed list. The caller must hold s.mu.
+// segment, and moves it to the sealed list. An active segment holding only
+// a header is the sensor's restart point: it is closed and left as it is.
+// The caller must hold s.mu.
 func (s *Store) sealActive(ss *sensorSegs) error {
 	a := ss.active
 	if a == nil {
 		return nil
 	}
 	if len(a.frames) == 0 {
-		// Nothing durable in it: drop the empty shell instead of sealing.
-		a.f.Close()
 		ss.active = nil
-		return os.Remove(a.path)
+		return a.f.Close()
 	}
 	block := encodeFooterBlock(a.header.FirstChunk, a.header.N, a.facts, a.size)
 	if _, err := a.f.Write(block); err != nil {
@@ -883,8 +960,10 @@ func (s *Store) sealActive(ss *sensorSegs) error {
 	return nil
 }
 
-// Close seals every active segment (graceful shutdown: the footers make
-// the next boot cheap) and closes the store.
+// Close seals every active segment that holds records (the footers make
+// the next boot cheap), leaves the header-only ones as the restart points
+// they are, and closes the store. A seal that fails does not stop the
+// others: its file is closed unsealed, and every failure is returned.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -892,13 +971,17 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	for _, ss := range s.sensors {
-		if err := s.sealActive(ss); err != nil {
-			return err
+	var errs []error
+	for id, ss := range s.sensors {
+		if a := ss.active; a != nil {
+			if err := s.sealActive(ss); err != nil {
+				a.f.Close() //nolint:errcheck // the seal's failure is the one reported
+				errs = append(errs, fmt.Errorf("segstore: sensor %q: %w", id, err))
+			}
 		}
 	}
 	s.updateGauges()
-	return nil
+	return errors.Join(errs...)
 }
 
 // Sensors returns the IDs the store holds data for, sorted.
@@ -969,8 +1052,7 @@ type Stats struct {
 	// SingleflightHits is always 0: concurrent cold reads of one segment
 	// each load it, and no read joins another's. It is kept for readers
 	// of earlier reports that still ask for it.
-	SingleflightHits   uint64 `json:"singleflight_hits"`
-	LastCheckpointUnix int64  `json:"last_checkpoint_unix"`
+	SingleflightHits uint64 `json:"singleflight_hits"`
 	// TornTails counts the torn active-segment tails Open truncated: the
 	// crashes that landed mid-append. It is fixed once Open returns.
 	TornTails int `json:"torn_tails"`
@@ -992,7 +1074,6 @@ func (s *Store) StoreStats() Stats {
 		ColdChunksAdvanced: s.met.coldAdvanced.Value(),
 		ColdChunksDecoded:  s.met.coldDecoded.Value(),
 		Compactions:        s.met.compactions.Value(),
-		LastCheckpointUnix: s.ckptUnix,
 		TornTails:          s.tornTails,
 		OpenSeconds:        s.openDur.Seconds(),
 		OpenWorkers:        s.openWorkers,
@@ -1014,30 +1095,8 @@ func (s *Store) Instrument(reg *obs.Registry) {
 		coldAdvanced: reg.Counter("sbr_segstore_cold_chunks_advanced_total", "Archived chunks cold reads parsed only to advance a decoder past them."),
 		coldDecoded:  reg.Counter("sbr_segstore_cold_chunks_decoded_total", "Archived chunks whose requested row cold reads reconstructed."),
 		compactions:  reg.Counter("sbr_segstore_compactions_total", "Retention passes that removed at least one segment."),
-		ckptAge:      reg.Gauge("sbr_segstore_checkpoint_age_seconds", "Seconds since the last station checkpoint (-1: none yet)."),
 		openSeconds:  reg.Gauge("sbr_segstore_open_seconds", "Seconds Open took to rebuild the store from its segment files at start."),
 	}
 	s.met.openSeconds.Set(s.openDur.Seconds())
 	s.updateGauges()
-	s.updateCheckpointAgeLocked()
-}
-
-// UpdateCheckpointAge refreshes the checkpoint-age gauge; the daemon's
-// report ticker calls it so the exported age moves between checkpoints.
-func (s *Store) UpdateCheckpointAge() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.updateCheckpointAgeLocked()
-}
-
-func (s *Store) updateCheckpointAgeLocked() {
-	if s.ckptUnix == 0 {
-		s.met.ckptAge.Set(-1)
-		return
-	}
-	age := time.Now().Unix() - s.ckptUnix
-	if age < 0 {
-		age = 0
-	}
-	s.met.ckptAge.Set(float64(age))
 }

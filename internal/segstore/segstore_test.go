@@ -80,7 +80,7 @@ func feedStore(t testing.TB, s *Store, cfg core.Config, sensor string, frames []
 		}
 		if i >= from {
 			err = s.Append(sensor, i, rows, tr.ErrBound, tr.Ins(), frame,
-				func() core.DecoderState { return pre })
+				func() SensorState { return SensorState{Decoder: pre} })
 			if err != nil {
 				t.Fatalf("append chunk %d: %v", i, err)
 			}
@@ -222,7 +222,7 @@ func TestCloseSealsAndReopens(t *testing.T) {
 		}
 	}
 	err = again.Append("node", 6, lastRows, lastBound, lastIns, frames[6],
-		func() core.DecoderState { return pre })
+		func() SensorState { return SensorState{Decoder: pre} })
 	if err != nil {
 		t.Fatalf("append after reopen: %v", err)
 	}
@@ -266,63 +266,89 @@ func TestReplayFrom(t *testing.T) {
 	}
 }
 
-func TestCheckpointRoundtripAndPruning(t *testing.T) {
-	cfg := testConfig()
-	dir := t.TempDir()
-	s, err := Open(Options{Dir: dir, Config: cfg})
+// rollState is the state a sensor fed frames through feedStore stands in
+// after its last chunk, with receive bookkeeping that tells restarts apart.
+func rollState(t testing.TB, cfg core.Config, frames [][]byte) SensorState {
+	t.Helper()
+	dec, err := core.NewDecoder(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	// reopened returns the checkpoint a fresh Open of dir hands over.
-	reopened := func() *Checkpoint {
-		t.Helper()
-		re, err := Open(Options{Dir: dir, Config: cfg})
+	for _, frame := range frames {
+		tr, err := wire.DecodeBytes(frame)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer re.Close()
-		return re.TakeRecovery().Checkpoint
-	}
-
-	if ck := s.TakeRecovery().Checkpoint; ck != nil {
-		t.Fatalf("empty store recovered checkpoint %+v, want none", ck)
-	}
-	for i := 1; i <= 3; i++ {
-		ck := &Checkpoint{
-			Unix: int64(1000 + i),
-			Sensors: map[string]*SensorCheckpoint{
-				"node": {Chunks: i * 10, N: 1, M: 16},
-			},
-		}
-		if err := s.WriteCheckpoint(ck); err != nil {
+		if _, err := dec.Decode(tr); err != nil {
 			t.Fatal(err)
 		}
 	}
-	files := s.checkpointFiles()
-	if len(files) != checkpointKeep {
-		t.Errorf("%d checkpoint files on disk, want %d", len(files), checkpointKeep)
-	}
-	ck := reopened()
-	if ck == nil || ck.Sensors["node"].Chunks != 30 || ck.Unix != 1003 {
-		t.Fatalf("loaded checkpoint %+v, want the newest (chunks 30)", ck)
-	}
+	n := len(frames)
+	return SensorState{Decoder: dec.State(), Frames: n, Bytes: 100 * n, Values: 7 * n, Restarts: 1,
+		NextSeq: n, SrcNonce: 0xfeed, ZeroSum: 0xbeef}
+}
 
-	// Damage the newest inside its block: its checksum fails and loading
-	// falls back to the survivor.
-	path := filepath.Join(dir, checkpointName(3))
-	data, err := os.ReadFile(path)
+// TestRollRestartPointRoundtrip: Roll seals the active segment and starts
+// a file with only a header, holding the state it was given; a second Roll
+// and Close leave that file as it is, and a restart hands the state back
+// as the sensor's restart point, with the facts of every chunk before it.
+// The next append lands in the header-only file.
+func TestRollRestartPointRoundtrip(t *testing.T) {
+	cfg := testConfig()
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data[len(data)-1] ^= 0x40
-	if err := os.WriteFile(path, data, 0o644); err != nil {
+	frames := makeFrames(t, cfg, 7, 16)
+	rows, bounds := feedStore(t, s, cfg, "node", frames[:6], 0)
+	state := rollState(t, cfg, frames[:6])
+	if err := s.Roll("node", 1, 16, state); err != nil {
 		t.Fatal(err)
 	}
-	ck = reopened()
-	if ck == nil || ck.Sensors["node"].Chunks != 20 {
-		t.Fatalf("fallback checkpoint %+v, want the survivor (chunks 20)", ck)
+	headerOnly := filepath.Join(dir, "segments", "node", segName(6))
+	before := snapshotDir(t, dir)
+	if len(before) != 3 || before[headerOnly] == "" {
+		t.Fatalf("files after Roll: %d, want [0,4), [4,6) sealed and a header at 6", len(before))
 	}
+	if st := s.StoreStats(); st.SealedSegments != 2 || st.Segments != 3 {
+		t.Errorf("stats %+v after Roll, want 2 sealed of 3 segments", st)
+	}
+	if err := s.Roll("node", 1, 16, rollState(t, cfg, frames[:5])); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if after := snapshotDir(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatal("a second Roll or Close changed the files")
+	}
+	if err := s.Roll("node", 1, 16, state); err == nil {
+		t.Error("Roll on a closed store succeeded")
+	}
+
+	again, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	sr := again.TakeRecovery().Sensors["node"]
+	if sr == nil || sr.First != 0 || sr.Start() != 6 || sr.N != 1 || sr.M != 16 || !reflect.DeepEqual(sr.State, state) {
+		t.Fatalf("restart point %+v, want chunks [0,6) of 1x16 before the rolled state", sr)
+	}
+	for c := range sr.Bounds {
+		if leaf := query.Summarize(rows[c][0], bounds[c]); sr.Bounds[c] != bounds[c] || sr.Leaves[0][c] != leaf {
+			t.Fatalf("chunk %d: bound %v leaf %+v, want %v %+v", c, sr.Bounds[c], sr.Leaves[0][c], bounds[c], leaf)
+		}
+	}
+	if err := again.Roll("ghost", 1, 16, state); !errors.Is(err, ErrUnknownSensor) {
+		t.Errorf("Roll of an unknown sensor = %v, want ErrUnknownSensor", err)
+	}
+	all, allBounds := feedStore(t, again, cfg, "node", frames, 6)
+	if st := again.StoreStats(); st.Segments != 3 {
+		t.Errorf("%d segments after the next append, want it in the header-only file", st.Segments)
+	}
+	checkAll(t, again, "node", all, allBounds, 0)
 }
 
 func TestRetentionByBytes(t *testing.T) {
@@ -337,27 +363,17 @@ func TestRetentionByBytes(t *testing.T) {
 	frames := makeFrames(t, cfg, 8, 16)
 	rows, bounds := feedStore(t, s, cfg, "node", frames, 0)
 
-	// Without a checkpoint nothing is removable: tail replay still needs
-	// every record.
+	// Four sealed segments and no active one: every file but the newest,
+	// the sensor's restart point, is over the budget.
 	removed, err := s.EnforceRetention(time.Now())
-	if err != nil || removed != 0 {
-		t.Fatalf("retention before checkpoint removed %d (%v), want 0", removed, err)
-	}
-
-	// A checkpoint covering the first 6 chunks frees exactly the sealed
-	// segments living entirely below it.
-	err = s.WriteCheckpoint(&Checkpoint{Sensors: map[string]*SensorCheckpoint{
-		"node": {Chunks: 6, N: 1, M: 16},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	removed, err = s.EnforceRetention(time.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if removed != 3 { // chunks 0-1, 2-3, 4-5
 		t.Fatalf("retention removed %d segments, want 3", removed)
+	}
+	if removed, err := s.EnforceRetention(time.Now()); err != nil || removed != 0 {
+		t.Fatalf("second pass removed %d (%v), want the newest file kept", removed, err)
 	}
 	oldest, next, err := s.Bounds("node")
 	if err != nil || oldest != 6 || next != 8 {
@@ -395,33 +411,35 @@ func TestRetentionByAge(t *testing.T) {
 	defer s.Close()
 	frames := makeFrames(t, cfg, 4, 16)
 	feedStore(t, s, cfg, "node", frames, 0)
-	err = s.WriteCheckpoint(&Checkpoint{Sensors: map[string]*SensorCheckpoint{
-		"node": {Chunks: 4, N: 1, M: 16},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Now: nothing is older than an hour.
 	removed, err := s.EnforceRetention(time.Now())
 	if err != nil || removed != 0 {
 		t.Fatalf("fresh segments removed: %d (%v)", removed, err)
 	}
-	// Two hours in the future every sealed segment has expired.
+	// Two hours in the future every sealed segment has expired, but the
+	// newest is the sensor's restart point and stays.
 	removed, err = s.EnforceRetention(time.Now().Add(2 * time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if removed != 2 {
-		t.Errorf("retention removed %d segments, want 2", removed)
+	if removed != 1 {
+		t.Errorf("retention removed %d segments, want 1", removed)
+	}
+	// Once a roll has started a newer file, it expires too.
+	if err := s.Roll("node", 1, 16, rollState(t, cfg, frames)); err != nil {
+		t.Fatal(err)
+	}
+	if removed, err := s.EnforceRetention(time.Now().Add(2 * time.Hour)); err != nil || removed != 1 {
+		t.Errorf("retention after the roll removed %d segments (%v), want 1", removed, err)
 	}
 }
 
 // TestRetentionKeepsWatermarkOfEmptySensor stages TestRetentionByAge —
-// retention drops every segment of a quiet sensor — then reopens. With no
-// file left to start from, the sensor resumes at the checkpoint's
-// coverage, where retention stopped: chunks below it are purged, and the
-// next chunk is accepted.
+// retention drops every sealed segment of a quiet sensor rolled to a
+// header-only file — then reopens. The sensor resumes at that file, where
+// retention stopped: chunks below it are purged, its restart point holds
+// no chunk's facts, and the next chunk is accepted.
 func TestRetentionKeepsWatermarkOfEmptySensor(t *testing.T) {
 	cfg := testConfig()
 	dir := t.TempDir()
@@ -432,10 +450,7 @@ func TestRetentionKeepsWatermarkOfEmptySensor(t *testing.T) {
 	}
 	frames := makeFrames(t, cfg, 5, 16)
 	feedStore(t, s, cfg, "node", frames[:4], 0)
-	err = s.WriteCheckpoint(&Checkpoint{Sensors: map[string]*SensorCheckpoint{
-		"node": {Chunks: 4, N: 1, M: 16},
-	}})
-	if err != nil {
+	if err := s.Roll("node", 1, 16, rollState(t, cfg, frames[:4])); err != nil {
 		t.Fatal(err)
 	}
 	if removed, err := s.EnforceRetention(time.Now().Add(2 * time.Hour)); err != nil || removed != 2 {
@@ -452,6 +467,9 @@ func TestRetentionKeepsWatermarkOfEmptySensor(t *testing.T) {
 	defer again.Close()
 	if oldest, next, err := again.Bounds("node"); err != nil || oldest != 4 || next != 4 {
 		t.Fatalf("Bounds after reopen = (%d,%d,%v), want (4,4,nil)", oldest, next, err)
+	}
+	if sr := again.TakeRecovery().Sensors["node"]; sr == nil || sr.First != 4 || sr.Start() != 4 {
+		t.Fatalf("restart point %+v, want no chunk's facts before chunk 4", sr)
 	}
 	if err := again.ChunkRow("node", 0, 0, make(timeseries.Series, 16), nil); !errors.Is(err, ErrPurged) {
 		t.Errorf("purged chunk after reopen = %v, want ErrPurged", err)
@@ -555,8 +573,8 @@ func TestOpenRemovesLegacyManifest(t *testing.T) {
 
 // TestDamagedFooter corrupts a sealed segment's footer, then its trailer,
 // behind an open store: cold reads never need either, so every chunk
-// still reads back, and the next Open rebuilds the lost facts of the
-// checkpointed sensor from the segment's records, into the same columns.
+// still reads back, and the next Open rebuilds the lost facts from the
+// segment's records, into the same columns.
 func TestDamagedFooter(t *testing.T) {
 	cfg := testConfig()
 	for _, damage := range []struct {
@@ -572,10 +590,10 @@ func TestDamagedFooter(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rows, bounds := feedStore(t, s, cfg, "node", makeFrames(t, cfg, 8, 16), 0)
+			frames := makeFrames(t, cfg, 8, 16)
+			rows, bounds := feedStore(t, s, cfg, "node", frames, 0)
 			n, m := len(rows[0]), len(rows[0][0])
-			if err := s.WriteCheckpoint(&Checkpoint{Sensors: map[string]*SensorCheckpoint{
-				"node": {Chunks: 8, N: n, M: m}}}); err != nil {
+			if err := s.Roll("node", n, m, rollState(t, cfg, frames)); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Close(); err != nil {
@@ -586,10 +604,10 @@ func TestDamagedFooter(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			want := s.TakeRecovery().Facts["node"]
-			if want.First != 0 || want.Archived != 8 || len(want.Bounds) != 8 || len(want.Leaves) != n {
-				t.Fatalf("recovered facts for chunks [%d,+%d) archived to %d in %d rows, want [0,+8) archived to 8 in %d",
-					want.First, len(want.Bounds), want.Archived, len(want.Leaves), n)
+			want := s.TakeRecovery().Sensors["node"]
+			if want.First != 0 || len(want.Bounds) != 8 || len(want.Leaves) != n {
+				t.Fatalf("recovered facts for chunks [%d,+%d) in %d rows, want [0,+8) in %d",
+					want.First, len(want.Bounds), len(want.Leaves), n)
 			}
 			for c := range want.Bounds {
 				if want.Bounds[c] != bounds[c] {
@@ -619,7 +637,7 @@ func TestDamagedFooter(t *testing.T) {
 				t.Fatalf("reopen with a damaged %s: %v", damage.name, err)
 			}
 			defer again.Close()
-			if got := again.TakeRecovery().Facts["node"]; !reflect.DeepEqual(got, want) {
+			if got := again.TakeRecovery().Sensors["node"]; !reflect.DeepEqual(got, want) {
 				t.Errorf("facts rebuilt from the records differ from the footers'")
 			}
 			checkAll(t, again, "node", rows, bounds, 0)
@@ -708,11 +726,11 @@ func TestOpenDeletesOnlyTornFirstWrites(t *testing.T) {
 }
 
 // TestFooterColumnsMatchReference decodes a footer's entries into a
-// checkpointed sensor's columns, as Open does, and checks every column
-// against the field-by-field reference decode: columns spanning the whole
-// file, columns the checkpoint's coverage ends inside it, entries the next
-// file's first chunk cuts short, and a footer whose quantities differ from
-// the checkpoint's, which fails. Each leaf row ends at its own length, so
+// sensor's columns, as Open does, and checks every column against the
+// field-by-field reference decode: columns spanning the whole file,
+// columns that end inside it where the newest file starts, entries the
+// next file's first chunk cuts short, and a footer whose quantities differ
+// from the newest file's header, which fails. Each leaf row ends at its own length, so
 // the station appending to one row cannot write into the next.
 func TestFooterColumnsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
@@ -738,13 +756,13 @@ func TestFooterColumnsMatchReference(t *testing.T) {
 	for _, f := range ref {
 		newest = max(newest, f.Unix)
 	}
-	for _, tc := range []struct{ colFirst, cover, stop int }{
+	for _, tc := range []struct{ colFirst, newest, stop int }{
 		{first, first + count, -1},     // the whole file
-		{0, first + count + 5, -1},     // older files and a lost tail around it
-		{first, first + 6, -1},         // coverage ends inside the file
+		{0, first + count + 5, -1},     // older and newer files around it
+		{first, first + 6, -1},         // the columns end inside the file
 		{first - 4, first + count, 46}, // the next file starts at chunk 46
 	} {
-		sf := newSensorFacts(tc.colFirst, &SensorCheckpoint{Chunks: tc.cover, N: n, M: m})
+		sf := newSensorRecovery(tc.colFirst, segHeader{FirstChunk: tc.newest, N: n, M: m})
 		got, err := sf.putEntries(first, tc.stop, n, entries)
 		if err != nil || got != newest {
 			t.Fatalf("%+v: newest %d (%v), want %d", tc, got, err, newest)
@@ -775,8 +793,96 @@ func TestFooterColumnsMatchReference(t *testing.T) {
 			}
 		}
 	}
-	sf := newSensorFacts(first, &SensorCheckpoint{Chunks: first + count, N: n + 1, M: m})
+	sf := newSensorRecovery(first, segHeader{FirstChunk: first + count, N: n + 1, M: m})
 	if _, err := sf.putEntries(first, -1, n, entries); err == nil {
 		t.Fatal("a footer of 3 quantities decoded into columns for 4")
+	}
+}
+
+// TestCloseSealsEveryOpenSegment closes the active file of 15 of 16
+// sensors underneath the store: Close fails their seals, names each of
+// them, and still seals the healthy sensor's segment, whatever its place
+// in the map's order.
+func TestCloseSealsEveryOpenSegment(t *testing.T) {
+	cfg := testConfig()
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := makeFrames(t, cfg, 2, 16)
+	var broken []string
+	for i := 0; i < 16; i++ {
+		id := fmt.Sprintf("node-%02d", i)
+		feedStore(t, s, cfg, id, frames, 0)
+		if i != 9 {
+			s.sensors[id].active.f.Close()
+			broken = append(broken, id)
+		}
+	}
+	err = s.Close()
+	if err == nil {
+		t.Fatal("Close with 15 failing seals succeeded")
+	}
+	for _, id := range broken {
+		if !strings.Contains(err.Error(), fmt.Sprintf("%q", id)) {
+			t.Errorf("Close error does not name %s: %v", id, err)
+		}
+	}
+	data, rerr := os.ReadFile(filepath.Join(dir, "segments", "node-09", segName(0)))
+	if rerr != nil || !bytes.HasSuffix(data, trailerMagic[:]) {
+		t.Fatalf("the healthy sensor's segment does not end in a trailer (%v)", rerr)
+	}
+}
+
+// TestOpenRefusesEarlierDataDirs stages a data directory as earlier
+// versions left it — SBRSEG2 segments, and a binary station checkpoint
+// beside them — and opens it: Open fails naming the checkpoint, then,
+// with the checkpoint gone, naming a segment, and leaves every file as it
+// was.
+func TestOpenRefusesEarlierDataDirs(t *testing.T) {
+	cfg := testConfig()
+	dir := t.TempDir()
+	s, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"a", "b"} {
+		feedStore(t, s, cfg, id, makeFrames(t, cfg, 6, 16), 0)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "segments", "*", "*"+segExt))
+	if err != nil || len(files) != 4 {
+		t.Fatalf("segments %v (%v), want 4", files, err)
+	}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		copy(data, "SBRSEG2\x00")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ckpt := filepath.Join(dir, "ckpt-0000000000000007.bin")
+	if err := os.WriteFile(ckpt, []byte("SBRCKP1\x00"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := snapshotDir(t, dir)
+	for _, want := range []string{filepath.Base(ckpt), filepath.Join("a", segName(4))} {
+		_, err := Open(Options{Dir: dir, Config: cfg, SegmentChunks: 4})
+		if !errors.Is(err, errOldFormat) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Open = %v, want errOldFormat naming %s", err, want)
+		}
+		if after := snapshotDir(t, dir); !reflect.DeepEqual(after, before) {
+			t.Fatal("the refused Open changed the directory")
+		}
+		if err := os.Remove(ckpt); err != nil && !errors.Is(err, os.ErrNotExist) {
+			t.Fatal(err)
+		}
+		delete(before, ckpt)
 	}
 }

@@ -168,9 +168,11 @@ func TestColdQueriesBeyondMemoryWindow(t *testing.T) {
 }
 
 // TestChaosStationCheckpointTailRecovery kills a station mid-stream (no
-// Close, no final checkpoint) and recovers a fresh one from the archive:
-// the checkpoint restores the first 12 chunks without decoding, the tail
-// replays exactly the 8 records archived after it, and every query kind
+// Close, no final checkpoint) and recovers a fresh one from the archive.
+// The checkpoint at chunk 12 rolled the segments, and the 8 frames after
+// it filled and sealed two more: the restart resumes from the newest
+// file's header, restores the 16 chunks before it without decoding,
+// replays exactly the 4 records of that file, and every query kind
 // matches an uncrashed reference — then the stream continues seamlessly.
 func TestChaosStationCheckpointTailRecovery(t *testing.T) {
 	cfg := restoreConfig()
@@ -205,11 +207,8 @@ func TestChaosStationCheckpointTailRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.FromCheckpoint {
-		t.Error("recovery ignored the checkpoint")
-	}
-	if rec.Replayed != 8 {
-		t.Errorf("replayed %d tail frames, want 8 (bounded tail, not full replay)", rec.Replayed)
+	if rec.Replayed != 4 {
+		t.Errorf("replayed %d tail frames, want the newest file's 4", rec.Replayed)
 	}
 	if rec.Sensors != 1 {
 		t.Errorf("recovered %d sensors, want 1", rec.Sensors)
@@ -222,8 +221,9 @@ func TestChaosStationCheckpointTailRecovery(t *testing.T) {
 	compareStations(t, st2, ref, "s")
 }
 
-// TestStationRecoverWithoutCheckpoint degrades gracefully: no checkpoint
-// on disk means the whole archive replays through the receive path.
+// TestStationRecoverWithoutCheckpoint: a station that never checkpointed
+// still restarts from its newest segment file's header, replaying that
+// file's 3 records and not the archive.
 func TestStationRecoverWithoutCheckpoint(t *testing.T) {
 	cfg := restoreConfig()
 	frames := encodeTestFrames(t, cfg, 9, 16)
@@ -245,18 +245,16 @@ func TestStationRecoverWithoutCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.FromCheckpoint {
-		t.Error("FromCheckpoint true with no checkpoint on disk")
-	}
-	if rec.Replayed != len(frames) {
-		t.Errorf("replayed %d frames, want the full archive (%d)", rec.Replayed, len(frames))
+	if rec.Replayed != 3 {
+		t.Errorf("replayed %d frames, want the newest file's 3", rec.Replayed)
 	}
 	compareStations(t, st2, ref, "s")
 }
 
 // TestStationGracefulShutdownRecovery is the stationd shutdown path: final
-// checkpoint, store closed (sealing the active segment). Reopening must
-// recover purely from the checkpoint — zero frames replayed.
+// checkpoint, rolling the segments to a header-only newest file, and the
+// store closed. Reopening must recover from that header and the footers —
+// zero frames replayed.
 func TestStationGracefulShutdownRecovery(t *testing.T) {
 	cfg := restoreConfig()
 	frames := encodeTestFrames(t, cfg, 10, 16)
@@ -283,9 +281,8 @@ func TestStationGracefulShutdownRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.FromCheckpoint || rec.Replayed != 0 {
-		t.Errorf("graceful restart: FromCheckpoint=%v Replayed=%d, want true/0",
-			rec.FromCheckpoint, rec.Replayed)
+	if rec.Replayed != 0 {
+		t.Errorf("graceful restart replayed %d frames, want 0", rec.Replayed)
 	}
 	compareStations(t, st2, ref, "s")
 }
@@ -324,8 +321,8 @@ func TestRecoverSetsSensorsGauge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.FromCheckpoint || rec.Sensors != 4 || rec.Replayed != 0 {
-		t.Fatalf("recovery %+v, want 4 sensors from the checkpoint and no frame replayed", rec)
+	if rec.Sensors != 4 || rec.Replayed != 0 {
+		t.Fatalf("recovery %+v, want 4 sensors and no frame replayed", rec)
 	}
 	if v := reg.Values()["sbr_station_sensors"]; v != 4 {
 		t.Errorf("sbr_station_sensors = %v after recovering 4 sensors, want 4", v)
@@ -409,43 +406,13 @@ func TestRecoverCountsTornSegmentTail(t *testing.T) {
 	}
 }
 
-// TestArchiveDegradedMode: when the store stops accepting appends the
-// station must keep serving from memory — nothing non-durable is evicted.
-func TestArchiveDegradedMode(t *testing.T) {
-	cfg := restoreConfig()
-	frames := encodeTestFrames(t, cfg, 12, 16)
-
-	ref, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	feedFrames(t, ref, "s", frames)
-
-	st, store := newArchivedStation(t, cfg, t.TempDir(), 3, 4)
-	feedFrames(t, st, "s", frames[:4])
-	// Kill the store under the station: every later append fails.
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	feedFrames(t, st, "s", frames[4:])
-
-	log := st.lookupLog("s")
-	if !log.archDown {
-		t.Fatal("store failure did not trip degraded mode")
-	}
-	if log.first != log.archived {
-		t.Errorf("eviction passed the durable watermark: first=%d archived=%d", log.first, log.archived)
-	}
-	compareStations(t, st, ref, "s")
-}
-
-// newestCheckpointSize returns the size of the newest checkpoint file in
-// dir.
-func newestCheckpointSize(t *testing.T, dir string) int64 {
+// newestSegmentSize returns the size of the sensor's newest segment file
+// in dir.
+func newestSegmentSize(t *testing.T, dir, id string) int64 {
 	t.Helper()
-	names, err := filepath.Glob(filepath.Join(dir, "ckpt-*"))
+	names, err := filepath.Glob(filepath.Join(dir, "segments", id, "*.seg"))
 	if err != nil || len(names) == 0 {
-		t.Fatalf("checkpoint files %v (%v)", names, err)
+		t.Fatalf("segment files %v (%v)", names, err)
 	}
 	sort.Strings(names)
 	fi, err := os.Stat(names[len(names)-1])
@@ -455,10 +422,10 @@ func newestCheckpointSize(t *testing.T, dir string) int64 {
 	return fi.Size()
 }
 
-// TestCheckpointSizeIndependentOfHistory: a checkpoint holds decoder state
-// and receive bookkeeping only, so its size stays flat while the archive
-// grows tenfold.
-func TestCheckpointSizeIndependentOfHistory(t *testing.T) {
+// TestRestartPointSizeIndependentOfHistory: the header-only file a
+// checkpoint rolls to holds decoder state and receive bookkeeping only, so
+// its size stays flat while the archive grows tenfold.
+func TestRestartPointSizeIndependentOfHistory(t *testing.T) {
 	cfg := restoreConfig()
 	frames := encodeTestFrames(t, cfg, 300, 16)
 	dir := t.TempDir()
@@ -469,7 +436,7 @@ func TestCheckpointSizeIndependentOfHistory(t *testing.T) {
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	small, archived := newestCheckpointSize(t, dir), store.StoreStats().Bytes
+	small, archived := newestSegmentSize(t, dir, "s"), store.StoreStats().Bytes
 	feedFrames(t, st, "s", frames[30:])
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -477,8 +444,8 @@ func TestCheckpointSizeIndependentOfHistory(t *testing.T) {
 	if grown := store.StoreStats().Bytes; grown < 9*archived {
 		t.Fatalf("archive grew from %d to %d bytes, want about tenfold", archived, grown)
 	}
-	if large := newestCheckpointSize(t, dir); large != small {
-		t.Errorf("checkpoint grew from %d to %d bytes with the history", small, large)
+	if large := newestSegmentSize(t, dir, "s"); large != small {
+		t.Errorf("rolled header grew from %d to %d bytes with the history", small, large)
 	}
 }
 
@@ -536,7 +503,7 @@ func TestRecoverAfterPurgeStartsAtWatermark(t *testing.T) {
 		if err != nil {
 			t.Fatalf("graceful=%v: %v", graceful, err)
 		}
-		if want := map[bool]int{false: 8, true: 0}[graceful]; rec.Replayed != want {
+		if want := map[bool]int{false: 4, true: 0}[graceful]; rec.Replayed != want {
 			t.Errorf("graceful=%v: replayed %d frames, want %d", graceful, rec.Replayed, want)
 		}
 		total := len(frames) * m
@@ -583,10 +550,11 @@ func TestRecoverAfterPurgeStartsAtWatermark(t *testing.T) {
 	}
 }
 
-// TestRecoverCheckpointInsideActiveSegment crashes after a checkpoint
-// that covers part of the active segment: the facts of those chunks have
-// no footer yet and come from Open's decode of the segment's records, and
-// the restarted station must still answer like an uncrashed reference.
+// TestRecoverCheckpointInsideActiveSegment crashes one frame after a
+// checkpoint taken inside the active segment: the roll sealed chunks 8 and
+// 9 early and started a header-only file at 10, which the next frame went
+// into. The restart resumes from that header, replays the one record, and
+// must answer like an uncrashed reference.
 func TestRecoverCheckpointInsideActiveSegment(t *testing.T) {
 	cfg := restoreConfig()
 	frames := encodeTestFrames(t, cfg, 12, 16)
@@ -611,8 +579,8 @@ func TestRecoverCheckpointInsideActiveSegment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !rec.FromCheckpoint || rec.Replayed != 1 {
-		t.Errorf("recovery %+v, want the checkpoint plus a 1-frame tail", rec)
+	if rec.Replayed != 1 {
+		t.Errorf("recovery %+v, want a 1-frame tail", rec)
 	}
 	compareStations(t, st2, ref, "s")
 	gs, _ := st2.SensorStats("s")
@@ -625,100 +593,133 @@ func TestRecoverCheckpointInsideActiveSegment(t *testing.T) {
 	compareStations(t, st2, ref, "s")
 }
 
-// TestRecoverDegradedSensor stops a station while one sensor is degraded,
-// so its checkpoint covers chunks the archive never took. Each restart
-// must still recover the whole station: the healthy sensor answers as
-// before, and the degraded one comes back degraded with its archived
-// chunks readable, the chunks it held in memory only failing every read
-// that touches them, and its next frames decoding exactly as on a station
-// that never stopped.
-func TestRecoverDegradedSensor(t *testing.T) {
+// degradeSensor runs an archived station in dir that has taken frames[:8]
+// of "good" and frames[:4] of "bad", then puts a directory where "bad"'s
+// next segment file belongs, so the append of its next chunk fails. It
+// returns the station, its store and the obstacle's path.
+func degradeSensor(t *testing.T, cfg core.Config, dir string, frames [][]byte) (*Station, *segstore.Store, string) {
+	t.Helper()
+	st, store := newArchivedStation(t, cfg, dir, 2, 4)
+	feedFrames(t, st, "good", frames[:8])
+	feedFrames(t, st, "bad", frames[:4])
+	obstacle := filepath.Join(dir, "segments", "bad", "000000000004.seg")
+	if err := os.Mkdir(obstacle, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	return st, store, obstacle
+}
+
+// checkRefused asserts that every frame is refused with an error, neither
+// acknowledged nor re-acknowledged as a duplicate.
+func checkRefused(t *testing.T, st *Station, id string, frames ...[]byte) {
+	t.Helper()
+	for i, frame := range frames {
+		if err := st.ReceiveFrameFrom(id, 1, frame); err == nil || errors.Is(err, ErrDuplicate) {
+			t.Fatalf("frame %d after the failed append: %v, want a refusal", i, err)
+		}
+	}
+}
+
+// TestArchiveDegradedMode fails one sensor's archive append with a
+// directory where its next segment file belongs. That frame and every
+// later frame of the sensor — a retransmission of one already acked
+// included — are refused with an error, neither acknowledged nor
+// re-acknowledged as duplicates, and the station reports the degraded
+// sensor. The sensor's history stays what its archive holds, a checkpoint
+// skips it, and another sensor keeps archiving and answers like a station
+// that never failed.
+func TestArchiveDegradedMode(t *testing.T) {
 	cfg := restoreConfig()
 	const m = 16
-	frames := encodeTestFrames(t, cfg, 16, m)
+	frames := encodeTestFrames(t, cfg, 12, m)
 	ref, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	feedFrames(t, ref, "bad", frames)
+	feedFrames(t, ref, "bad", frames[:4])
+	feedFrames(t, ref, "good", frames)
 
-	dir := t.TempDir()
-	st, store := newArchivedStation(t, cfg, dir, 2, 4)
-	feedFrames(t, st, "good", frames[:8])
-	feedFrames(t, st, "bad", frames[:4])
-	// A directory where "bad"'s next segment file belongs fails the append
-	// that would create it: the sensor degrades at chunk 4.
-	if err := os.Mkdir(filepath.Join(dir, "segments", "bad", "000000000004.seg"), 0o755); err != nil {
+	st, store, _ := degradeSensor(t, cfg, t.TempDir(), frames)
+	defer store.Close()
+	reg := obs.NewRegistry()
+	st.Instrument(reg)
+	checkRefused(t, st, "bad", frames[4], frames[5], frames[3], frames[6], frames[4])
+	if !st.ArchiveDegraded() {
+		t.Fatal("the failed append did not mark the archive degraded")
+	}
+	if v := reg.Values()["sbr_station_degraded_sensors"]; v != 1 {
+		t.Errorf("sbr_station_degraded_sensors = %v, want 1", v)
+	}
+	if n, err := st.HistoryLen("bad"); err != nil || n != 4*m {
+		t.Fatalf("HistoryLen = %d (%v), want the %d archived samples", n, err, 4*m)
+	}
+	feedFrames(t, st, "good", frames[8:])
+	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	feedFrames(t, st, "bad", frames[4:8])
-	if !st.ArchiveDegraded() {
-		t.Fatal("failed append did not degrade the sensor")
-	}
+	checkRefused(t, st, "bad", frames[4])
+	compareStations(t, st, ref, "good")
+	compareStations(t, st, ref, "bad")
+}
 
-	const archived = 4 // chunks of "bad" the archive holds
-	fed := 8
+// TestRecoverDegradedSensor stops a station while one sensor is degraded
+// by a failed append and restarts it twice: first with the disk still
+// failing, then mended. Each restart recovers the whole station: the
+// healthy sensor answers like a station that never stopped, and the
+// degraded one comes back healthy with every frame acked OK readable.
+// While the disk still fails, its next frame is refused again; once the
+// disk is mended, re-feeding the refused frames gives a history
+// byte-identical to a station that never failed.
+func TestRecoverDegradedSensor(t *testing.T) {
+	cfg := restoreConfig()
+	const m = 16
+	frames := encodeTestFrames(t, cfg, 12, m)
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedFrames(t, ref, "bad", frames[:8])
+	feedFrames(t, ref, "good", frames)
+
+	dir := t.TempDir()
+	st, store, obstacle := degradeSensor(t, cfg, dir, frames)
+	checkRefused(t, st, "bad", frames[4])
 	for restart := 1; restart <= 2; restart++ {
+		fed := 8 + 2*restart
+		feedFrames(t, st, "good", frames[fed-2:fed])
 		if err := st.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		if err := store.Close(); err != nil {
 			t.Fatal(err)
 		}
+		if restart == 2 {
+			if err := os.Remove(obstacle); err != nil {
+				t.Fatal(err)
+			}
+		}
 		st, store = newArchivedStation(t, cfg, dir, 2, 4)
 		if _, err := st.Recover(); err != nil {
 			t.Fatalf("restart %d: Recover: %v", restart, err)
 		}
-		if !st.ArchiveDegraded() {
-			t.Errorf("restart %d: degraded sensor came back healthy", restart)
+		if st.ArchiveDegraded() {
+			t.Errorf("restart %d: the restarted station is degraded", restart)
 		}
-
+		if n, err := st.HistoryLen("bad"); err != nil || n != 4*m {
+			t.Fatalf("restart %d: HistoryLen = %d (%v), want %d", restart, n, err, 4*m)
+		}
 		good, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		feedFrames(t, good, "good", frames[:fed])
 		compareStations(t, st, good, "good")
-
-		if n, err := st.HistoryLen("bad"); err != nil || n != fed*m {
-			t.Fatalf("restart %d: HistoryLen = %d (%v), want %d", restart, n, err, fed*m)
+		if restart == 1 {
+			checkRefused(t, st, "bad", frames[4])
 		}
-		checkSame := func(what string, from, to int) {
-			t.Helper()
-			gw, gerr := st.ReadWindow("bad", 0, from, to, nil)
-			ww, werr := ref.ReadWindow("bad", 0, from, to, nil)
-			if gerr != nil || werr != nil || !reflect.DeepEqual(gw, ww) {
-				t.Fatalf("restart %d: %s window [%d,%d) = (%v,%v), want (%v,%v)",
-					restart, what, from, to, gw, gerr, ww, werr)
-			}
-			for _, kind := range []AggregateKind{AggAvg, AggSum, AggMin, AggMax} {
-				for _, r := range [][2]int{{from, to}, {from + 3, to - 5}} {
-					gv, gb, gerr := st.AggregateWithBound("bad", 0, r[0], r[1], kind)
-					wv, wb, werr := ref.AggregateWithBound("bad", 0, r[0], r[1], kind)
-					if gerr != nil || werr != nil || gv != wv || gb != wb {
-						t.Fatalf("restart %d: %s aggregate kind %d %v = (%v,%v,%v), want (%v,%v,%v)",
-							restart, what, kind, r, gv, gb, gerr, wv, wb, werr)
-					}
-				}
-			}
-		}
-		checkSame("archived", 0, archived*m)
-		for _, r := range [][2]int{{archived*m - 1, archived*m + 1}, {0, fed * m}, {fed*m - 1, fed * m}} {
-			if _, err := st.ReadWindow("bad", 0, r[0], r[1], nil); err == nil {
-				t.Errorf("restart %d: window %v over lost chunks answered", restart, r)
-			}
-			if _, _, err := st.AggregateWithBound("bad", 0, r[0], r[1], AggSum); err == nil {
-				t.Errorf("restart %d: aggregate %v over lost chunks answered", restart, r)
-			}
-		}
-		if _, err := st.At("bad", 0, archived*m); err == nil {
-			t.Errorf("restart %d: point in a lost chunk answered", restart)
-		}
-
-		feedFrames(t, st, "good", frames[fed:fed+4])
-		feedFrames(t, st, "bad", frames[fed:fed+4])
-		checkSame("after restart", fed*m, (fed+4)*m)
-		fed += 4
 	}
-	store.Close()
+	defer store.Close()
+	feedFrames(t, st, "bad", frames[4:8])
+	compareStations(t, st, ref, "bad")
+	compareStations(t, st, ref, "good")
 }

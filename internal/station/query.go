@@ -52,7 +52,7 @@ func (s *Station) Run(q Query) ([]QueryPoint, error) {
 		return nil, fmt.Errorf("%w: query range [%d,%d) outside history [0,%d)",
 			ErrInvalidQuery, from, to, total)
 	}
-	if err := sn.readable(from, to); err != nil {
+	if err := sn.readable(from); err != nil {
 		return nil, err
 	}
 	step := q.Step

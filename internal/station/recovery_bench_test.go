@@ -7,19 +7,24 @@ import (
 	"sbr/internal/segstore"
 )
 
-// The recovery benchmarks quantify what checkpointing buys at restart:
-// full-archive replay decodes every archived frame through the receive
-// path, while checkpoint+tail deserialises the snapshot and replays only
-// the frames archived after it. Both restore the same queryable state.
+// The recovery benchmark measures a restart: Open reads each older
+// segment's footer and the sensor's newest file, and Recover restores the
+// sensor from that file's header and replays its records — none after a
+// clean shutdown, the chunks archived since the last checkpoint after a
+// crash. Both restore the same queryable state.
 
 const (
 	benchChunks   = 768 // archived history size
 	benchBatchLen = 64  // samples per chunk
+	benchTail     = 16  // chunks archived after the last checkpoint
 )
 
-// benchDatadir ingests benchChunks frames into a fresh datadir; when
-// checkpointAt > 0 a checkpoint is installed at that chunk.
-func benchDatadir(b *testing.B, cfg core.Config, checkpointAt int) string {
+// benchDatadir ingests benchChunks frames into a fresh datadir and closes
+// the store. clean checkpoints after the last frame, as stationd's
+// shutdown does; otherwise the checkpoint comes benchTail chunks before
+// the end, and Close seals those chunks into the newest file, as a crash
+// right after their seal would leave them.
+func benchDatadir(b *testing.B, cfg core.Config, clean bool) string {
 	b.Helper()
 	dir := b.TempDir()
 	store, err := segstore.Open(segstore.Options{Dir: dir, Config: cfg, SegmentChunks: 32})
@@ -31,12 +36,16 @@ func benchDatadir(b *testing.B, cfg core.Config, checkpointAt int) string {
 		b.Fatal(err)
 	}
 	st.SetArchive(store, 16)
+	checkpointAt := benchChunks - benchTail
+	if clean {
+		checkpointAt = benchChunks
+	}
 	frames := encodeTestFrames(b, cfg, benchChunks, benchBatchLen)
 	for i, frame := range frames {
 		if err := st.ReceiveFrameFrom("s", 1, frame); err != nil {
 			b.Fatal(err)
 		}
-		if checkpointAt > 0 && i == checkpointAt-1 {
+		if i == checkpointAt-1 {
 			if err := st.Checkpoint(); err != nil {
 				b.Fatal(err)
 			}
@@ -72,20 +81,21 @@ func benchRecover(b *testing.B, dir string, cfg core.Config, wantReplayed int) {
 	}
 }
 
-// BenchmarkRecoverFullReplay restarts with no checkpoint: every archived
-// frame decodes again.
-func BenchmarkRecoverFullReplay(b *testing.B) {
+// BenchmarkRecoverCleanAndCrashTail restarts one sensor's archive of 768
+// chunks: "clean" after a shutdown that checkpointed, replaying nothing,
+// and "crash-tail" with the 16 chunks archived since the last checkpoint
+// to replay.
+func BenchmarkRecoverCleanAndCrashTail(b *testing.B) {
 	cfg := restoreConfig()
-	dir := benchDatadir(b, cfg, 0)
-	b.ResetTimer()
-	benchRecover(b, dir, cfg, benchChunks)
-}
-
-// BenchmarkRecoverCheckpointTail restarts from a checkpoint covering all
-// but the last 16 chunks: only the tail replays.
-func BenchmarkRecoverCheckpointTail(b *testing.B) {
-	cfg := restoreConfig()
-	dir := benchDatadir(b, cfg, benchChunks-16)
-	b.ResetTimer()
-	benchRecover(b, dir, cfg, 16)
+	for _, tc := range []struct {
+		name     string
+		clean    bool
+		replayed int
+	}{{"clean", true, 0}, {"crash-tail", false, benchTail}} {
+		b.Run(tc.name, func(b *testing.B) {
+			dir := benchDatadir(b, cfg, tc.clean)
+			b.ResetTimer()
+			benchRecover(b, dir, cfg, tc.replayed)
+		})
+	}
 }

@@ -1,6 +1,7 @@
 package station
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -21,18 +22,25 @@ import (
 // buildRestartArchive leaves in dir, as a crash would, an archive holding
 // every shape a restart meets (segments of 4 chunks, 16 samples each):
 //
-//   - "ckpt": 12 chunks, all covered by the checkpoint;
-//   - "tail": 13 chunks, 8 covered, 5 replayed;
-//   - "full": 10 chunks the checkpoint does not name, replayed whole;
-//   - "purged": 14 chunks, the first 12 dropped by retention;
-//   - "torn": 5 whole records and half a sixth in its active segment;
+//   - "clean": 12 chunks, rolled by a checkpoint to a header-only newest
+//     file, as a clean shutdown leaves it: nothing replays;
+//   - "purged": 16 chunks, the first 14 dropped by retention after a
+//     checkpoint rolled it; its 2 records since replay;
+//   - "mid": 10 chunks, crashed mid-segment: 2 records replay;
+//   - "sealed": 8 chunks, crashed right after a seal: the newest file is
+//     sealed, and its 4 records replay;
+//   - "torn": 5 whole records and half a sixth, its last whole record
+//     replayed and the half cut;
 //   - "first": one sealed segment, then a newest file a crash cut inside
-//     its first write.
-func buildRestartArchive(t *testing.T, dir string) {
+//     its first write, deleted, leaving the sealed one's 4 records to
+//     replay.
+//
+// It returns the frames each sensor was fed from.
+func buildRestartArchive(t *testing.T, dir string) [][]byte {
 	t.Helper()
 	cfg := restoreConfig()
 	const m = 16
-	frames := encodeTestFrames(t, cfg, 14, m)
+	frames := encodeTestFrames(t, cfg, 16, m)
 	st, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -47,16 +55,16 @@ func buildRestartArchive(t *testing.T, dir string) {
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if n, err := store.EnforceRetention(time.Now()); err != nil || n != 3 {
-		t.Fatalf("retention removed %d segments (%v), want 3", n, err)
+	if n, err := store.EnforceRetention(time.Now()); err != nil || n != 4 {
+		t.Fatalf("retention removed %d segments (%v), want 4", n, err)
 	}
-	feedFrames(t, st, "ckpt", frames[:12])
-	feedFrames(t, st, "tail", frames[:8])
+	feedFrames(t, st, "clean", frames[:12])
 	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	feedFrames(t, st, "tail", frames[8:13])
-	feedFrames(t, st, "full", frames[:10])
+	feedFrames(t, st, "purged", frames[14:16])
+	feedFrames(t, st, "mid", frames[:10])
+	feedFrames(t, st, "sealed", frames[:8])
 	feedFrames(t, st, "torn", frames[:5])
 	feedFrames(t, st, "first", frames[:4])
 
@@ -79,6 +87,7 @@ func buildRestartArchive(t *testing.T, dir string) {
 	if err := os.WriteFile(filepath.Join(dir, "segments", "first", "000000000004.seg"), []byte("SBRS"), 0o644); err != nil {
 		t.Fatal(err)
 	}
+	return frames
 }
 
 // copyTree copies the directory tree at src into dst.
@@ -132,7 +141,7 @@ type restartResult struct {
 	Recover  RecoverStats
 	Sensors  []string
 	Archived []string
-	Segments map[string]string // per sensor: bounds, watermark, coverage
+	Segments map[string]string // per sensor: bounds and watermark
 	Files    map[string]string // the data directory after the restart
 	Stats    map[string]Stats
 	Answers  map[string][]string
@@ -164,8 +173,8 @@ func restartAt(t *testing.T, dir string, procs int) restartResult {
 	}
 	for _, id := range res.Archived {
 		oldest, next, err := store.Bounds(id)
-		res.Segments[id] = fmt.Sprintf("[%d,%d) %v purged %d covered %d",
-			oldest, next, err, store.PurgedThrough(id), store.CheckpointCoverage(id))
+		res.Segments[id] = fmt.Sprintf("[%d,%d) %v purged %d",
+			oldest, next, err, store.PurgedThrough(id))
 	}
 	for _, id := range res.Sensors {
 		if res.Stats[id], err = st.SensorStats(id); err != nil {
@@ -196,9 +205,11 @@ func restartAt(t *testing.T, dir string, procs int) restartResult {
 // statistics, the sensors, the segments, the data directory after the
 // torn tail is cut and the torn first write deleted, and every point, a
 // range and an aggregate per row must not depend on the pool's width.
+// Each sensor replays at most its newest file's records, none for the
+// one shut down cleanly, and answers as a station that never stopped.
 func TestRestartSameAtEveryWidth(t *testing.T) {
 	template := t.TempDir()
-	buildRestartArchive(t, template)
+	frames := buildRestartArchive(t, template)
 	var want restartResult
 	for _, procs := range []int{1, 2, 4} {
 		dir := t.TempDir()
@@ -206,17 +217,43 @@ func TestRestartSameAtEveryWidth(t *testing.T) {
 		got := restartAt(t, dir, procs)
 		if procs == 1 {
 			want = got
-			if got.Store.TornTails != 1 || !got.Recover.FromCheckpoint || got.Recover.Replayed != 5+10+5+4 {
-				t.Fatalf("restart %+v %+v: want one torn tail cut and 24 frames replayed from a checkpoint", got.Store, got.Recover)
+			// clean 0, purged 2, mid 2, sealed 4, torn 1, first 4.
+			if got.Store.TornTails != 1 || got.Recover.Sensors != 6 || got.Recover.Replayed != 0+2+2+4+1+4 {
+				t.Fatalf("restart %+v %+v: want one torn tail cut and 13 frames replayed", got.Store, got.Recover)
 			}
 			if _, ok := got.Files[filepath.Join("segments", "first", "000000000004.seg")]; ok {
 				t.Fatal("the torn first write survived the restart")
 			}
+			checkRestartAnswers(t, dir, frames)
 			continue
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("GOMAXPROCS %d restarts differently from GOMAXPROCS 1:\n%+v\nwant\n%+v", procs, got, want)
 		}
+	}
+}
+
+// checkRestartAnswers restarts the archive buildRestartArchive left in dir
+// and compares every sensor with a station that was fed the same frames
+// and never stopped, below the purge watermark excepted.
+func checkRestartAnswers(t *testing.T, dir string, frames [][]byte) {
+	t.Helper()
+	cfg := restoreConfig()
+	st, store := newArchivedStation(t, cfg, dir, 4, 4)
+	defer store.Close()
+	if _, err := st.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	for id, fed := range map[string]int{"clean": 12, "mid": 10, "sealed": 8, "torn": 5, "first": 4} {
+		ref, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedFrames(t, ref, id, frames[:fed])
+		compareStations(t, st, ref, id)
+	}
+	if n, err := st.HistoryLen("purged"); err != nil || n != 16*16 {
+		t.Fatalf("purged sensor: HistoryLen = %d (%v), want %d", n, err, 16*16)
 	}
 }
 
@@ -226,7 +263,7 @@ func TestRestartSameAtEveryWidth(t *testing.T) {
 func TestRestartGapsFailAlikeAtEveryWidth(t *testing.T) {
 	dir := t.TempDir()
 	buildRestartArchive(t, dir)
-	for _, id := range []string{"ckpt", "tail"} {
+	for _, id := range []string{"clean", "mid"} {
 		if err := os.Remove(filepath.Join(dir, "segments", id, "000000000004.seg")); err != nil {
 			t.Fatal(err)
 		}
@@ -243,8 +280,8 @@ func TestRestartGapsFailAlikeAtEveryWidth(t *testing.T) {
 		}
 		if procs == 1 {
 			want = err.Error()
-			if !strings.Contains(want, filepath.Join("ckpt", "000000000008.seg")) {
-				t.Fatalf("error %q does not name ckpt's segment after the gap", want)
+			if !strings.Contains(want, filepath.Join("clean", "000000000008.seg")) {
+				t.Fatalf("error %q does not name clean's segment after the gap", want)
 			}
 		} else if err.Error() != want {
 			t.Fatalf("GOMAXPROCS %d: %q, want %q", procs, err, want)
@@ -256,7 +293,7 @@ func TestRestartGapsFailAlikeAtEveryWidth(t *testing.T) {
 }
 
 // TestRestartAllocatesLittlePerChunk bounds what Open and Recover
-// allocate per archived chunk of a checkpointed sensor: the footer
+// allocate per archived chunk of a sensor rolled at shutdown: the footer
 // entries decode straight into the columns the station keeps, so a chunk
 // costs its bound, its insert count, its index leaf and its share of the
 // tree above the leaves (112 bytes for one quantity), plus each segment's
@@ -370,5 +407,127 @@ func TestLongSensorIDsRefused(t *testing.T) {
 	}
 	if n, err := st2.HistoryLen(long); err != nil || n != 3*16 {
 		t.Fatalf("HistoryLen = %d (%v), want %d", n, err, 3*16)
+	}
+}
+
+// TestRecoverKeepsIncarnationNonce feeds a sensor under transport
+// incarnation nonce 7 past a segment boundary, so that its first frame is
+// not among the records a restart replays, and crashes without a
+// checkpoint. The newest file's header carries the nonce and the first
+// frame's fingerprint across the crash: seq 0 retransmitted under nonce 7
+// is a duplicate, and the same bytes under a fresh nonce are a reboot.
+func TestRecoverKeepsIncarnationNonce(t *testing.T) {
+	cfg := restoreConfig()
+	frames := encodeTestFrames(t, cfg, 6, 16)
+	dir := t.TempDir()
+	st, _ := newArchivedStation(t, cfg, dir, 4, 4)
+	for i, frame := range frames {
+		if err := st.ReceiveFrameFrom("s", 7, frame); err != nil {
+			t.Fatalf("frame %d: %v", i, err)
+		}
+	}
+	// Crash: the station and store are abandoned.
+
+	st2, store2 := newArchivedStation(t, cfg, dir, 4, 4)
+	defer store2.Close()
+	if rec, err := st2.Recover(); err != nil || rec.Replayed != 2 {
+		t.Fatalf("recovery %+v (%v), want the newest file's 2 records replayed", rec, err)
+	}
+	if err := st2.ReceiveFrameFrom("s", 7, frames[0]); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("seq 0 retransmitted under the same nonce: %v, want ErrDuplicate", err)
+	}
+	if err := st2.ReceiveFrameFrom("s", 8, frames[0]); err != nil {
+		t.Fatalf("seq 0 under a fresh nonce: %v, want a reboot", err)
+	}
+	if stats, err := st2.SensorStats("s"); err != nil || stats.Restarts != 1 || stats.Transmissions != 7 {
+		t.Fatalf("stats %+v (%v), want 7 transmissions and 1 reboot", stats, err)
+	}
+}
+
+// TestChaosRecoverAtEveryRollStep crashes a checkpoint's roll of a sensor
+// whose active segment holds chunks 8 and 9 after each of its steps —
+// footer and trailer written, footer fsynced, new file created, header
+// written, header fsynced, directory fsynced — and inside the footer and
+// header writes, staging the files each leaves behind. Every restart must
+// answer like a station that never stopped, replay at most a segment's
+// records (the active segment's 2 until the rolled header is whole, none
+// after), and decode the sensor's next frame.
+func TestChaosRecoverAtEveryRollStep(t *testing.T) {
+	cfg := restoreConfig()
+	frames := encodeTestFrames(t, cfg, 11, 16)
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	feedFrames(t, ref, "s", frames[:10])
+
+	live := t.TempDir()
+	st, _ := newArchivedStation(t, cfg, live, 4, 4)
+	feedFrames(t, st, "s", frames[:10])
+	before := t.TempDir()
+	copyTree(t, live, before)
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	// Crash after the roll: the station and store are abandoned.
+	sealedPath := filepath.Join("segments", "s", "000000000008.seg")
+	headerPath := filepath.Join("segments", "s", "000000000010.seg")
+	read := func(dir, rel string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, rel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	active, sealed, header := read(before, sealedPath), read(live, sealedPath), read(live, headerPath)
+	if len(sealed) <= len(active) || !bytes.Equal(sealed[:len(active)], active) {
+		t.Fatal("the roll did not seal the active segment in place")
+	}
+	footerTorn := sealed[:len(active)+(len(sealed)-len(active))/2]
+
+	for _, step := range []struct {
+		name     string
+		seg8     []byte // the rolled segment's content
+		seg10    []byte // the new file's content (nil: not created)
+		replayed int
+	}{
+		{"before the roll", active, nil, 2},
+		{"inside the footer write", footerTorn, nil, 2},
+		{"footer and trailer written", sealed, nil, 2},
+		{"footer fsynced", sealed, nil, 2},
+		{"new file created", sealed, []byte{}, 2},
+		{"inside the header write", sealed, header[:len(header)/2], 2},
+		{"header written", sealed, header, 0},
+		{"header fsynced", sealed, header, 0},
+		{"directory fsynced", sealed, header, 0},
+	} {
+		dir := t.TempDir()
+		copyTree(t, before, dir)
+		if err := os.WriteFile(filepath.Join(dir, sealedPath), step.seg8, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if step.seg10 != nil {
+			if err := os.WriteFile(filepath.Join(dir, headerPath), step.seg10, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st2, store2 := newArchivedStation(t, cfg, dir, 4, 4)
+		rec, err := st2.Recover()
+		if err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if rec.Replayed != step.replayed {
+			t.Errorf("%s: replayed %d records, want %d", step.name, rec.Replayed, step.replayed)
+		}
+		compareStations(t, st2, ref, "s")
+		want, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		feedFrames(t, want, "s", frames)
+		feedFrames(t, st2, "s", frames[10:])
+		compareStations(t, st2, want, "s")
+		store2.Close()
 	}
 }

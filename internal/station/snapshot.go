@@ -24,43 +24,35 @@ import (
 // snap is an immutable view of one sensor's history, valid without locks
 // for its whole lifetime. Chunks [0, first) are cold (archive only);
 // window[i] holds global chunk first+i; bounds[c-base] and index leaf
-// c-base cover chunks [base, first+len(window)). Chunks [archived, first),
-// empty unless Recover restored a degraded sensor, are lost.
+// c-base cover chunks [base, first+len(window)).
 type snap struct {
-	id       string
-	n, m     int
-	base     int
-	first    int
-	archived int
-	window   [][]timeseries.Series
-	bounds   []float64
-	index    *query.Snapshot
-	store    *segstore.Store
-	met      *stationMetrics
+	id     string
+	n, m   int
+	base   int
+	first  int
+	window [][]timeseries.Series
+	bounds []float64
+	index  *query.Snapshot
+	store  *segstore.Store
+	met    *stationMetrics
 }
 
 func (sn *snap) totalChunks() int    { return sn.first + len(sn.window) }
 func (sn *snap) totalSamples() int   { return sn.totalChunks() * sn.m }
 func (sn *snap) bound(c int) float64 { return sn.bounds[c-sn.base] }
 
-// readable fails when samples [from, to) reach history that is gone:
-// below the purge watermark (the archive's ErrPurged), or into the lost
-// chunks [archived, first) of a sensor that was degraded when the station
-// last stopped (see restoreSensor). Every read checks it before it looks
-// anywhere — window, aggregate index or archive — so gone history answers
-// the same whichever structure could still serve it, and no read reaches
-// below base or into the padding that stands in for lost chunks.
-func (sn *snap) readable(from, to int) error {
+// readable fails when samples from on reach below the purge watermark
+// (the archive's ErrPurged). Every read checks it before it looks anywhere
+// — window, aggregate index or archive — so purged history answers the
+// same whichever structure could still serve it, and no read reaches below
+// base.
+func (sn *snap) readable(from int) error {
 	if sn.store == nil {
 		return nil
 	}
 	if p := sn.store.PurgedThrough(sn.id); from/sn.m < p {
 		return fmt.Errorf("%w: sensor %q sample %d (archive starts at chunk %d)",
 			segstore.ErrPurged, sn.id, from, p)
-	}
-	if sn.archived < sn.first && from < sn.first*sn.m && to > sn.archived*sn.m {
-		return fmt.Errorf("station: sensor %q chunks [%d,%d) were lost: accepted while the archive was failing, and the station restarted before they were archived",
-			sn.id, sn.archived, sn.first)
 	}
 	return nil
 }
@@ -89,16 +81,15 @@ func (s *Station) snapshot(id string, row int) (*snap, error) {
 			log.mu.Lock()
 		}
 		sn = &snap{
-			id:       id,
-			n:        log.n,
-			m:        log.m,
-			base:     log.base,
-			first:    log.first,
-			archived: log.archived,
-			window:   log.chunks,
-			bounds:   log.bounds,
-			store:    store,
-			met:      met,
+			id:     id,
+			n:      log.n,
+			m:      log.m,
+			base:   log.base,
+			first:  log.first,
+			window: log.chunks,
+			bounds: log.bounds,
+			store:  store,
+			met:    met,
 		}
 		if log.index != nil {
 			sn.index = log.index.Snapshot()
@@ -197,7 +188,7 @@ func (s *Station) ReadWindow(id string, row, from, to int, sp *trace.Span) (Wind
 		w.Values = timeseries.Series{}
 		return w, nil
 	}
-	if err := sn.readable(from, to); err != nil {
+	if err := sn.readable(from); err != nil {
 		return Window{}, err
 	}
 	// The chunks [cLo, cHi) the window overlaps, whole: buf[i·m:(i+1)·m]
@@ -260,7 +251,7 @@ func (s *Station) AtWithBound(id string, row, idx int) (value, bound float64, er
 		return 0, 0, fmt.Errorf("%w: sample %d outside recorded history [0,%d)",
 			ErrInvalidQuery, idx, sn.totalSamples())
 	}
-	if err := sn.readable(idx, idx+1); err != nil {
+	if err := sn.readable(idx); err != nil {
 		return 0, 0, err
 	}
 	values, err := sn.chunkRow(idx/sn.m, row, nil)
@@ -323,7 +314,7 @@ func (s *Station) AggregateWithBoundTraced(id string, row, from, to int, kind Ag
 	if from == to {
 		return 0, 0, 0, fmt.Errorf("%w: aggregate over empty range [%d,%d)", ErrInvalidQuery, from, to)
 	}
-	if err := sn.readable(from, to); err != nil {
+	if err := sn.readable(from); err != nil {
 		return 0, 0, 0, err
 	}
 	wsp := sp.Child("query.index_walk")

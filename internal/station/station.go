@@ -16,9 +16,9 @@
 //     from the directory, so a *sensorLog pointer, once fetched, stays
 //     valid forever and may be used after the shard lock is released.
 //   - Each sensorLog has its own mutex serialising every state mutation:
-//     ingest (decode, index append, archive append, eviction), checkpoint
-//     capture and recovery all hold l.mu. Writers on different sensors
-//     never contend.
+//     ingest (decode, archive append, index append, eviction), the
+//     checkpoint roll and recovery all hold l.mu. Writers on different
+//     sensors never contend.
 //   - Queries never hold l.mu while doing work: they capture an immutable
 //     snapshot of the sensor's history (window slice header, bounds
 //     header, aggregate-index snapshot) under a brief l.mu acquisition and
@@ -29,16 +29,18 @@
 //     slice instead of mutating the shared backing array, and the index
 //     snapshot only reads tree nodes that later appends never rewrite
 //     (see query.Snapshot).
-//   - Disk I/O under l.mu happens in exactly one place, deliberately: the
-//     archive append inside receive. Durability-before-acknowledgement and
-//     the archive's strict per-sensor chunk ordering require the append to
-//     be serialised with the decode that produced the chunk. It is a
+//   - Disk I/O under l.mu happens in two places, deliberately: the archive
+//     append inside receive, and Checkpoint's roll of the sensor's
+//     segments. Durability-before-acknowledgement and the archive's strict
+//     per-sensor chunk ordering require the append to be serialised with
+//     the decode that produced the chunk, and the rolled header must hold
+//     the state after the sensor's last archived chunk. Each is a
 //     per-sensor stall only; readers (snapshots) and other sensors are
-//     unaffected. Eviction is pure memory, checkpoints serialise their
-//     fsync outside all station locks, and recovery's replay reads archive
-//     files outside the segment-store lock.
+//     unaffected. Eviction is pure memory, and recovery's replay reads
+//     archive files outside the segment-store lock.
 //   - Lock order is shard.mu → l.mu → segstore.Store.mu, and no path holds
-//     two of them at once except ingest (l.mu → store.mu inside Append).
+//     two of them at once except ingest and the roll (l.mu → store.mu
+//     inside Append and Roll).
 //     The segment store's lock is a leaf: it is never held during disk
 //     reads or segment decodes (see segstore's cold-read path).
 //   - Station-wide mutable state (metrics, tracer, archive binding,
@@ -113,7 +115,7 @@ type Station struct {
 
 	shards   [sensorShards]dirShard
 	nsensors atomic.Int64 // distinct sensors heard from
-	degraded atomic.Int64 // sensors in archDown memory-only mode
+	degraded atomic.Int64 // sensors whose archive append failed (archDown)
 
 	// met is the installed telemetry (nil: uninstrumented). Atomic so the
 	// hot paths read it without a lock; the zero stationMetrics is all
@@ -198,12 +200,12 @@ func (s *Station) Instrument(reg *obs.Registry) {
 		restarts:        reg.Counter("sbr_station_restarts_total", "Sensor reboots observed (sequence reset to zero)."),
 		rejects:         reg.Counter("sbr_station_rejects_total", "Transmissions the station refused (decode, shape, order)."),
 		duplicates:      reg.Counter("sbr_station_duplicates_total", "Retransmitted already-accepted transmissions dropped idempotently."),
-		replayed:        reg.Counter("sbr_station_replayed_frames_total", "Archived frames replayed past the checkpoint during crash recovery."),
+		replayed:        reg.Counter("sbr_station_replayed_frames_total", "Archived frames of the newest segment files replayed during recovery."),
 		tornTails:       reg.Counter("sbr_station_torn_tails_total", "Torn segment tails truncated when the archive was opened for crash recovery."),
 		recoverSeconds:  reg.Gauge("sbr_station_recover_seconds", "Seconds the last Recover took to restore and replay the sensors from the archive."),
 		receiveSeconds:  reg.Histogram("sbr_station_receive_seconds", "Receive-path latency per transmission (decode + index append).", obs.LatencyBuckets),
 		indexDepth:      reg.Gauge("sbr_station_index_depth", "Deepest per-sensor aggregate index (segment-tree levels)."),
-		degradedSensors: reg.Gauge("sbr_station_degraded_sensors", "Sensors in degraded memory-only mode after an archive append failure."),
+		degradedSensors: reg.Gauge("sbr_station_degraded_sensors", "Sensors whose archive append failed; they refuse frames until the station restarts."),
 
 		intervals:     reg.Counter("sbr_core_intervals_total", "Piece-wise regression records received."),
 		baseInserts:   reg.Counter("sbr_core_base_inserts_total", "Base intervals inserted into the pool (Table 6)."),
@@ -236,7 +238,7 @@ func (s *Station) Instrument(reg *obs.Registry) {
 	// reports and probes, evaluated at scrape (and self-monitoring
 	// sample) time so the history plane can watch and alert on it.
 	reg.GaugeFunc("sbr_station_archive_degraded",
-		"1 while any sensor is in degraded memory-only mode (archive appends failing).",
+		"1 once any sensor's archive append has failed since start (its frames refused until restart).",
 		func() float64 {
 			if s.ArchiveDegraded() {
 				return 1
@@ -257,10 +259,13 @@ func (s *Station) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("sbr_station_archived_chunks",
 		"Chunks made durable in the segment archive across all sensors.",
 		func() float64 {
+			if store, _ := s.archiveBinding(); store == nil {
+				return 0
+			}
 			var n int
 			s.forEachLog(func(_ string, l *sensorLog) {
 				l.mu.Lock()
-				n += l.archived
+				n += l.totalChunks()
 				l.mu.Unlock()
 			})
 			return float64(n)
@@ -286,26 +291,28 @@ type sensorLog struct {
 	n, m    int
 
 	// chunks is the in-memory window of the decoded history: chunks[i]
-	// holds global chunk first+i. With an archive attached, chunks below
-	// first have been evicted after being made durable and are served cold
-	// from the segment store; without one, first stays 0 and the window is
-	// the whole history. bounds, inserts and the aggregate index cover the
-	// history from chunk base on: they are tiny per chunk, and keeping them
-	// hot is what keeps aggregates O(log n) regardless of eviction. base is
-	// 0, or the purge watermark the archive stood at when Recover rebuilt
-	// the log — retention only moves the watermark up, and every read
-	// checks it first, so no read reaches below base. archived never falls
-	// below first, except for a degraded sensor Recover restored: its
-	// chunks [archived, first) were lost with the restart.
+	// holds global chunk first+i. With an archive attached, every chunk is
+	// in the archive before it is accepted, and chunks below first have
+	// been evicted and are served cold from the segment store; without
+	// one, first stays 0 and the window is the whole history. bounds,
+	// inserts and the aggregate index cover the history from chunk base
+	// on: they are tiny per chunk, and keeping them hot is what keeps
+	// aggregates O(log n) regardless of eviction. base is 0, or the purge
+	// watermark the archive stood at when Recover rebuilt the log —
+	// retention only moves the watermark up, and every read checks it
+	// first, so no read reaches below base.
 	//
 	// Snapshot discipline: chunks and bounds are append-only as seen from
 	// any captured slice header — eviction builds a fresh slice instead of
 	// mutating the shared backing array, so a query snapshot stays valid
 	// without holding the lock.
-	base     int
-	first    int
-	archived int  // chunks [0, archived) durably appended to the archive
-	archDown bool // archive append failed: stop archiving and evicting
+	base  int
+	first int
+	// archDown is set when an archive append (or roll) failed: the frame
+	// was refused, but the decoder replica had already moved past it, so
+	// the sensor refuses every frame until a restart resumes it from the
+	// archive.
+	archDown bool
 
 	chunks   [][]timeseries.Series // chunks[i][row] has m samples
 	bounds   []float64             // bounds[c-base]: chunk c's max-abs error bound (0: none)
@@ -331,6 +338,22 @@ type sensorLog struct {
 // totalChunks is the number of chunks ever accepted (in memory + archived).
 // The caller holds l.mu.
 func (l *sensorLog) totalChunks() int { return l.first + len(l.chunks) }
+
+// state is what a segment header records about the sensor with decoder
+// dec as its replica: the replica's state and the receive bookkeeping.
+// The caller holds l.mu.
+func (l *sensorLog) state(dec *core.Decoder) segstore.SensorState {
+	return segstore.SensorState{
+		Decoder:  dec.State(),
+		Frames:   l.frames,
+		Bytes:    l.bytes,
+		Values:   l.values,
+		Restarts: l.restarts,
+		NextSeq:  l.nextSeq,
+		SrcNonce: l.srcNonce,
+		ZeroSum:  l.zeroSum,
+	}
+}
 
 // New creates a station whose sensors all run the given configuration.
 func New(cfg core.Config) (*Station, error) {
@@ -364,8 +387,7 @@ func (s *Station) lookupLog(id string) *sensorLog {
 
 // getOrCreate returns (creating if needed) the log of the named sensor.
 // With an archive attached, a sensor whose ID the archive cannot name is
-// refused before it is created: its frames would be acknowledged and then
-// kept in memory only.
+// refused before it is created: the archive could never hold its frames.
 func (s *Station) getOrCreate(id string) (*sensorLog, error) {
 	if l := s.lookupLog(id); l != nil {
 		return l, nil
@@ -429,14 +451,23 @@ func (s *Station) archiveBinding() (store *segstore.Store, memChunks int) {
 	return nil, 0
 }
 
-// ArchiveDegraded reports whether any sensor has tripped into degraded
-// memory-only mode after an archive append failure. The transport's
-// admission control and the /readyz probe watch this: a degraded
-// archive means accepted frames are no longer made durable, so the
-// right move is to shed new traffic back to the sensors' outboxes.
-// Lock-free: admission control calls it on every arrival.
+// ArchiveDegraded reports whether any sensor's archive append has failed
+// since the station started. That sensor refuses its frames until a
+// restart, and the archive may be refusing others' too. The transport's
+// admission control and the /readyz probe watch this: the right move is
+// to shed new traffic back to the sensors' outboxes. Lock-free: admission
+// control calls it on every arrival.
 func (s *Station) ArchiveDegraded() bool {
 	return s.degraded.Load() > 0
+}
+
+// degrade marks the sensor's archive as failed. The caller holds l.mu.
+func (s *Station) degrade(l *sensorLog) {
+	if !l.archDown {
+		l.archDown = true
+		s.degraded.Add(1)
+		s.metrics().degradedSensors.Add(1)
+	}
 }
 
 // ReceiveFrame ingests one wire-encoded frame from the named sensor.
@@ -527,10 +558,15 @@ func (l *sensorLog) duplicate(t *core.Transmission, src, sum uint64) bool {
 // receive is the single ingestion path. frame is the raw wire encoding
 // when the caller has it (nil for in-process delivery: re-encoded on
 // demand if an archive needs it); replay marks frames re-read from the
-// archive during recovery, which must not be archived again; rsp is the
-// caller's receive span for sampled traced frames (nil: untraced). It
-// serialises on the sensor's own lock only: ingest for different sensors
-// runs fully in parallel, and readers never hold this lock during work.
+// archive during recovery, which are neither checked for duplicates — the
+// archive holds only accepted frames — nor archived again; rsp is the
+// caller's receive span for sampled traced frames (nil: untraced). With an
+// archive attached, the frame is archived before anything else changes:
+// the chunk joins the window, the index and the bookkeeping only once the
+// append has succeeded, so no frame is accepted that the archive does not
+// hold. It serialises on the sensor's own lock only: ingest for different
+// sensors runs fully in parallel, and readers never hold this lock during
+// work.
 func (s *Station) receive(id string, t *core.Transmission, frame []byte, rawBytes int, src, sum uint64, replay bool, rsp *trace.Span) (err error) {
 	met := s.metrics()
 	start := time.Now()
@@ -560,7 +596,10 @@ func (s *Station) receive(id string, t *core.Transmission, frame []byte, rawByte
 	// this frame lands (cleared even on the reject paths — cheap, and
 	// always safe).
 	defer log.view.Store(nil)
-	if log.duplicate(t, src, sum) {
+	if log.archDown {
+		return fmt.Errorf("station: sensor %q: an archive append failed; its frames are refused until the station restarts", id)
+	}
+	if !replay && log.duplicate(t, src, sum) {
 		met.duplicates.Inc()
 		// The dedup decision is the interesting event on this path: it is
 		// what turns a retransmission into an idempotent re-ack.
@@ -574,7 +613,8 @@ func (s *Station) receive(id string, t *core.Transmission, frame []byte, rawByte
 	// A refused frame leaves the sensor as it was: the shape is checked
 	// before the replica sees the frame, the decoder validates the whole
 	// frame before it changes anything, and a reboot's fresh replica
-	// replaces the old one only once the frame decodes.
+	// replaces the old one only once the frame is accepted. A failed
+	// append is the one exception (see archDown).
 	if log.n != 0 && (log.n != t.N || log.m != t.M) {
 		return fmt.Errorf("station: sensor %q: batch shape %dx%d, want %dx%d",
 			id, t.N, t.M, log.n, log.m)
@@ -589,11 +629,11 @@ func (s *Station) receive(id string, t *core.Transmission, frame []byte, rawByte
 		}
 	}
 	// Archiving needs the raw frame and, when this append opens a fresh
-	// segment, the decoder replica as it stands *before* this decode — that
-	// snapshot becomes the segment header that makes the segment
-	// self-contained for cold reads.
-	archiving := store != nil && !replay && !log.archDown
-	var preState core.DecoderState
+	// segment, the sensor as it stands *before* this frame — that snapshot
+	// becomes the segment header that makes the segment self-contained for
+	// cold reads and a restart point.
+	archiving := store != nil && !replay
+	var pre segstore.SensorState
 	if archiving {
 		if frame == nil {
 			if frame, err = wire.Encode(t); err != nil {
@@ -601,12 +641,43 @@ func (s *Station) receive(id string, t *core.Transmission, frame []byte, rawByte
 			}
 		}
 		if store.NeedsSegment(id) {
-			preState = dec.State()
+			pre = log.state(dec)
 		}
 	}
 	rsp2 := rsp.Child("station.replica")
 	rows, err := dec.Decode(t)
 	rsp2.End()
+	if err != nil {
+		return fmt.Errorf("station: sensor %q: %w", id, err)
+	}
+	if log.index == nil {
+		ix, err := query.NewIndex(t.N, t.M)
+		if err != nil {
+			return fmt.Errorf("station: sensor %q: %w", id, err)
+		}
+		ix.Instrument(met.queryQueries, met.queryNodes)
+		log.index = ix
+	}
+	gchunk := log.totalChunks() // global index of this chunk
+	if archiving {
+		asp := rsp.Child("segstore.append")
+		err := store.AppendTraced(id, gchunk, rows, t.ErrBound, t.Ins(), frame,
+			func() segstore.SensorState { return pre }, asp)
+		asp.End()
+		if err != nil {
+			// Not acknowledged, so the sender keeps the frame. The replica
+			// has decoded it, though, and the archive may even hold it (when
+			// the seal after it failed): the sensor refuses frames until a
+			// restart resumes it from what the archive holds. The
+			// transport's admission control watches ArchiveDegraded and
+			// sheds new arrivals back to the sensors' durable outboxes.
+			s.degrade(log)
+			return fmt.Errorf("station: sensor %q: archiving chunk %d: %w", id, gchunk, err)
+		}
+	}
+	isp := rsp.Child("station.index")
+	err = log.index.AppendChunk(rows, t.ErrBound)
+	isp.End()
 	if err != nil {
 		return fmt.Errorf("station: sensor %q: %w", id, err)
 	}
@@ -616,20 +687,6 @@ func (s *Station) receive(id string, t *core.Transmission, frame []byte, rawByte
 		met.restarts.Inc()
 	}
 	log.n, log.m = t.N, t.M
-	if log.index == nil {
-		ix, err := query.NewIndex(log.n, log.m)
-		if err != nil {
-			return fmt.Errorf("station: sensor %q: %w", id, err)
-		}
-		ix.Instrument(met.queryQueries, met.queryNodes)
-		log.index = ix
-	}
-	isp := rsp.Child("station.index")
-	err = log.index.AppendChunk(rows, t.ErrBound)
-	isp.End()
-	if err != nil {
-		return fmt.Errorf("station: sensor %q: %w", id, err)
-	}
 	log.chunks = append(log.chunks, rows)
 	log.bounds = append(log.bounds, t.ErrBound)
 	log.nextSeq = t.Seq + 1
@@ -641,49 +698,22 @@ func (s *Station) receive(id string, t *core.Transmission, frame []byte, rawByte
 	log.bytes += rawBytes
 	log.values += t.Cost
 	log.inserts = append(log.inserts, t.Ins())
-	gchunk := log.totalChunks() - 1 // global index of the chunk just appended
-	if archiving {
-		asp := rsp.Child("segstore.append")
-		aerr := store.AppendTraced(id, gchunk, rows, t.ErrBound, t.Ins(), frame,
-			func() core.DecoderState { return preState }, asp)
-		asp.End()
-		if aerr != nil {
-			// Degraded mode: keep serving from memory, stop archiving and
-			// evicting this sensor — nothing non-durable is ever dropped.
-			// The transport's admission control watches ArchiveDegraded and
-			// sheds new arrivals, pushing the backlog out to the sensors'
-			// durable outboxes instead of growing an unarchivable window.
-			log.archDown = true
-			s.degraded.Add(1)
-			met.degradedSensors.Add(1)
-		} else {
-			log.archived = gchunk + 1
-		}
-	}
-	if replay {
-		log.archived = gchunk + 1 // the archive is where the frame came from
-	}
 	evict(log, memChunks)
 	s.observeTransmission(met, log, t, rawBytes)
 	return nil
 }
 
-// evict trims the in-memory window to memChunks, dropping only chunks the
-// archive holds durably. The caller holds l.mu. The surviving window is
-// copied into a fresh slice — never trimmed in place — so query snapshots
-// captured before the eviction keep reading a stable backing array.
+// evict trims the in-memory window to memChunks (0: unbounded). Every
+// chunk is in the archive before the window takes it, so any can go. The
+// caller holds l.mu. The surviving window is copied into a fresh slice —
+// never trimmed in place — so query snapshots captured before the
+// eviction keep reading a stable backing array.
 func evict(l *sensorLog, memChunks int) {
-	if memChunks <= 0 {
-		return
-	}
 	drop := len(l.chunks) - memChunks
-	if max := l.archived - l.first; drop > max {
-		drop = max
-	}
-	if drop <= 0 {
+	if memChunks <= 0 || drop <= 0 {
 		return
 	}
-	rest := make([][]timeseries.Series, len(l.chunks)-drop)
+	rest := make([][]timeseries.Series, memChunks)
 	copy(rest, l.chunks[drop:])
 	l.chunks = rest
 	l.first += drop
@@ -736,8 +766,7 @@ type Stats struct {
 	Values        int // abstract bandwidth consumed
 	// BaseInserts lists the base intervals each transmission inserted
 	// (Table 6). After retention purged history and the station restarted,
-	// it covers the retained chunks only; chunks a degraded sensor lost
-	// with a restart read 0.
+	// it covers the retained chunks only.
 	BaseInserts []int
 	Restarts    int // sensor reboots observed
 }
